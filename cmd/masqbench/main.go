@@ -28,7 +28,6 @@ func main() {
 	all := flag.Bool("all", false, "run every experiment")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to `file` at exit")
-	simbench := flag.String("simbench", "", "measure the simulation core and write the report to `file` (e.g. BENCH_simcore.json)")
 	shards := flag.Int("shards", 0, "run the sharded-engine determinism workload on `N` shards and print its fingerprint (byte-identical for every N)")
 	flag.Parse()
 
@@ -69,37 +68,6 @@ func main() {
 		// byte-identical output iff the parallel engine replays the
 		// single-shard oracle exactly. CI diffs the two.
 		fmt.Println(bench.ShardDeterminismRun(*shards))
-	case *simbench != "":
-		rep := bench.SimCoreBench()
-		f, err := os.Create(*simbench)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "masqbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "masqbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("simulation core: %.0f events/sec end-to-end (%d events in %.2fs); report → %s\n",
-			rep.EndToEnd.EventsPerSec, rep.EndToEnd.Events, rep.EndToEnd.WallSeconds, *simbench)
-		var idxPt, linPt *bench.RuleScalePoint
-		for i := range rep.RuleScale {
-			pt := &rep.RuleScale[i]
-			if pt.Rules != 100000 {
-				continue
-			}
-			if pt.Engine == "indexed" {
-				idxPt = pt
-			} else {
-				linPt = pt
-			}
-		}
-		if idxPt != nil && linPt != nil {
-			fmt.Printf("rule engine at 100k rules: valid_conn %.1fµs indexed vs %.1fµs linear (%.0fx); revoke %.0fµs vs %.0fµs (%.0fx)\n",
-				idxPt.ValidateMicros, linPt.ValidateMicros, linPt.ValidateMicros/idxPt.ValidateMicros,
-				idxPt.EnforceMicros, linPt.EnforceMicros, linPt.EnforceMicros/idxPt.EnforceMicros)
-		}
 	case *list:
 		for _, e := range bench.All() {
 			fmt.Printf("  %-16s %s\n", e.ID, e.Paper)

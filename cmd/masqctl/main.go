@@ -462,9 +462,9 @@ func main() {
 
 	if *ctrlFailover {
 		fmt.Println("\n=== sharded controller: per-shard failover on a fresh 4-shard testbed ===")
-		// The main scenario runs the classic unsharded controller; the
-		// sharded demo gets its own testbed so the two control-plane
-		// flavors are shown side by side.
+		// The main scenario runs a one-shard controller; the four-shard
+		// demo gets its own testbed so the two deployments are shown side
+		// by side.
 		cfg2 := masq.DefaultConfig()
 		cfg2.Hosts = 3
 		cfg2.CtrlShards = 4

@@ -18,25 +18,25 @@ func init() {
 // 1000-host workload against a different shard count (and, in the failover
 // arm, with one shard's primary crashed mid-storm).
 type CtrlScalePoint struct {
-	Shards   int  `json:"shards"`
-	Hosts    int  `json:"hosts"`
-	VMs      int  `json:"vms_per_host"`
-	Failover bool `json:"failover"`
+	Shards   int
+	Hosts    int
+	VMs      int
+	Failover bool
 	// Resolve latency percentiles (µs) for setup-path lookups racing the
 	// renewal wave — the queueing signal.
-	ResolveP50Us float64 `json:"resolve_p50_us"`
-	ResolveP99Us float64 `json:"resolve_p99_us"`
+	ResolveP50Us float64
+	ResolveP99Us float64
 	// RenewWaveMs is how long the full renewal wave took to complete
 	// (virtual ms), including retries through the failover window.
-	RenewWaveMs float64 `json:"renew_wave_ms"`
+	RenewWaveMs float64
 	// MaxQueueHWM is the deepest serialization queue any shard saw.
-	MaxQueueHWM int `json:"max_queue_hwm"`
+	MaxQueueHWM int
 	// Retries counts renewal batches that had to be re-sent (dark or
 	// fenced shard); FencedWrites is the controller-side fence count.
-	Retries      int    `json:"retries"`
-	FencedWrites uint64 `json:"fenced_writes"`
-	Events       uint64 `json:"events"`
-	WallSeconds  float64 `json:"wall_seconds"`
+	Retries      int
+	FencedWrites uint64
+	Events       uint64
+	WallSeconds  float64
 }
 
 // runCtrlScale drives the Sharded controller directly with a synthetic

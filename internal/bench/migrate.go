@@ -11,23 +11,23 @@ func init() {
 	register("abl-migrate", "Ablation: live-migration blackout vs dirty-page rate and connection count", ablMigrate)
 }
 
-// MigrationPoint is one live-migration measurement for BENCH_simcore.json:
+// MigrationPoint is one live-migration measurement (an abl-migrate cell):
 // the blackout a guest sees when its VM moves, as a function of how fast it
 // dirties memory and how many RDMA connections ride along.
 type MigrationPoint struct {
 	// DirtyFrac is the guest's dirty rate as a fraction of the migration
 	// stream's copy bandwidth (1.0 = dirtying as fast as we copy).
-	DirtyFrac float64 `json:"dirty_frac"`
-	Conns     int     `json:"conns"`
-	ImageKB   float64 `json:"image_kb"`
-	Rounds    int     `json:"pre_copy_rounds"`
-	PreCopyMs float64 `json:"pre_copy_ms"`
+	DirtyFrac float64
+	Conns     int
+	ImageKB   float64
+	Rounds    int
+	PreCopyMs float64
 	// BlackoutUs decomposes into freeze + stop-copy + restore + commit.
-	BlackoutUs float64 `json:"blackout_us"`
-	FreezeUs   float64 `json:"freeze_us"`
-	StopCopyUs float64 `json:"stop_copy_us"`
-	RestoreUs  float64 `json:"restore_us"`
-	CommitUs   float64 `json:"commit_us"`
+	BlackoutUs float64
+	FreezeUs   float64
+	StopCopyUs float64
+	RestoreUs  float64
+	CommitUs   float64
 }
 
 // runLiveMigrate builds a MasQ pair with `conns` live RC connections on the

@@ -18,18 +18,18 @@ func init() {
 // RuleScalePoint is one measured (rule count, engine) cell: policy
 // evaluation throughput on the connection-setup path, the latency of
 // enforcing one narrow revoke against a populated RCT, and a rule-churn
-// storm. It feeds both the abl-rule-scale table and BENCH_simcore.json.
+// storm. It feeds the abl-rule-scale table.
 type RuleScalePoint struct {
-	Rules           int     `json:"rules"`
-	Engine          string  `json:"engine"` // "indexed" or "linear"
-	ValidatesPerSec float64 `json:"validates_per_sec"`
-	ValidateMicros  float64 `json:"validate_us"` // mean valid_conn latency (all cache misses)
-	EnforceMicros   float64 `json:"enforce_us"`  // one narrow revoke → drain (16 resets)
-	StormMicros     float64 `json:"storm_us"`    // 8 revokes back-to-back (0 = cell skipped)
-	StormResets     uint64  `json:"storm_resets"`
-	Revalidated     uint64  `json:"revalidated"`   // RCT entries re-evaluated across all enforcement
-	IndexPairs      int     `json:"index_pairs"`   // distinct (src bits, dst bits) classes indexed
-	IndexBuckets    int     `json:"index_buckets"` // hash buckets behind them
+	Rules           int
+	Engine          string // "indexed" or "linear"
+	ValidatesPerSec float64
+	ValidateMicros  float64 // mean valid_conn latency (all cache misses)
+	EnforceMicros   float64 // one narrow revoke → drain (16 resets)
+	StormMicros     float64 // 8 revokes back-to-back (0 = cell skipped)
+	StormResets     uint64
+	Revalidated     uint64 // RCT entries re-evaluated across all enforcement
+	IndexPairs      int    // distinct (src bits, dst bits) classes indexed
+	IndexBuckets    int    // hash buckets behind them
 }
 
 // Rule-scale scenario layout. The synthetic bulk rules live in 10/8 and

@@ -16,17 +16,17 @@ func init() {
 // ShardScalePoint is one cell of the shard-scaling curve: the same seeded
 // workload run on a different shard count.
 type ShardScalePoint struct {
-	Shards       int     `json:"shards"`
-	Hosts        int     `json:"hosts"`
-	Events       uint64  `json:"events"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	Shards       int
+	Hosts        int
+	Events       uint64
+	WallSeconds  float64
+	EventsPerSec float64
 	// Speedup is events/sec relative to the 1-shard run of the same
 	// workload. Meaningful only when GOMAXPROCS >= Shards.
-	Speedup float64 `json:"speedup"`
+	Speedup float64
 	// Digest fingerprints the workload's final state. Every shard count
 	// must produce the same digest — it is the determinism guard's hook.
-	Digest string `json:"digest"`
+	Digest string
 }
 
 // shardScaleRun drives a ring of hosts on a sharded engine: every host

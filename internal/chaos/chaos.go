@@ -228,7 +228,7 @@ type Injector struct {
 
 	// OnCtrlCrash/OnCtrlRestart, when set, are invoked for CtrlCrash and
 	// CtrlRestart events (and a CtrlCrash event's Until edge). The cluster
-	// layer wires them to Controller.Crash and Controller.Restart.
+	// layer wires them to controller.Sharded CrashAll and RestartAll.
 	OnCtrlCrash   func()
 	OnCtrlRestart func()
 

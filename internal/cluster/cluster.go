@@ -67,7 +67,7 @@ type Config struct {
 	// Chaos arms a network/VM fault schedule on the testbed's injector as
 	// soon as the topology is built. Plans referencing links or nodes can
 	// also be armed later via Testbed.Chaos.Arm.
-	Chaos chaos.Plan
+	Chaos     chaos.Plan
 	PropDelay simtime.Duration
 	SwitchFwd simtime.Duration
 
@@ -76,25 +76,22 @@ type Config struct {
 	// switch, fabric, and chaos injector stay on shard 0. The underlay
 	// links become cross-shard exchanges whose minimum latency is
 	// PropDelay, which therefore must be positive and becomes the engine's
-	// conservative lookahead. 0 (the default) keeps the classic single
-	// Engine with no exchange machinery; 1 runs the sharded machinery on
-	// one shard — the reference oracle that N-shard runs are byte-compared
-	// against. With Shards > 1, ModeHost and ModeSRIOV nodes are always
-	// supported; MasQ modes additionally require CtrlShards > 0 (the
-	// sharded controller places each shard on an engine shard and backends
-	// reach it through per-host exchange proxies — see controller.Remote).
-	// FreeFlow is not shard-safe, and chaos plans are rejected (fault
-	// callbacks mutate devices across shards).
+	// conservative lookahead. 0 (the default) keeps the single Engine with
+	// no exchange machinery; 1 runs the sharded machinery on one shard —
+	// the reference oracle that N-shard runs are byte-compared against.
+	// On any sharded engine, MasQ backends reach the controller through
+	// per-host exchange proxies (controller.Remote), so every controller
+	// RPC pays one exchange hop (PropDelay) each way. FreeFlow is not
+	// shard-safe with Shards > 1, and chaos plans are rejected there
+	// (fault callbacks mutate devices across shards).
 	Shards int
 
 	// CtrlShards splits the controller's mapping table across this many
 	// shards by consistent hash of (VNI, vGID) — each with its own epoch,
 	// lease table, push queues, and (with Ctrl.Replicate) a standby
-	// replica that auto-promotes on failover. 0 (the default) keeps the
-	// classic single Controller in Testbed.Ctrl; any value > 0 builds a
-	// controller.Sharded in Testbed.CtrlSharded instead. CtrlSvc always
-	// exposes whichever was built. On an engine-sharded testbed controller
-	// shard c lives on engine shard c % Shards.
+	// replica that auto-promotes on failover. 0 and 1 both mean one
+	// shard. On an engine-sharded testbed controller shard c lives on
+	// engine shard c % Shards.
 	CtrlShards int
 
 	// Trace enables the cross-layer span recorder: Testbed.Trace is
@@ -132,16 +129,16 @@ type Testbed struct {
 	// Cfg.Shards > 0. Drive sharded testbeds with tb.Run/tb.RunUntil (or
 	// Sharded.Run), never Eng.Run — shard 0 alone would starve the rest.
 	Sharded *simtime.ShardedEngine
-	Cfg   Config
-	Hosts []*hyper.Host
-	Fab   *overlay.Fabric
-	// Ctrl is the classic single controller, non-nil iff CtrlShards == 0.
-	Ctrl *controller.Controller
-	// CtrlSharded is the sharded controller, non-nil iff CtrlShards > 0.
+	Cfg     Config
+	Hosts   []*hyper.Host
+	Fab     *overlay.Fabric
+	// CtrlSharded is the SDN controller every backend, chaos hook and
+	// migration talks to: max(CtrlShards, 1) shards.
 	CtrlSharded *controller.Sharded
-	// CtrlSvc is the controller service every backend talks to: Ctrl or
-	// CtrlSharded, whichever the config built.
-	CtrlSvc  controller.Service
+	// Ctrl is shard 0's primary, CtrlSharded.Primary(0) — the whole
+	// mapping table when there is one shard. Read its Stats, Epoch and
+	// Dump; drive faults through CtrlSharded.
+	Ctrl     *controller.Controller
 	Backends []*masq.Backend // per host, nil until first MasQ node
 	// Links are the underlay links: one for a direct pair, or one per host
 	// toward the ToR switch (Links[i] is host i's uplink). Attach taps here
@@ -193,34 +190,23 @@ func New(cfg Config) *Testbed {
 		neighbors: make(map[packet.IP]packet.MAC),
 		masqMode:  masq.ModeVF,
 	}
-	if cfg.CtrlShards > 0 {
-		// Controller shard c lives on engine shard c % Shards (shard 0's
-		// engine when the testbed is not engine-sharded), so MasQ nodes on
-		// any engine shard reach their shards without serializing through
-		// engine shard 0.
-		engines := []*simtime.Engine{eng}
-		if se != nil {
-			engines = engines[:0]
-			for i := 0; i < se.NumShards(); i++ {
-				engines = append(engines, se.Shard(i))
-			}
+	// Controller shard c lives on engine shard c % Shards (shard 0's engine
+	// when the testbed is not engine-sharded), so MasQ nodes on any engine
+	// shard reach their shards without serializing through engine shard 0.
+	engines := []*simtime.Engine{eng}
+	if se != nil {
+		engines = engines[:0]
+		for i := 0; i < se.NumShards(); i++ {
+			engines = append(engines, se.Shard(i))
 		}
-		tb.CtrlSharded = controller.NewSharded(engines, cfg.Ctrl, cfg.CtrlShards)
-		tb.CtrlSvc = tb.CtrlSharded
-		tb.CtrlSharded.SetFaultPlan(cfg.CtrlFault)
-	} else {
-		tb.Ctrl = controller.New(eng, cfg.Ctrl)
-		tb.CtrlSvc = tb.Ctrl
-		tb.Ctrl.SetFaultPlan(cfg.CtrlFault)
 	}
+	tb.CtrlSharded = controller.NewSharded(engines, cfg.Ctrl, max(cfg.CtrlShards, 1))
+	tb.CtrlSharded.SetFaultPlan(cfg.CtrlFault)
+	tb.Ctrl = tb.CtrlSharded.Primary(0)
 	tb.Fab = overlay.NewFabric(eng, cfg.Overlay)
 	if cfg.Trace {
 		tb.Trace = trace.NewSharded(max(cfg.Shards, 1))
-		if tb.CtrlSharded != nil {
-			tb.CtrlSharded.SetRecorder(tb.Trace)
-		} else {
-			tb.Ctrl.SetRecorder(tb.Trace)
-		}
+		tb.CtrlSharded.SetRecorder(tb.Trace)
 	}
 
 	resolveHost := func(ip packet.IP) (packet.MAC, bool) {
@@ -280,23 +266,17 @@ func New(cfg Config) *Testbed {
 			_, _ = tb.LiveMigrateNode(p, n, dst, MigrateOpts{})
 		})
 	}
-	if tb.CtrlSharded != nil {
-		// A whole-controller outage on a sharded control plane crashes
-		// every shard's primary; with replication on, each standby
-		// auto-promotes after the detect window, so the Until edge's
-		// RestartAll only restarts shards still down.
-		tb.Chaos.OnCtrlCrash = func() { tb.CtrlSharded.CrashAll() }
-		tb.Chaos.OnCtrlRestart = func() { tb.CtrlSharded.RestartAll() }
-		tb.Chaos.OnShardCrash = tb.CtrlSharded.CrashShard
-		tb.Chaos.OnShardRestart = tb.CtrlSharded.RestartShard
-		tb.Chaos.OnShardPartition = func(shard int, heal simtime.Time) {
-			tb.CtrlSharded.PartitionShard(shard, heal.Sub(tb.Eng.Now()))
-		}
-		tb.Chaos.OnReplLag = tb.CtrlSharded.SetLagWindow
-	} else {
-		tb.Chaos.OnCtrlCrash = func() { tb.Ctrl.Crash() }
-		tb.Chaos.OnCtrlRestart = func() { tb.Ctrl.Restart() }
+	// A whole-controller outage crashes every shard's primary; with
+	// replication on, each standby auto-promotes after the detect window,
+	// so the Until edge's RestartAll only restarts shards still down.
+	tb.Chaos.OnCtrlCrash = tb.CtrlSharded.CrashAll
+	tb.Chaos.OnCtrlRestart = tb.CtrlSharded.RestartAll
+	tb.Chaos.OnShardCrash = tb.CtrlSharded.CrashShard
+	tb.Chaos.OnShardRestart = tb.CtrlSharded.RestartShard
+	tb.Chaos.OnShardPartition = func(shard int, heal simtime.Time) {
+		tb.CtrlSharded.PartitionShard(shard, heal.Sub(tb.Eng.Now()))
 	}
+	tb.Chaos.OnReplLag = tb.CtrlSharded.SetLagWindow
 	tb.Chaos.OnLinkState = func(l *simnet.Link, down bool) {
 		// A cable cut is visible to both adjacent RNICs as a port event.
 		for _, h := range tb.Hosts {
@@ -374,14 +354,11 @@ func (tb *Testbed) AllowAll(vni uint32) int {
 }
 
 // ctrlFor returns the controller service host hostIdx's backend should
-// talk to: the shared Ctrl/CtrlSharded front directly, or — on an
-// engine-sharded testbed with a sharded controller — a per-host
-// controller.Remote that routes every RPC and notification over
-// exchanges, so host procs never touch another engine shard's state.
+// talk to: the CtrlSharded front directly, or — on an engine-sharded
+// testbed — a per-host controller.Remote that routes every RPC and
+// notification over exchanges, so host procs never touch another engine
+// shard's state.
 func (tb *Testbed) ctrlFor(hostIdx int) controller.Service {
-	if tb.CtrlSharded == nil {
-		return tb.Ctrl
-	}
 	if tb.Sharded == nil {
 		return tb.CtrlSharded
 	}
@@ -416,12 +393,13 @@ func (tb *Testbed) StartLeases(until simtime.Time) {
 	}
 }
 
-// CrashController schedules a controller crash at the given instant and,
-// when restart is nonzero, a restart at that later instant. The crash wipes
-// the controller's mapping table and pending notification queues and is
-// recorded in the chaos trace; the restart bumps the epoch, fencing any
-// stale state. Recovery is driven by the backends' lease renewals (see
-// StartLeases), which re-register live endpoints and re-request push-down.
+// CrashController schedules a whole-controller crash (every shard's
+// primary) at the given instant and, when restart is nonzero, a restart at
+// that later instant. The crash wipes each shard's mapping table and
+// pending notification queues and is recorded in the chaos trace; the
+// restart bumps the epochs, fencing any stale state. Recovery is driven by
+// the backends' lease renewals (see StartLeases), which re-register live
+// endpoints and re-request push-down.
 func (tb *Testbed) CrashController(at, restart simtime.Time) {
 	tb.Chaos.Arm(chaos.Plan{Seed: 1, Events: []chaos.Event{chaos.CtrlOutage(at, restart)}})
 }
@@ -474,23 +452,13 @@ func (n *Node) Crashed() bool { return n.crashed }
 // NewNode creates a workload endpoint on a host under the given mode,
 // attached to tenant vni at virtual IP vip.
 func (tb *Testbed) NewNode(mode Mode, hostIdx int, vni uint32, vip packet.IP) (*Node, error) {
-	if tb.Sharded != nil && tb.Sharded.NumShards() > 1 {
-		switch mode {
-		case ModeHost, ModeSRIOV:
-			// Shard-safe: after setup these nodes only interact across
-			// hosts through simnet frames, which ride the exchanges.
-		case ModeMasQ, ModeMasQPF, ModeMasQShared:
-			// Shard-safe iff the controller is sharded: backends then talk
-			// to it through per-host exchange proxies (controller.Remote)
-			// instead of reaching into another shard's state.
-			if tb.CtrlSharded == nil {
-				return nil, fmt.Errorf("cluster: %v nodes with Shards > 1 need CtrlShards > 0 "+
-					"(the sharded controller is what makes cross-shard control RPCs shard-safe)", mode)
-			}
-		default:
-			return nil, fmt.Errorf("cluster: %v nodes call the shared controller from host procs, "+
-				"which is not shard-safe; use ModeHost or ModeSRIOV with Shards > 1", mode)
-		}
+	// FreeFlow is the one mode that is not shard-safe. After setup, host
+	// and SR-IOV nodes interact across hosts only through simnet frames,
+	// which ride the exchanges, and MasQ backends reach the controller
+	// through per-host exchange proxies (controller.Remote).
+	if mode == ModeFreeFlow && tb.Sharded != nil && tb.Sharded.NumShards() > 1 {
+		return nil, fmt.Errorf("cluster: %v nodes resolve peers through the shared fabric from host procs, "+
+			"which is not shard-safe with Shards > 1", mode)
 	}
 	tb.nodeSeq++
 	name := fmt.Sprintf("%s-%d", mode, tb.nodeSeq)

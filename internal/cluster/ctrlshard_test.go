@@ -13,6 +13,7 @@ package cluster_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"testing"
 
 	"masq/internal/apps/perftest"
@@ -263,7 +264,7 @@ func oracleDigest(t *testing.T, ctrlShards int) []byte {
 	t.Helper()
 	cfg := shortRetry(cluster.DefaultConfig())
 	cfg.Hosts = 3
-	cfg.CtrlShards = ctrlShards // 0 = the classic unsharded controller
+	cfg.CtrlShards = ctrlShards
 	cfg.Masq.PushDown = true
 	cfg.Masq.GraceTTL = simtime.Ms(30)
 	cfg.Masq.LeaseRenewEvery = simtime.Ms(1)
@@ -296,13 +297,7 @@ func oracleDigest(t *testing.T, ctrlShards int) []byte {
 	resB := perftest.StartResilientWriteBW(tb, c1, s1, 7801, 8192, horizon, pol)
 
 	var table map[controller.Key]controller.Mapping
-	tb.Eng.At(simtime.Time(simtime.Ms(45)), func() {
-		if tb.CtrlSharded != nil {
-			table = tb.CtrlSharded.Dump(vni)
-		} else {
-			table = tb.Ctrl.Dump(vni)
-		}
-	})
+	tb.Eng.At(simtime.Time(simtime.Ms(45)), func() { table = tb.CtrlSharded.Dump(vni) })
 	tb.Eng.Run()
 	if !resA.Triggered() || !resB.Triggered() {
 		t.Fatalf("streams stuck (ctrlShards=%d; pending: %v)", ctrlShards, tb.Eng.PendingProcs())
@@ -333,17 +328,23 @@ func oracleDigest(t *testing.T, ctrlShards int) []byte {
 	return sum.Bytes()
 }
 
-// TestOneShardNoReplicationMatchesClassicOracle is the seed-oracle guard:
-// routing the whole control plane through a 1-shard Sharded front with
-// replication off must be invisible — every workload-observable value
-// (stream counters, backend stats, reconverged table) matches the classic
-// unsharded controller byte for byte.
-func TestOneShardNoReplicationMatchesClassicOracle(t *testing.T) {
-	classic := oracleDigest(t, 0)
-	oneShard := oracleDigest(t, 1)
-	if !bytes.Equal(classic, oneShard) {
-		t.Fatalf("1-shard controller diverges from the classic oracle:\n--- classic ---\n%s\n--- 1-shard ---\n%s",
-			classic, oneShard)
+// TestOneShardControllerMatchesSeedOracle is the seed-oracle guard: the
+// one-shard controller with replication off must reproduce every
+// workload-observable value (stream counters, backend stats, reconverged
+// table) of testdata/ctrl_oracle.digest byte for byte. The fixture was
+// recorded from the original single-controller implementation, before
+// the one-shard Sharded front replaced it; CtrlShards 0 and 1 must both
+// match it.
+func TestOneShardControllerMatchesSeedOracle(t *testing.T) {
+	want, err := os.ReadFile("testdata/ctrl_oracle.digest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 1} {
+		if got := oracleDigest(t, shards); !bytes.Equal(got, want) {
+			t.Fatalf("CtrlShards=%d diverges from the seed oracle:\n--- oracle ---\n%s\n--- got ---\n%s",
+				shards, want, got)
+		}
 	}
 }
 

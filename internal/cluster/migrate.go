@@ -150,7 +150,7 @@ func (tb *Testbed) LiveMigrateNode(p *simtime.Proc, n *Node, dstHost int, opts M
 	// endpoint; a failure (controller dark) aborts with nothing touched.
 	vb := fe.VBond()
 	key := controller.Key{VNI: vb.VNI(), VGID: vb.GID()}
-	if err := tb.CtrlSvc.Suspend(p, key); err != nil {
+	if err := tb.CtrlSharded.Suspend(p, key); err != nil {
 		return rep, fmt.Errorf("cluster: live migration of %s aborted before freeze: %w", n.Name, err)
 	}
 
@@ -161,7 +161,7 @@ func (tb *Testbed) LiveMigrateNode(p *simtime.Proc, n *Node, dstHost int, opts M
 		// The capture refuses before mutating anything (wrong backend,
 		// dead session, shared mode). Wake the peers the Suspend push
 		// quiesced; if this push is lost too, their suspend TTL fires.
-		_ = tb.CtrlSvc.Move(p, key, srcB.HostMapping(), nil)
+		_ = tb.CtrlSharded.Move(p, key, srcB.HostMapping(), nil)
 		return rep, fmt.Errorf("cluster: live migration of %s aborted: %w", n.Name, err)
 	}
 	rep.QPs, rep.MRs, rep.Conns = cap.Counts()
@@ -194,7 +194,7 @@ func (tb *Testbed) LiveMigrateNode(p *simtime.Proc, n *Node, dstHost int, opts M
 		return tb.rollbackLive(p, n, rep, cap, key, srcB, dstB, err)
 	}
 	cmStart := p.Now()
-	if err := tb.CtrlSvc.Move(p, key, dstB.HostMapping(), cap.QPNMap); err != nil {
+	if err := tb.CtrlSharded.Move(p, key, dstB.HostMapping(), cap.QPNMap); err != nil {
 		// The realistic chaos case: the controller is unreachable at the
 		// commit point. Nothing was published — put the endpoint back.
 		if fbErr := tb.Fab.MoveEndpoint(n.VM.VNIC, src.VSwitch); fbErr != nil {
@@ -231,7 +231,7 @@ func (tb *Testbed) rollbackLive(p *simtime.Proc, n *Node, rep *MigrateReport, ca
 	// mapping republished is the source's own, so a delivered push renames
 	// nothing and merely wakes them; a lost push leaves the suspend TTL to
 	// do the same.
-	_ = tb.CtrlSvc.Move(p, key, srcB.HostMapping(), nil)
+	_ = tb.CtrlSharded.Move(p, key, srcB.HostMapping(), nil)
 	rep.RolledBack = true
 	rep.Blackout = 0
 	return rep, fmt.Errorf("cluster: live migration of %s rolled back: %w", n.Name, cause)

@@ -131,16 +131,18 @@ func TestShardedClusterDeterminismAB(t *testing.T) {
 	}
 }
 
-// TestShardedRejectsUnsupportedModes: with more than one shard, modes that
-// use the shared controller RPC path are refused with a clear error.
+// TestShardedRejectsUnsupportedModes: with more than one shard, FreeFlow
+// (which resolves peers through the shared fabric from host procs) is
+// refused with a clear error, while ModeHost and MasQ — whose backends
+// reach the controller through per-host exchange proxies — are admitted.
 func TestShardedRejectsUnsupportedModes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Hosts = 4
 	cfg.Shards = 2
 	tb := New(cfg)
 	tb.AddTenant(100, "t")
-	if _, err := tb.NewNode(ModeMasQ, 0, 100, packet.NewIP(10, 0, 0, 1)); err == nil {
-		t.Fatal("ModeMasQ node allowed on a 2-shard testbed")
+	if _, err := tb.NewNode(ModeMasQ, 0, 100, packet.NewIP(10, 0, 0, 1)); err != nil {
+		t.Fatalf("ModeMasQ refused on a 2-shard testbed: %v", err)
 	}
 	if _, err := tb.NewNode(ModeFreeFlow, 0, 100, packet.NewIP(10, 0, 0, 2)); err == nil {
 		t.Fatal("ModeFreeFlow node allowed on a 2-shard testbed")
@@ -150,9 +152,11 @@ func TestShardedRejectsUnsupportedModes(t *testing.T) {
 	}
 }
 
-// TestShardedMasqOracleMode: Shards == 1 keeps the full MasQ stack
-// available (the oracle runs everything through the windowed machinery),
-// and its virtual timings match the classic unsharded engine.
+// TestShardedMasqOracleMode: the full MasQ stack runs at any engine-shard
+// count. Without engine shards the connect instant is the single-engine
+// reference value; on a sharded engine every controller RPC rides a
+// controller.Remote exchange hop each way, and the connect instant is the
+// same for 1 (the oracle), 2 and 4 engine shards.
 func TestShardedMasqOracleMode(t *testing.T) {
 	run := func(shards int) simtime.Time {
 		cfg := DefaultConfig()
@@ -208,8 +212,22 @@ func TestShardedMasqOracleMode(t *testing.T) {
 		}
 		return connected
 	}
-	unsharded, oracle := run(0), run(1)
-	if unsharded != oracle {
-		t.Fatalf("MasQ connect instant: unsharded=%v vs 1-shard oracle=%v", unsharded, oracle)
+	// Without engine shards no exchange hop sits on the connect path.
+	const unshardedConnect = simtime.Time(4484284)
+	if got := run(0); got != unshardedConnect {
+		t.Fatalf("MasQ connect instant without engine shards = %d ns, want %d ns", got, unshardedConnect)
+	}
+	oracle := run(1)
+	// One controller round trip on the connect path crosses the Remote
+	// exchanges: PropDelay out, PropDelay back.
+	if hop := 2 * DefaultConfig().PropDelay; oracle != unshardedConnect.Add(hop) {
+		t.Fatalf("MasQ connect instant on 1 engine shard = %d ns, want %d ns (single engine + %v)",
+			oracle, unshardedConnect.Add(hop), hop)
+	}
+	for _, shards := range []int{2, 4} {
+		if got := run(shards); got != oracle {
+			t.Fatalf("MasQ connect instant on %d engine shards = %d ns, 1-shard oracle = %d ns",
+				shards, got, oracle)
+		}
 	}
 }

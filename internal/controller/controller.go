@@ -248,7 +248,8 @@ func (s *Subscription) Pending() int { return s.q.Len() }
 // HighWater returns the deepest the delivery queue has ever been.
 func (s *Subscription) HighWater() int { return s.hwm }
 
-// Controller is the mapping service.
+// Controller is the mapping service of one keyspace shard; Sharded runs
+// one as each shard's primary.
 type Controller struct {
 	P     Params
 	Stats Stats
@@ -263,11 +264,14 @@ type Controller struct {
 	epoch uint64
 	down  bool
 
-	// occupy, when set, replaces serialization sleeps with the owning
-	// shard's service-queue model (wait for the slot, then hold it for the
-	// cost). Nil — the bare-controller default — is a plain Sleep, which is
-	// byte-identical to the historical behaviour.
-	occupy func(p *simtime.Proc, cost simtime.Duration)
+	// Analytic service queue: the serialization slot is busy until
+	// busyUntil; arrivals wait for it (see enter) and batch/dump
+	// serialization occupies it (see serialize). Uncontended traffic never
+	// waits, so the queue costs nothing until there is actual contention.
+	busyUntil simtime.Time
+	waiting   int
+	queueHWM  int
+
 	// mutated, when set, appends every accepted table write to the owning
 	// shard's replication log. Nil (the default) replicates nothing.
 	mutated func(k Key, e entry, removed bool)
@@ -464,17 +468,33 @@ func (c *Controller) windowOverlaps(from, to simtime.Time) bool {
 	return false
 }
 
-// serialize charges a serialization cost: through the shard service-queue
-// model when the controller belongs to a Sharded front door, otherwise a
-// plain sleep (identical virtual time when uncontended).
+// enter waits for the serialization slot to free. Uncontended callers pass
+// straight through (no events); contended callers sleep until busyUntil,
+// re-checking because a batch that slipped in ahead may have extended it.
+// The waiter count's high-water mark is the controller's queue HWM.
+func (c *Controller) enter(p *simtime.Proc) {
+	for {
+		wait := c.busyUntil.Sub(p.Now())
+		if wait <= 0 {
+			return
+		}
+		c.waiting++
+		if c.waiting > c.queueHWM {
+			c.queueHWM = c.waiting
+		}
+		p.Sleep(wait)
+		c.waiting--
+	}
+}
+
+// serialize holds the serialization slot for cost. When the slot is free
+// this is exactly one Sleep(cost).
 func (c *Controller) serialize(p *simtime.Proc, cost simtime.Duration) {
 	if cost <= 0 {
 		return
 	}
-	if c.occupy != nil {
-		c.occupy(p, cost)
-		return
-	}
+	c.enter(p)
+	c.busyUntil = p.Now().Add(cost)
 	p.Sleep(cost)
 }
 
@@ -515,14 +535,6 @@ func (c *Controller) rpc(p *simtime.Proc) error {
 		return ErrUnavailable
 	}
 	return nil
-}
-
-// Query performs a remote lookup, paying the query round trip. It is the
-// fault-oblivious legacy interface: a timeout surfaces as a miss. Callers
-// that must distinguish "no mapping" from "no answer" use Lookup.
-func (c *Controller) Query(p *simtime.Proc, k Key) (Mapping, bool) {
-	m, ok, _ := c.Lookup(p, k)
-	return m, ok
 }
 
 // Lookup performs one remote lookup attempt, modelling the RPC. On

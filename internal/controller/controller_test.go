@@ -21,7 +21,7 @@ func TestRegisterAndQuery(t *testing.T) {
 	var elapsed simtime.Duration
 	eng.Spawn("q", func(p *simtime.Proc) {
 		start := p.Now()
-		m, ok = c.Query(p, k)
+		m, ok, _ = c.Lookup(p, k)
 		elapsed = p.Now().Sub(start)
 	})
 	eng.Run()
@@ -38,7 +38,7 @@ func TestQueryMiss(t *testing.T) {
 	c := New(eng, DefaultParams())
 	var ok bool
 	eng.Spawn("q", func(p *simtime.Proc) {
-		_, ok = c.Query(p, Key{VNI: 1})
+		_, ok, _ = c.Lookup(p, Key{VNI: 1})
 	})
 	eng.Run()
 	if ok {
@@ -57,8 +57,8 @@ func TestOverlappingVIPsDistinctByVNI(t *testing.T) {
 	c.Register(Key{VNI: 200, VGID: vgid}, mapping(packet.NewIP(172, 16, 0, 2)))
 	var m1, m2 Mapping
 	eng.Spawn("q", func(p *simtime.Proc) {
-		m1, _ = c.Query(p, Key{VNI: 100, VGID: vgid})
-		m2, _ = c.Query(p, Key{VNI: 200, VGID: vgid})
+		m1, _, _ = c.Lookup(p, Key{VNI: 100, VGID: vgid})
+		m2, _, _ = c.Lookup(p, Key{VNI: 200, VGID: vgid})
 	})
 	eng.Run()
 	if m1.PIP == m2.PIP {
@@ -76,7 +76,7 @@ func TestUnregisterRemoves(t *testing.T) {
 	c.Register(k, mapping(packet.NewIP(172, 16, 0, 1)))
 	c.Unregister(k)
 	var ok bool
-	eng.Spawn("q", func(p *simtime.Proc) { _, ok = c.Query(p, k) })
+	eng.Spawn("q", func(p *simtime.Proc) { _, ok, _ = c.Lookup(p, k) })
 	eng.Run()
 	if ok {
 		t.Fatal("unregistered mapping still resolves")

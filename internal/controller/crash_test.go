@@ -61,7 +61,7 @@ func TestRestartBumpsEpochAndServesAgain(t *testing.T) {
 	}
 	c.Register(key(1), mapping(packet.NewIP(172, 16, 0, 1)))
 	var ok bool
-	eng.Spawn("q", func(p *simtime.Proc) { _, ok = c.Query(p, key(1)) })
+	eng.Spawn("q", func(p *simtime.Proc) { _, ok, _ = c.Lookup(p, key(1)) })
 	eng.Run()
 	if !ok {
 		t.Fatal("restarted controller does not serve")
@@ -154,9 +154,9 @@ func TestLeaseExpiresLazily(t *testing.T) {
 	c.Register(key(1), mapping(packet.NewIP(172, 16, 0, 1)))
 	var okEarly, okLate bool
 	eng.Spawn("q", func(p *simtime.Proc) {
-		_, okEarly = c.Query(p, key(1)) // well inside the TTL
+		_, okEarly, _ = c.Lookup(p, key(1)) // well inside the TTL
 		p.Sleep(simtime.Ms(2))
-		_, okLate = c.Query(p, key(1)) // lease lapsed
+		_, okLate, _ = c.Lookup(p, key(1)) // lease lapsed
 	})
 	eng.Run()
 	if !okEarly {
@@ -192,7 +192,7 @@ func TestRenewExtendsAndReinstates(t *testing.T) {
 			return
 		}
 		p.Sleep(simtime.Us(800)) // past the original deadline, inside the renewed one
-		_, okExtended = c.Query(p, key(1))
+		_, okExtended, _ = c.Lookup(p, key(1))
 		// Crash + restart wipe the entry; the next renewal reinstates it
 		// under the new epoch and notifies subscribers.
 		c.Crash()

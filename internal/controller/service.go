@@ -5,10 +5,9 @@ import (
 )
 
 // Service is the control-plane surface backends program against, abstract
-// over how many controller shards stand behind it. A bare *Controller is a
-// one-shard Service (the historical deployment); *Sharded partitions the
-// keyspace across N primaries with standby replicas; *Remote proxies either
-// across DES engine shards.
+// over how many controller shards stand behind it. *Sharded partitions the
+// keyspace across N ≥ 1 primaries with optional standby replicas; *Remote
+// proxies it across DES engine shards.
 //
 // Shard-indexed calls (BatchLookupShard, FetchShardDump) let the caller
 // keep failure isolation: a batch is per owning shard, so one dark shard
@@ -17,8 +16,7 @@ import (
 // instant — callers must never read epochs out-of-band, which would race
 // across engine shards under Remote.
 type Service interface {
-	// NumShards returns the number of keyspace shards (1 for a bare
-	// Controller).
+	// NumShards returns the number of keyspace shards.
 	NumShards() int
 	// Owner maps a key to its owning shard index — pure and immutable, so
 	// callers may group work by shard without an RPC.
@@ -66,38 +64,4 @@ type SubView interface {
 	Pending() int
 	// HighWater returns the deepest the delivery queue has ever been.
 	HighWater() int
-}
-
-// ─── Service adapter: a bare Controller is a one-shard Service ───────────
-
-// NumShards returns 1: a bare controller is one shard.
-func (c *Controller) NumShards() int { return 1 }
-
-// Owner returns 0 for every key.
-func (c *Controller) Owner(Key) int { return 0 }
-
-// RPCParams returns the controller's cost model.
-func (c *Controller) RPCParams() Params { return c.P }
-
-// Resolve performs one Lookup and stamps the reply with the epoch at the
-// reply instant (the same value Epoch() would return there).
-func (c *Controller) Resolve(p *simtime.Proc, k Key) (Mapping, bool, uint64, error) {
-	m, ok, err := c.Lookup(p, k)
-	return m, ok, c.epoch, err
-}
-
-// BatchLookupShard delegates to BatchLookup; shard must be 0.
-func (c *Controller) BatchLookupShard(p *simtime.Proc, shard int, keys []Key, renew []RenewReq) ([]BatchResult, uint64, error) {
-	return c.BatchLookup(p, keys, renew)
-}
-
-// FetchShardDump delegates to FetchDump; shard must be 0.
-func (c *Controller) FetchShardDump(p *simtime.Proc, shard int, vni uint32) (map[Key]Mapping, uint64, error) {
-	return c.FetchDump(p, vni)
-}
-
-// SubscribeShards subscribes the callback as shard 0.
-func (c *Controller) SubscribeShards(fn func(shard int, n Notify)) []SubView {
-	sub := c.Subscribe(func(n Notify) { fn(0, n) })
-	return []SubView{sub}
 }

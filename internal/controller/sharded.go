@@ -35,9 +35,9 @@ type Sharded struct {
 	shards []*Shard
 }
 
-// Shard is one keyspace slice: the serving primary, its optional standby,
-// and the front door's per-shard bookkeeping (service queue, fencing
-// generation, failover accounting).
+// Shard is one keyspace slice: the serving primary (which owns the shard's
+// service queue), its optional standby, and the front door's per-shard
+// bookkeeping (fencing generation, failover accounting).
 type Shard struct {
 	pri *Controller
 	rep *Replica
@@ -46,15 +46,6 @@ type Shard struct {
 	// gen is the promotion generation — the fencing token. Write RPCs
 	// capture it at send and fail with ErrFenced when it moved by reply.
 	gen uint64
-
-	// Analytic service queue: the shard's serialization slot is busy until
-	// busyUntil; arrivals wait for it (see enter) and batch/dump
-	// serialization occupies it (see occupy). Uncontended traffic never
-	// waits, which keeps a one-shard Sharded byte-identical to a bare
-	// Controller.
-	busyUntil simtime.Time
-	waiting   int
-	queueHWM  int
 
 	genFenced  uint64 // write RPCs rejected by the gen fence
 	failovers  uint64 // standby promotions
@@ -79,8 +70,7 @@ type ShardStats struct {
 // the cluster gives controller shards their own engine-shard affinity. All
 // shards share the same Params; per-shard notification-loss PRNGs are
 // decorrelated by offsetting the seed with the shard index (shard 0 keeps
-// the configured seed, so a one-shard Sharded matches a bare Controller
-// byte-for-byte).
+// the configured seed).
 func NewSharded(engines []*simtime.Engine, p Params, n int) *Sharded {
 	if n < 1 {
 		n = 1
@@ -94,7 +84,6 @@ func NewSharded(engines []*simtime.Engine, p Params, n int) *Sharded {
 		sp := p
 		sp.Seed = p.Seed + int64(i)
 		sh := &Shard{pri: New(eng, sp), eng: eng}
-		sh.pri.occupy = sh.occupy
 		if p.Replicate {
 			sh.rep = newReplica(eng, p.ReplDelay)
 			sh.pri.mutated = sh.rep.append
@@ -144,7 +133,7 @@ func (s *Sharded) ShardStats(i int) ShardStats {
 	st := ShardStats{
 		Epoch:      sh.pri.epoch,
 		Down:       sh.pri.down,
-		QueueHWM:   sh.queueHWM,
+		QueueHWM:   sh.pri.queueHWM,
 		Failovers:  sh.failovers,
 		Partitions: sh.partitions,
 	}
@@ -194,37 +183,6 @@ func (s *Sharded) MaxEpoch() uint64 {
 	return ep
 }
 
-// ─── Shard service queue ─────────────────────────────────────────────────
-
-// enter waits for the shard's serialization slot to free. Uncontended
-// callers pass straight through (no events); contended callers sleep until
-// busyUntil, re-checking because a batch that slipped in ahead may have
-// extended it. The waiter count's high-water mark is the shard's queue HWM.
-func (sh *Shard) enter(p *simtime.Proc) {
-	for {
-		wait := sh.busyUntil.Sub(p.Now())
-		if wait <= 0 {
-			return
-		}
-		sh.waiting++
-		if sh.waiting > sh.queueHWM {
-			sh.queueHWM = sh.waiting
-		}
-		p.Sleep(wait)
-		sh.waiting--
-	}
-}
-
-// occupy is the Controller serialization hook: hold the shard's slot for
-// cost. When the slot is free this is exactly one Sleep(cost) — the bare
-// controller's serialization — so the queue model costs nothing until
-// there is actual contention.
-func (sh *Shard) occupy(p *simtime.Proc, cost simtime.Duration) {
-	sh.enter(p)
-	sh.busyUntil = p.Now().Add(cost)
-	p.Sleep(cost)
-}
-
 // ─── Service implementation ──────────────────────────────────────────────
 
 // NumShards returns the keyspace shard count.
@@ -253,7 +211,7 @@ func (s *Sharded) Resolve(p *simtime.Proc, k Key) (Mapping, bool, uint64, error)
 
 func (s *Sharded) resolveOn(p *simtime.Proc, shard int, k Key) (Mapping, bool, uint64, error) {
 	sh := s.shards[shard]
-	sh.enter(p)
+	sh.pri.enter(p)
 	m, ok, err := sh.pri.Lookup(p, k)
 	return m, ok, sh.pri.epoch, err
 }
@@ -265,7 +223,7 @@ func (s *Sharded) Renew(p *simtime.Proc, k Key, m Mapping) (uint64, error) {
 
 func (s *Sharded) renewOn(p *simtime.Proc, shard int, k Key, m Mapping) (uint64, error) {
 	sh := s.shards[shard]
-	sh.enter(p)
+	sh.pri.enter(p)
 	gen := sh.gen
 	ep, err := sh.pri.Renew(p, k, m)
 	if err == nil && sh.gen != gen {
@@ -283,7 +241,7 @@ func (s *Sharded) BatchLookupShard(p *simtime.Proc, shard int, keys []Key, renew
 
 func (s *Sharded) batchOn(p *simtime.Proc, shard int, keys []Key, renew []RenewReq) ([]BatchResult, uint64, error) {
 	sh := s.shards[shard]
-	sh.enter(p)
+	sh.pri.enter(p)
 	gen := sh.gen
 	res, ep, err := sh.pri.BatchLookup(p, keys, renew)
 	if err == nil && len(renew) > 0 && sh.gen != gen {
@@ -300,7 +258,7 @@ func (s *Sharded) FetchShardDump(p *simtime.Proc, shard int, vni uint32) (map[Ke
 
 func (s *Sharded) dumpOn(p *simtime.Proc, shard int, vni uint32) (map[Key]Mapping, uint64, error) {
 	sh := s.shards[shard]
-	sh.enter(p)
+	sh.pri.enter(p)
 	return sh.pri.FetchDump(p, vni)
 }
 
@@ -311,7 +269,7 @@ func (s *Sharded) Suspend(p *simtime.Proc, k Key) error {
 
 func (s *Sharded) suspendOn(p *simtime.Proc, shard int, k Key) error {
 	sh := s.shards[shard]
-	sh.enter(p)
+	sh.pri.enter(p)
 	return sh.pri.Suspend(p, k)
 }
 
@@ -323,7 +281,7 @@ func (s *Sharded) Move(p *simtime.Proc, k Key, m Mapping, qpnMap map[uint32]uint
 
 func (s *Sharded) moveOn(p *simtime.Proc, shard int, k Key, m Mapping, qpnMap map[uint32]uint32) error {
 	sh := s.shards[shard]
-	sh.enter(p)
+	sh.pri.enter(p)
 	gen := sh.gen
 	err := sh.pri.Move(p, k, m, qpnMap)
 	if err == nil && sh.gen != gen {

@@ -153,7 +153,7 @@ type ctrlShard struct {
 }
 
 // NewBackend creates the host driver and hooks it to the controller (a
-// single *controller.Controller or a sharded/remote Service front).
+// *controller.Sharded, or its per-host controller.Remote proxy).
 func NewBackend(host *hyper.Host, ctrl controller.Service, fab *overlay.Fabric, p Params, mode Mode) *Backend {
 	b := &Backend{
 		P:         p,

@@ -79,7 +79,8 @@ type (
 	Host = hyper.Host
 	// VM is a virtual machine.
 	VM = hyper.VM
-	// Controller is the SDN controller holding (VNI, vGID)→pGID mappings.
+	// Controller is one shard of the SDN controller holding
+	// (VNI, vGID)→pGID mappings (Testbed.Ctrl is shard 0's primary).
 	Controller = controller.Controller
 	// Backend is a host's MasQ backend driver (RConnrename + RConntrack).
 	Backend = masqcore.Backend
