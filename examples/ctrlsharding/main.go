@@ -23,8 +23,8 @@ func main() {
 
 	cfg := masq.DefaultConfig()
 	cfg.Hosts = 3
-	cfg.CtrlShards = 4              // four mapping-table shards
-	cfg.Ctrl.Replicate = true       // each with a push-replicated standby
+	cfg.CtrlShards = 4        // four mapping-table shards
+	cfg.Ctrl.Replicate = true // each with a push-replicated standby
 	cfg.Ctrl.ReplDelay = masq.Us(20)
 	cfg.Ctrl.FailoverDetect = masq.Ms(2)
 	cfg.Masq.PushDown = true

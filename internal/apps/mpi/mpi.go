@@ -127,9 +127,6 @@ func NewWorld(tb *cluster.Testbed, nodes []*cluster.Node, opts Options) (*World,
 	return w, nil
 }
 
-// Rank returns rank i.
-func (w *World) Rank(i int) *Rank { return w.ranks[i] }
-
 // Start launches fn on every rank and returns an event that triggers once
 // all ranks return (with the first error, if any).
 func (w *World) Start(fn func(p *simtime.Proc, r *Rank) error) *simtime.Event[error] {
@@ -328,27 +325,6 @@ func (r *Rank) Allreduce(p *simtime.Proc, vec []float64) ([]float64, error) {
 	return decodeF64(out), nil
 }
 
-// Gather collects each rank's data at root; root receives a slice indexed
-// by rank, others get nil.
-func (r *Rank) Gather(p *simtime.Proc, root int, data []byte) ([][]byte, error) {
-	if r.ID != root {
-		return nil, r.Send(p, root, data)
-	}
-	out := make([][]byte, r.World.Size)
-	out[root] = data
-	for src := 0; src < r.World.Size; src++ {
-		if src == root {
-			continue
-		}
-		msg, err := r.Recv(p, src)
-		if err != nil {
-			return nil, err
-		}
-		out[src] = msg
-	}
-	return out, nil
-}
-
 func encodeF64(v []float64) []byte {
 	b := make([]byte, 8*len(v))
 	for i, f := range v {
@@ -363,54 +339,4 @@ func decodeF64(b []byte) []float64 {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
 	return v
-}
-
-// Scatter distributes chunks[i] from root to rank i; every rank returns
-// its own chunk.
-func (r *Rank) Scatter(p *simtime.Proc, root int, chunks [][]byte) ([]byte, error) {
-	if r.ID == root {
-		if len(chunks) != r.World.Size {
-			return nil, fmt.Errorf("mpi: scatter needs %d chunks, got %d", r.World.Size, len(chunks))
-		}
-		for dst := 0; dst < r.World.Size; dst++ {
-			if dst == root {
-				continue
-			}
-			if err := r.Send(p, dst, chunks[dst]); err != nil {
-				return nil, err
-			}
-		}
-		return chunks[root], nil
-	}
-	return r.Recv(p, root)
-}
-
-// Alltoall exchanges out[i] with every rank i and returns the slice of
-// received chunks indexed by source rank. The schedule is the classic
-// shifted ring: in round k each rank sends to (id+k) and receives from
-// (id-k), so no two ranks ever block on each other.
-func (r *Rank) Alltoall(p *simtime.Proc, out [][]byte) ([][]byte, error) {
-	n := r.World.Size
-	if len(out) != n {
-		return nil, fmt.Errorf("mpi: alltoall needs %d chunks, got %d", n, len(out))
-	}
-	in := make([][]byte, n)
-	in[r.ID] = out[r.ID]
-	for k := 1; k < n; k++ {
-		dst := (r.ID + k) % n
-		src := (r.ID - k + n) % n
-		pe, err := r.postSend(p, dst, out[dst])
-		if err != nil {
-			return nil, err
-		}
-		msg, err := r.Recv(p, src)
-		if err != nil {
-			return nil, err
-		}
-		in[src] = msg
-		if wc := pe.ep.SCQ.Wait(p); wc.Status != verbs.WCSuccess {
-			return nil, fmt.Errorf("mpi: alltoall send failed: %v", wc.Status)
-		}
-	}
-	return in, nil
 }

@@ -166,31 +166,6 @@ func TestAllreduceSum(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	w := world(t, cluster.ModeMasQ, 4)
-	err := w.Run(func(p *simtime.Proc, r *Rank) error {
-		out, err := r.Gather(p, 0, []byte{byte(r.ID * 10)})
-		if err != nil {
-			return err
-		}
-		if r.ID != 0 {
-			if out != nil {
-				return fmt.Errorf("non-root got data")
-			}
-			return nil
-		}
-		for i, b := range out {
-			if len(b) != 1 || b[0] != byte(i*10) {
-				return fmt.Errorf("gather[%d] = %v", i, b)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOSULatencyShape(t *testing.T) {
 	latFor := func(mode cluster.Mode) simtime.Duration {
 		w := world(t, mode, 2)
@@ -251,70 +226,6 @@ func TestMessageTooLargeRejected(t *testing.T) {
 		}
 		if err := r.Send(p, 1, make([]byte, DefaultOptions().MaxMsg+1)); err == nil {
 			return fmt.Errorf("oversized send accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScatter(t *testing.T) {
-	w := world(t, cluster.ModeMasQ, 4)
-	err := w.Run(func(p *simtime.Proc, r *Rank) error {
-		var chunks [][]byte
-		if r.ID == 1 {
-			for i := 0; i < 4; i++ {
-				chunks = append(chunks, []byte{byte(i * 11)})
-			}
-		}
-		got, err := r.Scatter(p, 1, chunks)
-		if err != nil {
-			return err
-		}
-		if len(got) != 1 || got[0] != byte(r.ID*11) {
-			return fmt.Errorf("rank %d got %v", r.ID, got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAlltoall(t *testing.T) {
-	for _, ranks := range []int{2, 4, 5} {
-		w := world(t, cluster.ModeHost, ranks)
-		err := w.Run(func(p *simtime.Proc, r *Rank) error {
-			out := make([][]byte, ranks)
-			for i := range out {
-				out[i] = []byte{byte(r.ID), byte(i)} // (from, to)
-			}
-			in, err := r.Alltoall(p, out)
-			if err != nil {
-				return err
-			}
-			for src, msg := range in {
-				if len(msg) != 2 || int(msg[0]) != src || int(msg[1]) != r.ID {
-					return fmt.Errorf("rank %d got %v from %d", r.ID, msg, src)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("ranks=%d: %v", ranks, err)
-		}
-	}
-}
-
-func TestAlltoallSizeMismatch(t *testing.T) {
-	w := world(t, cluster.ModeHost, 2)
-	err := w.Run(func(p *simtime.Proc, r *Rank) error {
-		if r.ID != 0 {
-			return nil
-		}
-		if _, err := r.Alltoall(p, make([][]byte, 5)); err == nil {
-			return fmt.Errorf("mismatched chunk count accepted")
 		}
 		return nil
 	})

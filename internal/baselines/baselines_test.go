@@ -27,7 +27,7 @@ type bed struct {
 func newBed(t *testing.T) *bed {
 	t.Helper()
 	eng := simtime.NewEngine()
-	fab := overlay.NewFabric(eng, overlay.DefaultParams())
+	fab := overlay.NewFabric(overlay.DefaultParams())
 	fab.AddTenant(1, "t")
 	mk := func(name string, ip packet.IP, mac packet.MAC) *hyper.Host {
 		return hyper.NewHost(eng, hyper.HostConfig{

@@ -25,10 +25,10 @@ func TestRegistryComplete(t *testing.T) {
 	if len(All()) != len(want) {
 		t.Errorf("registry has %d experiments, want %d", len(All()), len(want))
 	}
-	ids := IDs()
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			t.Fatalf("IDs not sorted: %v", ids)
+	all := All()
+	for i := 1; i < len(all); i++ {
+		if all[i].ID <= all[i-1].ID {
+			t.Fatalf("All() not sorted by ID: %q after %q", all[i].ID, all[i-1].ID)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func ablCtrlCrash() *Table {
 		Columns: []string{"outage (ms)", "attempts", "ok", "graced", "failed",
 			"success %", "reconverge (µs)", "epoch"},
 	}
-	const vni = 100      // NewConnectedPair's tenant
+	const vni = 100     // NewConnectedPair's tenant
 	const attempts = 16 // fixed train: one setup per ms from the crash instant
 	for _, outage := range []simtime.Duration{0, simtime.Ms(2), simtime.Ms(5), simtime.Ms(10), simtime.Ms(20)} {
 		cfg := cluster.DefaultConfig()

@@ -79,7 +79,7 @@ func ruleScaleChain(n int) []overlay.Rule {
 // re-scanning the whole chain per entry per revoke.
 func runRuleScale(n int, linear, withStorm bool) RuleScalePoint {
 	eng := simtime.NewEngine()
-	fab := overlay.NewFabric(eng, overlay.DefaultParams())
+	fab := overlay.NewFabric(overlay.DefaultParams())
 	tenant := fab.AddTenant(ruleScaleVNI, "tenant")
 	tenant.SetLinear(linear)
 	host := hyper.NewHost(eng, hyper.HostConfig{
@@ -88,9 +88,7 @@ func runRuleScale(n int, linear, withStorm bool) RuleScalePoint {
 		Fabric:      fab,
 		ResolveHost: func(packet.IP) (packet.MAC, bool) { return packet.MAC{}, false },
 	})
-	params := masq.DefaultParams()
-	params.LinearEnforce = linear
-	ct := masq.NewRConntrack(params, host.Dev)
+	ct := masq.NewRConntrack(masq.DefaultParams(), host.Dev)
 
 	// Load the whole policy before Watch: bulk chain, a catch-all for the
 	// probe/bystander subnet (lowest priority → scanned last by the linear

@@ -153,16 +153,6 @@ func Loss(l *simnet.Link, from, to simtime.Time, prob float64, burst int) Event 
 	return Event{Kind: LinkLoss, At: from, Until: to, Link: l, Prob: prob, Burst: burst}
 }
 
-// Partition cuts every given link for [from, to): the tenant-visible view
-// is a network partition separating the hosts behind those links.
-func Partition(from, to simtime.Time, links ...*simnet.Link) []Event {
-	evs := make([]Event, 0, len(links))
-	for _, l := range links {
-		evs = append(evs, Event{Kind: LinkDown, At: from, Until: to, Link: l})
-	}
-	return evs
-}
-
 // Crash returns a node-crash fault at t for the node with the given index.
 func Crash(node int, t simtime.Time) Event {
 	return Event{Kind: NodeCrash, At: t, Node: node}

@@ -126,8 +126,8 @@ type Testbed struct {
 	// fabric, ToR switch, and chaos injector live on it.
 	Eng *simtime.Engine
 	// Sharded is the parallel engine driving all shards, non-nil iff
-	// Cfg.Shards > 0. Drive sharded testbeds with tb.Run/tb.RunUntil (or
-	// Sharded.Run), never Eng.Run — shard 0 alone would starve the rest.
+	// Cfg.Shards > 0. Drive sharded testbeds with tb.Run (or Sharded.Run),
+	// never Eng.Run — shard 0 alone would starve the rest.
 	Sharded *simtime.ShardedEngine
 	Cfg     Config
 	Hosts   []*hyper.Host
@@ -203,7 +203,7 @@ func New(cfg Config) *Testbed {
 	tb.CtrlSharded = controller.NewSharded(engines, cfg.Ctrl, max(cfg.CtrlShards, 1))
 	tb.CtrlSharded.SetFaultPlan(cfg.CtrlFault)
 	tb.Ctrl = tb.CtrlSharded.Primary(0)
-	tb.Fab = overlay.NewFabric(eng, cfg.Overlay)
+	tb.Fab = overlay.NewFabric(cfg.Overlay)
 	if cfg.Trace {
 		tb.Trace = trace.NewSharded(max(cfg.Shards, 1))
 		tb.CtrlSharded.SetRecorder(tb.Trace)
@@ -307,14 +307,6 @@ func (tb *Testbed) Run() simtime.Time {
 		return tb.Sharded.Run()
 	}
 	return tb.Eng.Run()
-}
-
-// RunUntil drives the testbed up to the deadline (see Engine.RunUntil).
-func (tb *Testbed) RunUntil(deadline simtime.Time) simtime.Time {
-	if tb.Sharded != nil {
-		return tb.Sharded.RunUntil(deadline)
-	}
-	return tb.Eng.RunUntil(deadline)
 }
 
 // PendingProcs lists blocked procs across every shard of the testbed's
@@ -445,9 +437,6 @@ type Node struct {
 
 	dev verbs.Device // cached open device
 }
-
-// Crashed reports whether the node was killed by CrashNode.
-func (n *Node) Crashed() bool { return n.crashed }
 
 // NewNode creates a workload endpoint on a host under the given mode,
 // attached to tenant vni at virtual IP vip.

@@ -549,6 +549,17 @@ func TestVBondFollowsIPChange(t *testing.T) {
 	}
 }
 
+// connectUD walks a UD endpoint's QP to RTS with a shared queue key.
+func connectUD(p *simtime.Proc, ep *Endpoint, peer verbs.ConnInfo, qkey uint32) error {
+	if err := ep.QP.Modify(p, verbs.Attr{ToState: verbs.StateInit}); err != nil {
+		return err
+	}
+	if err := ep.QP.Modify(p, verbs.Attr{ToState: verbs.StateRTR, DGID: peer.GID, DQPN: peer.QPN, QKey: qkey}); err != nil {
+		return err
+	}
+	return ep.QP.Modify(p, verbs.Attr{ToState: verbs.StateRTS})
+}
+
 // TestMasQUDRename: datagram WQEs carry virtual destinations through the
 // control path and are renamed per WQE (Sec. 3.3.4).
 func TestMasQUDRename(t *testing.T) {
@@ -574,11 +585,11 @@ func TestMasQUDRename(t *testing.T) {
 			return
 		}
 		const qkey = 0x7777
-		if err := cep.ConnectUD(p, sep.Info(), qkey); err != nil {
+		if err := connectUD(p, cep, sep.Info(), qkey); err != nil {
 			done.Trigger(err)
 			return
 		}
-		if err := sep.ConnectUD(p, cep.Info(), qkey); err != nil {
+		if err := connectUD(p, sep, cep.Info(), qkey); err != nil {
 			done.Trigger(err)
 			return
 		}
@@ -1129,6 +1140,36 @@ func TestTwoLevelSecurity(t *testing.T) {
 	}
 	if !sawKill {
 		t.Fatal("firewall revocation did not kill the connection")
+	}
+}
+
+// TestFWaaSEnabledOnLiveTenantIsEnforced: a firewall enabled after the
+// tenant's MasQ nodes exist (so after RConntrack subscribed to the tenant)
+// must still be enforced. Enabling it with matching allows keeps the live
+// connection; revoking the firewall's RDMA allow then resets it.
+func TestFWaaSEnabledOnLiveTenantIsEnforced(t *testing.T) {
+	pb := newPairBed(t, ModeMasQ)
+	tb := pb.tb
+	all := packet.CIDR{}
+	var fw *overlay.Policy
+	var fwRDMA int
+	tb.Eng.Spawn("fw-enable", func(p *simtime.Proc) {
+		fw = tb.Fab.Tenant(vni).EnableFWaaS()
+		fw.AddRule(overlay.Rule{Priority: 1, Proto: overlay.ProtoTCP, Src: all, Dst: all, Action: overlay.Allow})
+		fwRDMA = fw.AddRule(overlay.Rule{Priority: 10, Proto: overlay.ProtoRDMA, Src: all, Dst: all, Action: overlay.Allow})
+	})
+	tb.Eng.RunUntil(tb.Eng.Now().Add(simtime.Ms(1)))
+	if st := pb.client.QP.State(); st != verbs.StateRTS {
+		t.Fatalf("client QP state = %v after enabling an allowing firewall, want RTS", st)
+	}
+
+	tb.Eng.Spawn("fw-revoke", func(p *simtime.Proc) { fw.RemoveRule(fwRDMA) })
+	tb.Eng.Run()
+	if resets := tb.Backend(0).CT.Stats.Resets + tb.Backend(1).CT.Stats.Resets; resets == 0 {
+		t.Fatal("revoking the firewall's RDMA allow reset no connection")
+	}
+	if st := pb.client.QP.State(); st != verbs.StateError {
+		t.Fatalf("client QP state = %v after the firewall revocation, want ERROR", st)
 	}
 }
 

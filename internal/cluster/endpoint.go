@@ -220,17 +220,6 @@ func (ep *Endpoint) ConnectRC(p *simtime.Proc, peer verbs.ConnInfo) error {
 	return ep.QP.Modify(p, verbs.Attr{ToState: verbs.StateRTS})
 }
 
-// ConnectUD walks a UD QP to RTS with a shared queue key.
-func (ep *Endpoint) ConnectUD(p *simtime.Proc, peer verbs.ConnInfo, qkey uint32) error {
-	if err := ep.QP.Modify(p, verbs.Attr{ToState: verbs.StateInit}); err != nil {
-		return err
-	}
-	if err := ep.QP.Modify(p, verbs.Attr{ToState: verbs.StateRTR, DGID: peer.GID, DQPN: peer.QPN, QKey: qkey}); err != nil {
-		return err
-	}
-	return ep.QP.Modify(p, verbs.Attr{ToState: verbs.StateRTS})
-}
-
 // Pair connects two endpoints whose owners run in separate processes,
 // returning each side's view of the peer. It is the whole Fig. 1 setup +
 // exchange for tests and benchmarks. Port numbers must be unique per pair.

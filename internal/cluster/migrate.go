@@ -47,10 +47,11 @@ type MigrateOpts struct {
 	// StopCopyThreshold ends pre-copy once the remaining dirty set is at
 	// or below this many bytes (zero: 256 KiB).
 	StopCopyThreshold uint64
-	// MaxPreCopyRounds bounds the iterative pre-copy for guests whose
-	// dirty rate outruns the copy bandwidth (zero: 8).
-	MaxPreCopyRounds int
 }
+
+// maxPreCopyRounds bounds the iterative pre-copy for guests whose dirty
+// rate outruns the copy bandwidth.
+const maxPreCopyRounds = 8
 
 // MigrateReport is the engine's accounting: what the blackout cost and
 // where the time went.
@@ -118,10 +119,6 @@ func (tb *Testbed) LiveMigrateNode(p *simtime.Proc, n *Node, dstHost int, opts M
 	if threshold <= 0 {
 		threshold = 256 << 10
 	}
-	maxRounds := opts.MaxPreCopyRounds
-	if maxRounds <= 0 {
-		maxRounds = 8
-	}
 
 	// Phase 1 — iterative pre-copy, VM live: round i ships the pages
 	// dirtied during round i-1; the dirty set shrinks geometrically when
@@ -130,7 +127,7 @@ func (tb *Testbed) LiveMigrateNode(p *simtime.Proc, n *Node, dstHost int, opts M
 	image := float64(n.VM.GPA.MappedBytes())
 	w := image
 	preStart := p.Now()
-	for round := 0; round < maxRounds; round++ {
+	for round := 0; round < maxPreCopyRounds; round++ {
 		dt := w / bw
 		p.Sleep(copyTime(w, bw))
 		rep.PreCopyRounds++

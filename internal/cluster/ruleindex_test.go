@@ -22,19 +22,25 @@ func ruleEngineFingerprint(t *testing.T, linear bool) string {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Trace = true
-	cfg.Overlay.LinearRules = linear
-	cfg.Masq.LinearEnforce = linear
-	cp, err := NewConnectedPair(cfg, ModeMasQ)
-	if err != nil {
+	tb := New(cfg)
+	tb.AddTenant(vni, "tenant").SetLinear(linear)
+	tb.AllowAll(vni)
+	cp := &ConnectedPair{TB: tb}
+	var err error
+	if cp.ClientNode, err = tb.NewNode(ModeMasQ, 0, vni, packet.NewIP(192, 168, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	tb := cp.TB
-	if _, _, err := cp.ConnectExtraQP(DefaultEndpointOpts(), 7100); err != nil {
+	if cp.ServerNode, err = tb.NewNode(ModeMasQ, 1, vni, packet.NewIP(192, 168, 1, 2)); err != nil {
 		t.Fatal(err)
+	}
+	for _, port := range []uint16{7000, 7100} {
+		if _, _, err := cp.ConnectExtraQP(DefaultEndpointOpts(), port); err != nil {
+			t.Fatal(err)
+		}
 	}
 	tb.Eng.Spawn("revoke", func(p *simtime.Proc) {
 		all := packet.CIDR{}
-		tb.Fab.Tenant(100).Policy.AddRule(overlay.Rule{
+		tb.Fab.Tenant(vni).Policy.AddRule(overlay.Rule{
 			Priority: 90, Proto: overlay.ProtoAny, Src: all, Dst: all, Action: overlay.Deny,
 		})
 	})

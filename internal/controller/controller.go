@@ -67,13 +67,6 @@ type Params struct {
 	// QueryRTT + entries × DumpEntryCost.
 	DumpEntryCost simtime.Duration
 
-	// DumpPageSize pages FetchDump serialization: instead of occupying the
-	// controller for the whole entries × DumpEntryCost stretch, the dump is
-	// serialized in chunks of this many entries, letting queued lookups
-	// interleave between pages on a busy shard. Zero keeps the historical
-	// single-stretch serialization.
-	DumpPageSize int
-
 	// Replicate gives every shard of a Sharded controller a standby
 	// replica fed by a push-replicated mutation log; a crashed or
 	// partitioned primary is then promoted automatically after
@@ -106,9 +99,9 @@ func DefaultParams() Params {
 	}
 }
 
-// queryTimeout returns the configured timeout, defaulting to 10× the RTT
-// so a zero-valued Params still terminates.
-func (p Params) queryTimeout() simtime.Duration {
+// Timeout returns the effective query timeout: QueryTimeout, defaulting
+// to 10× the RTT so a zero-valued Params still terminates.
+func (p Params) Timeout() simtime.Duration {
 	if p.QueryTimeout > 0 {
 		return p.QueryTimeout
 	}
@@ -121,7 +114,7 @@ func (p Params) failoverDetect() simtime.Duration {
 	if p.FailoverDetect > 0 {
 		return p.FailoverDetect
 	}
-	return 2 * p.queryTimeout()
+	return 2 * p.Timeout()
 }
 
 // Window is a half-open interval [Start, End) of virtual time during which
@@ -129,9 +122,6 @@ func (p Params) failoverDetect() simtime.Duration {
 type Window struct {
 	Start, End simtime.Time
 }
-
-// contains reports whether t falls inside the window.
-func (w Window) contains(t simtime.Time) bool { return t >= w.Start && t < w.End }
 
 // FaultPlan injects control-plane faults, driven entirely by the sim
 // clock so every run is reproducible.
@@ -444,16 +434,6 @@ func (c *Controller) QueueHWMs() []int {
 	return out
 }
 
-// inWindow reports whether t falls inside any unavailability window.
-func (c *Controller) inWindow(t simtime.Time) bool {
-	for _, w := range c.fault.Unavailable {
-		if w.contains(t) {
-			return true
-		}
-	}
-	return false
-}
-
 // windowOverlaps reports whether any unavailability window intersects the
 // closed RPC interval [from, to]: the request is lost if the controller is
 // unreachable at any instant while it is in flight — including a window
@@ -515,21 +495,21 @@ func (c *Controller) rpc(p *simtime.Proc) error {
 	send := p.Now()
 	if c.down || c.windowOverlaps(send, send.Add(c.P.QueryRTT)) {
 		c.Stats.Timeouts++
-		p.Sleep(c.P.queryTimeout())
+		p.Sleep(c.P.Timeout())
 		return ErrUnavailable
 	}
 	if c.fault.DropReplies > 0 {
 		c.fault.DropReplies--
 		c.Stats.Timeouts++
 		c.Stats.DroppedReplies++
-		p.Sleep(c.P.queryTimeout())
+		p.Sleep(c.P.Timeout())
 		return ErrUnavailable
 	}
 	p.Sleep(c.P.QueryRTT)
 	if c.down {
 		// Crashed while the request was in flight: the reply never comes.
 		c.Stats.Timeouts++
-		if rest := c.P.queryTimeout() - c.P.QueryRTT; rest > 0 {
+		if rest := c.P.Timeout() - c.P.QueryRTT; rest > 0 {
 			p.Sleep(rest)
 		}
 		return ErrUnavailable
@@ -717,20 +697,7 @@ func (c *Controller) FetchDump(p *simtime.Proc, vni uint32) (map[Key]Mapping, ui
 				n++
 			}
 		}
-		// Paged serialization (DumpPageSize > 0) releases the shard's
-		// serialization slot between chunks so queued lookups interleave
-		// with a big resync instead of waiting out the whole dump. The
-		// unpaged default is one stretch — byte-identical to the
-		// historical single sleep.
-		if page := c.P.DumpPageSize; page > 0 {
-			for rem := n; rem > 0; rem -= page {
-				chunk := rem
-				if chunk > page {
-					chunk = page
-				}
-				c.serialize(p, simtime.Duration(chunk)*d)
-			}
-		} else if n > 0 {
+		if n > 0 {
 			c.serialize(p, simtime.Duration(n)*d)
 		}
 	}
@@ -763,7 +730,3 @@ func (c *Controller) Dump(vni uint32) map[Key]Mapping {
 	}
 	return out
 }
-
-// Size returns the raw table size, expired leases included (scalability
-// accounting; lazy expiry only runs on the RPC paths).
-func (c *Controller) Size() int { return len(c.table) }

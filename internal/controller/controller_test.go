@@ -64,8 +64,8 @@ func TestOverlappingVIPsDistinctByVNI(t *testing.T) {
 	if m1.PIP == m2.PIP {
 		t.Fatal("tenants with identical vGIDs must resolve independently")
 	}
-	if c.Size() != 2 {
-		t.Fatalf("size = %d", c.Size())
+	if len(c.table) != 2 {
+		t.Fatalf("size = %d", len(c.table))
 	}
 }
 

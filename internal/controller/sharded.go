@@ -111,14 +111,6 @@ func (s *Sharded) SetFaultPlan(fp FaultPlan) {
 // per-shard stats).
 func (s *Sharded) Primary(i int) *Controller { return s.shards[i].pri }
 
-// StandbyLag returns shard i's replication backlog (0 without replication).
-func (s *Sharded) StandbyLag(i int) int {
-	if rep := s.shards[i].rep; rep != nil {
-		return rep.Lag()
-	}
-	return 0
-}
-
 // SetLagWindow injects replication lag on shard i until the given instant
 // (chaos replica-lag event). No-op without replication.
 func (s *Sharded) SetLagWindow(i int, until simtime.Time, extra simtime.Duration) {
@@ -161,26 +153,6 @@ func (s *Sharded) Dump(vni uint32) map[Key]Mapping {
 		}
 	}
 	return out
-}
-
-// Size returns the total raw table size across shards.
-func (s *Sharded) Size() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.pri.Size()
-	}
-	return n
-}
-
-// MaxEpoch returns the highest shard epoch (coarse convergence oracle).
-func (s *Sharded) MaxEpoch() uint64 {
-	var ep uint64
-	for _, sh := range s.shards {
-		if sh.pri.epoch > ep {
-			ep = sh.pri.epoch
-		}
-	}
-	return ep
 }
 
 // ─── Service implementation ──────────────────────────────────────────────

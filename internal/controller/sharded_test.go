@@ -159,7 +159,7 @@ func TestFailoverPromotesStandby(t *testing.T) {
 	victim := s.Owner(keyN(7, 0))
 	eng.Spawn("driver", func(pr *simtime.Proc) {
 		pr.Sleep(simtime.Ms(5)) // let the replication log drain
-		if lag := s.StandbyLag(victim); lag != 0 {
+		if lag := s.ShardStats(victim).ReplLag; lag != 0 {
 			t.Errorf("standby lag %d before crash", lag)
 		}
 		s.CrashShard(victim)
@@ -282,7 +282,7 @@ func TestPartitionFailoverFencesDeposedPrimary(t *testing.T) {
 	if st.Failovers != 1 || st.Partitions != 1 || st.Epoch != 2 || st.Down {
 		t.Fatalf("partition-failover stats: %+v", st)
 	}
-	if lag := s.StandbyLag(0); lag != 0 {
+	if lag := s.ShardStats(0).ReplLag; lag != 0 {
 		t.Fatalf("rejoined standby lag = %d, want 0", lag)
 	}
 }
@@ -341,48 +341,6 @@ func TestRenewalRacesPromotionNotLost(t *testing.T) {
 	}
 	if st := s.ShardStats(victim); st.Failovers != 1 || st.Epoch != 2 {
 		t.Fatalf("victim shard: %+v", st)
-	}
-}
-
-// TestPagedDumpAvoidsHeadOfLineBlocking: with DumpPageSize set, a lookup
-// arriving mid-dump waits for at most one page of serialization instead of
-// the whole table.
-func TestPagedDumpAvoidsHeadOfLineBlocking(t *testing.T) {
-	const entries = 1000
-	run := func(pageSize int) simtime.Duration {
-		eng := simtime.NewEngine()
-		p := DefaultParams()
-		p.DumpPageSize = pageSize
-		s := NewSharded([]*simtime.Engine{eng}, p, 1)
-		for i := 0; i < entries; i++ {
-			s.Register(keyN(7, i), mapping(packet.NewIP(172, 16, byte(i>>8), byte(i+1))))
-		}
-		var lookupLat simtime.Duration
-		eng.Spawn("dump", func(pr *simtime.Proc) {
-			if _, _, err := s.FetchShardDump(pr, 0, 7); err != nil {
-				t.Errorf("dump: %v", err)
-			}
-		})
-		eng.Spawn("lookup", func(pr *simtime.Proc) {
-			pr.Sleep(simtime.Us(150)) // dump is past its RTT, serializing entries
-			start := pr.Now()
-			if _, _, _, err := s.Resolve(pr, keyN(7, 3)); err != nil {
-				t.Errorf("lookup: %v", err)
-			}
-			lookupLat = pr.Now().Sub(start)
-		})
-		eng.Run()
-		return lookupLat
-	}
-	unpaged := run(0)
-	paged := run(50)
-	if paged >= unpaged {
-		t.Fatalf("paged dump did not cut lookup latency: paged %v vs unpaged %v", paged, unpaged)
-	}
-	// 1000 entries × 1µs ≈ 1ms of serialization; a 50-entry page bounds
-	// the wait near 50µs + RTT.
-	if paged > simtime.Us(300) {
-		t.Fatalf("mid-dump lookup latency %v with 50-entry pages, want well under the full-dump stall", paged)
 	}
 }
 

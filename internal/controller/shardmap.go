@@ -49,9 +49,6 @@ func NewShardMap(n int) *ShardMap {
 	return sm
 }
 
-// N returns the shard count.
-func (sm *ShardMap) N() int { return sm.n }
-
 // Owner returns the shard owning k.
 func (sm *ShardMap) Owner(k Key) int {
 	if sm.n == 1 {

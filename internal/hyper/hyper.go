@@ -83,7 +83,7 @@ func NewHost(eng *simtime.Engine, cfg HostConfig) *Host {
 		Eng: eng, Phys: phys, HVA: hva, Dev: dev, Port: port,
 	}
 	if cfg.Fabric != nil {
-		h.VSwitch = cfg.Fabric.NewVSwitchOn(eng, cfg.IP, cfg.MAC, port, cfg.ResolveHost)
+		h.VSwitch = cfg.Fabric.NewVSwitch(eng, cfg.IP, cfg.MAC, port, cfg.ResolveHost)
 	}
 	h.demuxCb = h.demux
 	port.RX.OnNext(h.demuxCb)

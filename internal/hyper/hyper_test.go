@@ -14,7 +14,7 @@ import (
 
 func newHost(t *testing.T, eng *simtime.Engine, memBytes uint64) *Host {
 	t.Helper()
-	fab := overlay.NewFabric(eng, overlay.DefaultParams())
+	fab := overlay.NewFabric(overlay.DefaultParams())
 	fab.AddTenant(100, "t")
 	h := NewHost(eng, HostConfig{
 		Name: "h0", IP: packet.NewIP(172, 16, 0, 1), MAC: packet.MAC{2, 0, 0, 0, 0, 1},

@@ -384,11 +384,7 @@ func (b *Backend) resolveGID(p *simtime.Proc, vni uint32, vgid packet.GID) (cont
 // the same timeout — and doubling is clamped at RetryBackoffMax so a large
 // QueryRetries cannot overflow simtime.Duration.
 func (b *Backend) retryPlan() (backoff, limit simtime.Duration) {
-	cp := b.Ctrl.RPCParams()
-	timeout := cp.QueryTimeout
-	if timeout <= 0 {
-		timeout = 10 * cp.QueryRTT
-	}
+	timeout := b.Ctrl.RPCParams().Timeout()
 	backoff = b.P.RetryBackoff
 	if backoff <= 0 {
 		backoff = timeout
@@ -411,35 +407,48 @@ func nextBackoff(backoff, limit simtime.Duration) simtime.Duration {
 	return limit
 }
 
-// lookupWithRetry queries the controller directly (no cache read), backing
-// off exponentially while queries time out, and caches the answer.
-func (b *Backend) lookupWithRetry(p *simtime.Proc, k controller.Key) (controller.Mapping, error) {
-	attempts := b.P.QueryRetries
-	if attempts < 1 {
-		attempts = 1
-	}
+// withRetry runs one controller RPC against shard until it succeeds or
+// the QueryRetries budget is spent, backing off exponentially between
+// attempts (see retryPlan). call returns the answering epoch. withRetry
+// returns the number of attempts made and the last attempt's error.
+func (b *Backend) withRetry(p *simtime.Proc, shard int, call func() (uint64, error)) (int, error) {
+	attempts := max(b.P.QueryRetries, 1)
 	backoff, limit := b.retryPlan()
-	shard := b.Ctrl.Owner(k)
 	for i := 1; ; i++ {
-		m, ok, ep, err := b.Ctrl.Resolve(p, k)
+		ep, err := call()
 		if err == nil {
 			b.ctrlOK(shard, ep)
-			if !ok {
-				return controller.Mapping{}, fmt.Errorf("masq: no mapping for vGID %v in VNI %d", k.VGID, k.VNI)
-			}
-			b.cacheStore(k, m)
-			return m, nil
+			return i, nil
 		}
 		b.ctrlFail(shard)
 		if i >= attempts {
 			b.Stats.QueryFailures++
-			return controller.Mapping{}, fmt.Errorf("masq: resolving vGID %v in VNI %d (%d attempts): %w", k.VGID, k.VNI, i, err)
+			return i, err
 		}
 		b.Stats.QueryRetries++
 		b.Rec.Add("controller.query_retries", 1)
 		p.Sleep(backoff)
 		backoff = nextBackoff(backoff, limit)
 	}
+}
+
+// lookupWithRetry queries the controller directly (no cache read), backing
+// off exponentially while queries time out, and caches the answer.
+func (b *Backend) lookupWithRetry(p *simtime.Proc, k controller.Key) (controller.Mapping, error) {
+	var m controller.Mapping
+	var found bool
+	n, err := b.withRetry(p, b.Ctrl.Owner(k), func() (ep uint64, err error) {
+		m, found, ep, err = b.Ctrl.Resolve(p, k)
+		return ep, err
+	})
+	if err != nil {
+		return controller.Mapping{}, fmt.Errorf("masq: resolving vGID %v in VNI %d (%d attempts): %w", k.VGID, k.VNI, n, err)
+	}
+	if !found {
+		return controller.Mapping{}, fmt.Errorf("masq: no mapping for vGID %v in VNI %d", k.VGID, k.VNI)
+	}
+	b.cacheStore(k, m)
+	return m, nil
 }
 
 // invalidate drops a cache entry (stale-mapping detection).
@@ -497,9 +506,6 @@ func (b *Backend) CtrlDown() bool {
 	}
 	return false
 }
-
-// ShardDown reports one controller shard's liveness view.
-func (b *Backend) ShardDown(shard int) bool { return b.shards[shard].down }
 
 // CacheSnapshot copies the mapping cache — masqctl inspection and test
 // assertions that cached state agrees with the controller's table.

@@ -114,29 +114,17 @@ func (b *Backend) runBatch(p *simtime.Proc, keys []controller.Key) {
 	}
 }
 
-// batchLookupWithRetry is lookupWithRetry's shape applied to one shard's
-// batch RPC: same attempt budget, same clamped exponential backoff.
+// batchLookupWithRetry runs one shard's batch RPC through withRetry: same
+// attempt budget, same clamped exponential backoff as a single lookup.
 func (b *Backend) batchLookupWithRetry(p *simtime.Proc, shard int, keys []controller.Key, renew []controller.RenewReq) ([]controller.BatchResult, error) {
-	attempts := b.P.QueryRetries
-	if attempts < 1 {
-		attempts = 1
+	var results []controller.BatchResult
+	n, err := b.withRetry(p, shard, func() (ep uint64, err error) {
+		results, ep, err = b.Ctrl.BatchLookupShard(p, shard, keys, renew)
+		return ep, err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("masq: batch lookup of %d keys (%d attempts): %w", len(keys), n, err)
 	}
-	backoff, limit := b.retryPlan()
-	for i := 1; ; i++ {
-		results, ep, err := b.Ctrl.BatchLookupShard(p, shard, keys, renew)
-		if err == nil {
-			b.ctrlOK(shard, ep)
-			b.Stats.LeaseRenewals += uint64(len(renew))
-			return results, nil
-		}
-		b.ctrlFail(shard)
-		if i >= attempts {
-			b.Stats.QueryFailures++
-			return nil, fmt.Errorf("masq: batch lookup of %d keys (%d attempts): %w", len(keys), i, err)
-		}
-		b.Stats.QueryRetries++
-		b.Rec.Add("controller.query_retries", 1)
-		p.Sleep(backoff)
-		backoff = nextBackoff(backoff, limit)
-	}
+	b.Stats.LeaseRenewals += uint64(len(renew))
+	return results, nil
 }

@@ -61,13 +61,6 @@ type Params struct {
 	// unchanged skips the policy walk entirely.
 	VerdictCacheCost simtime.Duration
 
-	// LinearEnforce makes rule-change enforcement scan the whole VNI's
-	// RCT entries on every change (the legacy behaviour, kept as the
-	// reference oracle) instead of only the changed rule's CIDR
-	// footprint. Verdicts and resets are identical; only the number of
-	// entries re-validated — and hence the virtual time charged — grows.
-	LinearEnforce bool
-
 	// CacheLookupCost is a local mapping-cache hit ("completed within a
 	// few microseconds").
 	CacheLookupCost simtime.Duration

@@ -29,7 +29,7 @@ type bed struct {
 func newBed(t *testing.T, mode Mode) *bed {
 	t.Helper()
 	eng := simtime.NewEngine()
-	fab := overlay.NewFabric(eng, overlay.DefaultParams())
+	fab := overlay.NewFabric(overlay.DefaultParams())
 	fab.AddTenant(100, "acme")
 	svc := controller.NewSharded([]*simtime.Engine{eng}, controller.DefaultParams(), 1)
 	host := hyper.NewHost(eng, hyper.HostConfig{
@@ -687,7 +687,7 @@ func TestFrontendNameAndVBond(t *testing.T) {
 	if fe.VBond() == nil || fe.VBond().VNI() != 100 {
 		t.Fatal("VBond accessor")
 	}
-	if fe.VBond().MAC().IsZero() {
+	if fe.VBond().vnic.EP.VMAC == (packet.MAC{}) {
 		t.Fatal("vBond must know the virtual MAC")
 	}
 }

@@ -106,8 +106,8 @@ func NewRConntrack(p Params, dev *rnic.Device) *RConntrack {
 }
 
 // Watch subscribes the tracker to a tenant's security stack (security
-// group and, if present, FWaaS) so rule updates trigger re-validation of
-// established connections.
+// group and FWaaS, including a firewall enabled later) so rule updates
+// trigger re-validation of established connections.
 func (ct *RConntrack) Watch(t *overlay.Tenant) {
 	if ct.tenant[t.VNI] != nil {
 		return
@@ -315,18 +315,18 @@ func revocable(ch overlay.RuleChange) bool {
 // The scan is incremental by default: a change that cannot revoke is
 // skipped outright, and otherwise only entries whose (SrcVIP, DstVIP)
 // fall inside the changed rule's CIDR footprint are re-validated, found
-// through the byPair index. A bulk change (no single-rule footprint) or
-// Params.LinearEnforce falls back to the legacy whole-VNI scan. Cost is
-// charged per entry actually re-validated, scaling with the policy
-// engine's work units — walking the pair index itself is free at this
-// granularity.
+// through the byPair index. A bulk change (no single-rule footprint), or
+// a tenant on the linear engine (Tenant.SetLinear), scans the whole VNI.
+// Cost is charged per entry actually re-validated, scaling with the
+// policy engine's work units — walking the pair index itself is free at
+// this granularity.
 func (ct *RConntrack) enforce(p *simtime.Proc, job enforceJob) {
 	p.Sleep(ct.p.InsertRuleCost) // insert_rule(): update the local chain
 	t, ch := job.t, job.ch
 
 	var cands []*trackedConn
 	switch {
-	case ct.p.LinearEnforce || ch.Full:
+	case ch.Full || t.Policy.Linear():
 		ct.Stats.FullScans++
 		for _, c := range ct.table {
 			if c.id.VNI == t.VNI {

@@ -151,9 +151,7 @@ func enforceScenario(t *testing.T, linear bool) string {
 	b := newBed(t, ModeVF)
 	tenant := b.fab.Tenant(100)
 	tenant.SetLinear(linear)
-	params := DefaultParams()
-	params.LinearEnforce = linear
-	ct := NewRConntrack(params, b.host.Dev)
+	ct := NewRConntrack(DefaultParams(), b.host.Dev)
 	ct.Watch(tenant)
 
 	rng := rand.New(rand.NewSource(99))

@@ -65,10 +65,6 @@ func (b *VBond) VNI() uint32 { return b.vni }
 // VIP returns the bound interface's current virtual IP.
 func (b *VBond) VIP() packet.IP { return b.vnic.EP.VIP }
 
-// MAC returns the virtual Ethernet interface's MAC (tenants may not
-// change it; vBond obtained it from the backend at initialization).
-func (b *VBond) MAC() packet.MAC { return b.vnic.EP.VMAC }
-
 // Registration returns the bond's current controller registration — what
 // the backend's lease-renewal process re-asserts every period. ok is false
 // when the bond is stopped or holds no IP: such bonds own no lease.

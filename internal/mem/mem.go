@@ -50,9 +50,6 @@ func NewPhys(capacity uint64) *Phys {
 	return &Phys{capacity: capacity, nextPage: 1, pages: make(map[uint64][]byte)}
 }
 
-// Capacity returns the total capacity in bytes.
-func (p *Phys) Capacity() uint64 { return p.capacity }
-
 // Reserved returns the bytes currently accounted as in use.
 func (p *Phys) Reserved() uint64 { return p.reserved }
 

@@ -11,8 +11,8 @@ const gb = 1 << 30
 
 func TestPhysReserveAccounting(t *testing.T) {
 	p := NewPhys(4 * gb)
-	if p.Capacity() != 4*gb || p.Free() != 4*gb {
-		t.Fatalf("capacity %d free %d", p.Capacity(), p.Free())
+	if p.capacity != 4*gb || p.Free() != 4*gb {
+		t.Fatalf("capacity %d free %d", p.capacity, p.Free())
 	}
 	if err := p.Reserve(3 * gb); err != nil {
 		t.Fatal(err)

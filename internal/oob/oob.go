@@ -104,9 +104,6 @@ func NewStack(eng *simtime.Engine, port *overlay.VMPort, resolve Resolver) *Stac
 	return s
 }
 
-// IP returns the stack's current virtual IP.
-func (s *Stack) IP() packet.IP { return s.port.EP.VIP }
-
 // Listener accepts inbound connections on a port.
 type Listener struct {
 	Port    uint16
@@ -143,10 +140,10 @@ type Conn struct {
 	inbox     *simtime.Queue[[]byte]
 	closed    bool
 
-	txSeq   byte               // next sequence number to assign
-	rxNext  byte               // next sequence number to deliver
-	pend    map[byte]*retxJob  // unacked outbound segments
-	reorder map[byte][]byte    // out-of-order inbound segments
+	txSeq   byte              // next sequence number to assign
+	rxNext  byte              // next sequence number to deliver
+	pend    map[byte]*retxJob // unacked outbound segments
+	reorder map[byte][]byte   // out-of-order inbound segments
 }
 
 // retxJob retransmits one unacked DATA segment until acked or exhausted.
@@ -157,9 +154,6 @@ type retxJob struct {
 	tries   int
 	backoff simtime.Duration
 }
-
-// RemoteIP returns the peer's virtual IP.
-func (c *Conn) RemoteIP() packet.IP { return c.key.remoteIP }
 
 // Dial connects to (ip, port), performing a SYN/SYNACK handshake through
 // the overlay. The SYN is retransmitted with exponential backoff within

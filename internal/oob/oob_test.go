@@ -30,7 +30,7 @@ var (
 func newTestbed(t *testing.T) *testbed {
 	t.Helper()
 	eng := simtime.NewEngine()
-	fab := overlay.NewFabric(eng, overlay.DefaultParams())
+	fab := overlay.NewFabric(overlay.DefaultParams())
 	portA := simnet.NewPort(eng, "hostA")
 	portB := simnet.NewPort(eng, "hostB")
 	simnet.Connect(eng, portA, portB, simnet.Gbps(40), simtime.Us(0.1))
@@ -43,8 +43,8 @@ func newTestbed(t *testing.T) *testbed {
 		}
 		return packet.MAC{}, false
 	}
-	swA := fab.NewVSwitch(hostAIP, hostAMAC, portA, resolve)
-	swB := fab.NewVSwitch(hostBIP, hostBMAC, portB, resolve)
+	swA := fab.NewVSwitch(eng, hostAIP, hostAMAC, portA, resolve)
+	swB := fab.NewVSwitch(eng, hostBIP, hostBMAC, portB, resolve)
 	demux := func(name string, port *simnet.Port, sw *overlay.VSwitch) {
 		eng.Spawn(name, func(p *simtime.Proc) {
 			for {
@@ -331,7 +331,7 @@ func TestConnClose(t *testing.T) {
 // tenant's VNI and the hosts' underlay addresses.
 func TestUnderlayFramesAreVXLANEncapsulated(t *testing.T) {
 	eng := simtime.NewEngine()
-	fab := overlay.NewFabric(eng, overlay.DefaultParams())
+	fab := overlay.NewFabric(overlay.DefaultParams())
 	portA := simnet.NewPort(eng, "hostA")
 	portB := simnet.NewPort(eng, "hostB")
 	link := simnet.Connect(eng, portA, portB, simnet.Gbps(40), simtime.Us(0.1))
@@ -344,8 +344,8 @@ func TestUnderlayFramesAreVXLANEncapsulated(t *testing.T) {
 		}
 		return packet.MAC{}, false
 	}
-	swA := fab.NewVSwitch(hostAIP, hostAMAC, portA, resolve)
-	swB := fab.NewVSwitch(hostBIP, hostBMAC, portB, resolve)
+	swA := fab.NewVSwitch(eng, hostAIP, hostAMAC, portA, resolve)
+	swB := fab.NewVSwitch(eng, hostBIP, hostBMAC, portB, resolve)
 	for _, d := range []struct {
 		port *simnet.Port
 		sw   *overlay.VSwitch

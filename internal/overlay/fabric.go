@@ -15,10 +15,6 @@ type Params struct {
 	VhostCost   simtime.Duration // VM ↔ vswitch per frame (vhost_net copy)
 	ForwardCost simtime.Duration // vswitch lookup + encap/decap per frame
 	RulePerScan simtime.Duration // per rule-evaluation work unit, on conntrack miss
-	// LinearRules evaluates tenant policies with the legacy linear chain
-	// scan (the reference oracle) instead of the decision index. Verdicts
-	// are identical; only the work-unit count per evaluation changes.
-	LinearRules bool
 }
 
 // DefaultParams returns the calibrated defaults.
@@ -41,26 +37,32 @@ type Tenant struct {
 	Policy *Policy // security group (VM level)
 	FWaaS  *Policy // firewall-as-a-service (network level); nil = absent
 
-	linear bool // evaluate chains with the linear oracle (see Params.LinearRules)
+	subs []func(RuleChange) // rule-change subscribers, re-attached by EnableFWaaS
 }
 
 // EnableFWaaS attaches a network-level firewall chain to the tenant and
 // returns it. Until rules are added it denies everything, like any chain.
+// Existing rule subscribers are attached to the new chain and sent one
+// Full change, since a default-deny firewall can revoke any connection.
 func (t *Tenant) EnableFWaaS() *Policy {
-	if t.FWaaS == nil {
-		t.FWaaS = NewPolicy()
-		t.FWaaS.SetLinear(t.linear)
+	if t.FWaaS != nil {
+		return t.FWaaS
 	}
+	t.FWaaS = NewPolicy()
+	t.FWaaS.linear = t.Policy.linear
+	t.FWaaS.subs = append(t.FWaaS.subs, t.subs...)
+	t.FWaaS.bump(RuleChange{Full: true})
 	return t.FWaaS
 }
 
 // SetLinear switches every chain of the tenant (including a FWaaS chain
-// enabled later) between the decision index and the linear oracle.
+// enabled later) between the decision index and the linear reference
+// scan. It is the one switch for the linear engine: RConntrack then also
+// enforces rule changes by scanning the whole VNI.
 func (t *Tenant) SetLinear(on bool) {
-	t.linear = on
-	t.Policy.SetLinear(on)
+	t.Policy.linear = on
 	if t.FWaaS != nil {
-		t.FWaaS.SetLinear(on)
+		t.FWaaS.linear = on
 	}
 }
 
@@ -102,20 +104,11 @@ func (t *Tenant) RuleCount() int {
 	return n
 }
 
-// Subscribe registers fn on both chains (and on the FWaaS chain even if
-// it is enabled later, via EnableFWaaS-then-Subscribe ordering: callers
-// should enable the firewall before subscribing).
-func (t *Tenant) Subscribe(fn func()) {
-	t.Policy.Subscribe(fn)
-	if t.FWaaS != nil {
-		t.FWaaS.Subscribe(fn)
-	}
-}
-
-// SubscribeRules registers fn on both chains with per-change footprints
-// (the incremental-enforcement feed). Same FWaaS ordering caveat as
-// Subscribe: enable the firewall before subscribing.
+// SubscribeRules registers fn on both chains, including a FWaaS chain
+// enabled later, with per-change footprints (the incremental-enforcement
+// feed).
 func (t *Tenant) SubscribeRules(fn func(RuleChange)) {
+	t.subs = append(t.subs, fn)
 	t.Policy.SubscribeRules(fn)
 	if t.FWaaS != nil {
 		t.FWaaS.SubscribeRules(fn)
@@ -143,7 +136,6 @@ type epKey struct {
 type Fabric struct {
 	P Params
 
-	eng       *simtime.Engine
 	tenants   map[uint32]*Tenant
 	endpoints map[epKey]*Endpoint
 	switches  map[packet.IP]*VSwitch
@@ -151,10 +143,9 @@ type Fabric struct {
 }
 
 // NewFabric returns an empty fabric.
-func NewFabric(eng *simtime.Engine, p Params) *Fabric {
+func NewFabric(p Params) *Fabric {
 	return &Fabric{
 		P:         p,
-		eng:       eng,
 		tenants:   make(map[uint32]*Tenant),
 		endpoints: make(map[epKey]*Endpoint),
 		switches:  make(map[packet.IP]*VSwitch),
@@ -164,9 +155,6 @@ func NewFabric(eng *simtime.Engine, p Params) *Fabric {
 // AddTenant creates a VPC with an empty (default-deny) policy.
 func (f *Fabric) AddTenant(vni uint32, name string) *Tenant {
 	t := &Tenant{VNI: vni, Name: name, Policy: NewPolicy()}
-	if f.P.LinearRules {
-		t.SetLinear(true)
-	}
 	f.tenants[vni] = t
 	return t
 }
@@ -215,20 +203,14 @@ type flowKey struct {
 	src, dst packet.IP
 }
 
-// NewVSwitch creates the host's vswitch on the fabric's engine and starts
-// its pumps. uplink is the host's physical port; resolver maps peer host
-// IPs to their MACs (the underlay neighbor table).
-func (f *Fabric) NewVSwitch(hostIP packet.IP, hostMAC packet.MAC, uplink *simnet.Port, resolver func(packet.IP) (packet.MAC, bool)) *VSwitch {
-	return f.NewVSwitchOn(f.eng, hostIP, hostMAC, uplink, resolver)
-}
-
-// NewVSwitchOn is NewVSwitch with an explicit home engine. On a sharded
-// testbed the vswitch must live on its HOST's shard, not the fabric's:
-// every queue, worker proc, and per-frame Sleep here charges virtual time
-// to eng's clock, and the host's VMs put frames into those queues
-// synchronously. The fabric itself stays global — its registry is written
-// at build time and only read from the data path.
-func (f *Fabric) NewVSwitchOn(eng *simtime.Engine, hostIP packet.IP, hostMAC packet.MAC, uplink *simnet.Port, resolver func(packet.IP) (packet.MAC, bool)) *VSwitch {
+// NewVSwitch creates a host's vswitch on engine eng and starts its pumps.
+// uplink is the host's physical port; resolver maps peer host IPs to their
+// MACs (the underlay neighbor table). On a sharded testbed eng is the
+// HOST's shard: every queue, worker proc, and per-frame Sleep here charges
+// virtual time to eng's clock, and the host's VMs put frames into those
+// queues synchronously. The fabric itself stays global — its registry is
+// written at build time and only read from the data path.
+func (f *Fabric) NewVSwitch(eng *simtime.Engine, hostIP packet.IP, hostMAC packet.MAC, uplink *simnet.Port, resolver func(packet.IP) (packet.MAC, bool)) *VSwitch {
 	sw := &VSwitch{
 		HostIP:   hostIP,
 		HostMAC:  hostMAC,
@@ -255,7 +237,7 @@ type VMPort struct {
 
 	sw      *VSwitch
 	onIPChg []func(old, new packet.IP)
-	dropped uint64
+	dropped uint64 // frames discarded by policy at this port
 }
 
 // AttachVM creates a port on the vswitch for a VM vNIC with the given
@@ -283,9 +265,6 @@ func (sw *VSwitch) AttachVM(vni uint32, vip packet.IP) (*VMPort, error) {
 func (vp *VMPort) Send(f simnet.Frame) {
 	vp.sw.egress.Put(egressJob{from: vp, frame: f})
 }
-
-// Dropped counts frames discarded by policy at this port.
-func (vp *VMPort) Dropped() uint64 { return vp.dropped }
 
 // OnIPChange registers a callback on the inetaddr notification chain —
 // this is the hook MasQ's vBond uses to keep the virtual GID synchronized.

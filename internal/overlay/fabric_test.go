@@ -11,7 +11,7 @@ import (
 func twoSwitchFabric(t *testing.T) (*simtime.Engine, *Fabric, *VSwitch, *VSwitch) {
 	t.Helper()
 	eng := simtime.NewEngine()
-	fab := NewFabric(eng, DefaultParams())
+	fab := NewFabric(DefaultParams())
 	pa := simnet.NewPort(eng, "a")
 	pb := simnet.NewPort(eng, "b")
 	simnet.Connect(eng, pa, pb, simnet.Gbps(40), simtime.Us(0.1))
@@ -24,8 +24,8 @@ func twoSwitchFabric(t *testing.T) (*simtime.Engine, *Fabric, *VSwitch, *VSwitch
 		}
 		return packet.MAC{}, false
 	}
-	swa := fab.NewVSwitch(packet.NewIP(172, 16, 0, 1), packet.MAC{2, 0, 0, 0, 0, 1}, pa, resolve)
-	swb := fab.NewVSwitch(packet.NewIP(172, 16, 0, 2), packet.MAC{2, 0, 0, 0, 0, 2}, pb, resolve)
+	swa := fab.NewVSwitch(eng, packet.NewIP(172, 16, 0, 1), packet.MAC{2, 0, 0, 0, 0, 1}, pa, resolve)
+	swb := fab.NewVSwitch(eng, packet.NewIP(172, 16, 0, 2), packet.MAC{2, 0, 0, 0, 0, 2}, pb, resolve)
 	return eng, fab, swa, swb
 }
 
@@ -97,14 +97,14 @@ func TestEgressDropsCountedPerPort(t *testing.T) {
 	)
 	vp.Send(simnet.Frame(frame))
 	eng.Run()
-	if vp.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1 (default deny)", vp.Dropped())
+	if vp.dropped != 1 {
+		t.Fatalf("dropped = %d, want 1 (default deny)", vp.dropped)
 	}
 	// Garbage frames also count as drops, not crashes.
 	vp.Send(simnet.Frame([]byte{1, 2, 3}))
 	eng.Run()
-	if vp.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", vp.Dropped())
+	if vp.dropped != 2 {
+		t.Fatalf("dropped = %d, want 2", vp.dropped)
 	}
 }
 

@@ -54,7 +54,7 @@ func TestIndexedAllowsMatchesLinearOracle(t *testing.T) {
 			dst := packet.NewIP(10, byte(rng.Intn(4)), byte(rng.Intn(4)), byte(rng.Intn(4)))
 			for _, pr := range protos {
 				got := pl.Allows(pr, src, dst)
-				want := pl.AllowsLinear(pr, src, dst)
+				want, _ := pl.allowsLinearCost(pr, src, dst)
 				if got != want {
 					t.Fatalf("step %d: verdict diverged for proto %d %v->%v: indexed=%v linear=%v\nrules: %+v",
 						step, pr, src, dst, got, want, pl.Rules())
@@ -99,7 +99,7 @@ func TestIndexEquivalenceAfterRebuild(t *testing.T) {
 		before = append(before, pl.Allows(p.pr, p.src, p.dst))
 	}
 	pre := pl.IndexInfo()
-	pl.RebuildIndex()
+	pl.idx.rebuild(pl.rules)
 	post := pl.IndexInfo()
 	if post.Rebuilds != pre.Rebuilds+1 {
 		t.Fatalf("rebuilds %d -> %d", pre.Rebuilds, post.Rebuilds)
@@ -192,7 +192,7 @@ func TestAddRulesBulkMatchesSingleInserts(t *testing.T) {
 func TestAllowsCostUnitsAgreeOnCanonicalChain(t *testing.T) {
 	for _, linear := range []bool{false, true} {
 		pl := NewPolicy()
-		pl.SetLinear(linear)
+		pl.linear = linear
 		pl.AddRule(Rule{Priority: 1, Proto: ProtoAny, Src: packet.CIDR{}, Dst: packet.CIDR{}, Action: Allow})
 		ok, units := pl.AllowsCost(ProtoRDMA, packet.NewIP(10, 0, 0, 1), packet.NewIP(10, 0, 0, 2))
 		if !ok || units != 1 {
@@ -226,7 +226,7 @@ func TestIndexedCostSublinear(t *testing.T) {
 	if units > 8 {
 		t.Fatalf("indexed lookup probed %d buckets, want a small constant", units)
 	}
-	pl.SetLinear(true)
+	pl.linear = true
 	okLin, unitsLin := pl.AllowsCost(ProtoRDMA, src, dst)
 	if okLin != ok {
 		t.Fatal("modes disagree")
@@ -242,7 +242,7 @@ func TestIndexSkipsImpossibleRules(t *testing.T) {
 	pl := NewPolicy()
 	pl.AddRule(Rule{Priority: 9, Proto: ProtoAny, Src: packet.CIDR{IP: packet.NewIP(10, 0, 0, 0), Bits: 33}, Dst: packet.CIDR{}, Action: Allow})
 	src, dst := packet.NewIP(10, 0, 0, 1), packet.NewIP(10, 0, 0, 2)
-	if pl.Allows(ProtoAny, src, dst) || pl.AllowsLinear(ProtoAny, src, dst) {
+	if lin, _ := pl.allowsLinearCost(ProtoAny, src, dst); lin || pl.Allows(ProtoAny, src, dst) {
 		t.Fatal("impossible rule must not match")
 	}
 	if inf := pl.IndexInfo(); inf.Rules != 0 {

@@ -74,13 +74,13 @@ type RuleChange struct {
 // Policy is a tenant's ordered rule chain plus an update-notification
 // list. The chain is shadowed by a decision index (see ruleIndex) that
 // answers Allows in O(prefix-length pairs) probes instead of O(rules);
-// the linear scan is kept as the reference oracle, selectable with
-// SetLinear, and AllowsLinear always evaluates it for equivalence tests.
+// the linear scan (allowsLinearCost) is kept as the reference
+// implementation, selected with Tenant.SetLinear.
 type Policy struct {
 	rules   []Rule // chain order: priority desc, ID asc
 	byID    map[int]Rule
 	idx     ruleIndex
-	linear  bool
+	linear  bool // evaluate with allowsLinearCost; the index is maintained either way
 	nextID  int
 	version uint64
 	subs    []func(RuleChange)
@@ -95,12 +95,8 @@ func (pl *Policy) Version() uint64 { return pl.version }
 // Rules returns a copy of the chain in evaluation order.
 func (pl *Policy) Rules() []Rule { return append([]Rule(nil), pl.rules...) }
 
-// SetLinear selects the legacy linear chain scan (the reference oracle)
-// instead of the decision index for Allows/AllowsCost. The index is
-// maintained either way, so flipping modes needs no rebuild.
-func (pl *Policy) SetLinear(on bool) { pl.linear = on }
-
-// Linear reports whether the policy evaluates via the legacy linear scan.
+// Linear reports whether the policy evaluates via the linear reference
+// scan (see Tenant.SetLinear).
 func (pl *Policy) Linear() bool { return pl.linear }
 
 // chainPos returns r's position in the chain. r must be present.
@@ -175,11 +171,6 @@ func (pl *Policy) bump(ch RuleChange) {
 	}
 }
 
-// Subscribe registers fn to run after every rule change.
-func (pl *Policy) Subscribe(fn func()) {
-	pl.SubscribeRules(func(RuleChange) { fn() })
-}
-
 // SubscribeRules registers fn to run after every rule change with the
 // change's footprint (RConntrack's trigger for incremental re-validation
 // of established connections).
@@ -205,13 +196,8 @@ func (pl *Policy) AllowsCost(proto Proto, src, dst packet.IP) (bool, int) {
 	return found && r.Action == Allow, probes
 }
 
-// AllowsLinear evaluates the legacy linear chain scan regardless of the
-// configured mode — the reference oracle for equivalence tests.
-func (pl *Policy) AllowsLinear(proto Proto, src, dst packet.IP) bool {
-	ok, _ := pl.allowsLinearCost(proto, src, dst)
-	return ok
-}
-
+// allowsLinearCost is the reference implementation: a first-match scan
+// of the chain, costing one unit per rule scanned.
 func (pl *Policy) allowsLinearCost(proto Proto, src, dst packet.IP) (bool, int) {
 	for i, r := range pl.rules {
 		if r.Matches(proto, src, dst) {
@@ -226,8 +212,3 @@ func (pl *Policy) RuleCount() int { return len(pl.rules) }
 
 // IndexInfo reports the decision index's shape and maintenance counters.
 func (pl *Policy) IndexInfo() IndexInfo { return pl.idx.info() }
-
-// RebuildIndex reconstructs the decision index from the chain. The index
-// is maintained incrementally, so this is a safety valve (and the test
-// hook proving incremental maintenance converges to a fresh build).
-func (pl *Policy) RebuildIndex() { pl.idx.rebuild(pl.rules) }

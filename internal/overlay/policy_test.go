@@ -63,7 +63,7 @@ func TestPolicyProtoFilter(t *testing.T) {
 func TestPolicySubscribersNotified(t *testing.T) {
 	pl := NewPolicy()
 	n := 0
-	pl.Subscribe(func() { n++ })
+	pl.SubscribeRules(func(RuleChange) { n++ })
 	id := pl.AddRule(Rule{Priority: 1, Action: Allow})
 	pl.RemoveRule(id)
 	pl.RemoveRule(9999) // no-op, no notification

@@ -20,9 +20,6 @@ func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
-// IsZero reports whether the address is all zeros.
-func (m MAC) IsZero() bool { return m == MAC{} }
-
 // BroadcastMAC is the Ethernet broadcast address.
 var BroadcastMAC = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 

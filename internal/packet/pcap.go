@@ -2,7 +2,6 @@ package packet
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 )
 
@@ -54,42 +53,4 @@ func WritePcap(w io.Writer, frames []CapturedFrame) error {
 		}
 	}
 	return nil
-}
-
-// ReadPcap parses a stream produced by WritePcap (round-trip support and
-// testing; it is not a general pcap reader — only the nanosecond classic
-// format is accepted).
-func ReadPcap(r io.Reader) ([]CapturedFrame, error) {
-	hdr := make([]byte, 24)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != pcapMagicNanos {
-		return nil, fmt.Errorf("packet: not a nanosecond pcap stream")
-	}
-	if lt := binary.LittleEndian.Uint32(hdr[20:24]); lt != pcapLinkTypeEth {
-		return nil, fmt.Errorf("packet: unsupported link type %d", lt)
-	}
-	var out []CapturedFrame
-	rec := make([]byte, 16)
-	for {
-		if _, err := io.ReadFull(r, rec); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return nil, err
-		}
-		n := binary.LittleEndian.Uint32(rec[8:12])
-		if n > pcapSnapLen {
-			return nil, fmt.Errorf("packet: absurd record length %d", n)
-		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(r, data); err != nil {
-			return nil, err
-		}
-		out = append(out, CapturedFrame{
-			TimeNanos: int64(binary.LittleEndian.Uint32(rec[0:4]))*1e9 + int64(binary.LittleEndian.Uint32(rec[4:8])),
-			Data:      data,
-		})
-	}
 }

@@ -255,39 +255,8 @@ func (d *Device) AttachPort(port *simnet.Port) {
 // Engine returns the simulation engine the device runs on.
 func (d *Device) Engine() *simtime.Engine { return d.eng }
 
-// ServePort attaches the port and pumps every RoCEv2 frame arriving on it
-// into the device. Hosts that share the port with an overlay network run
-// their own demultiplexer and feed Ingress themselves; this helper is for
-// RDMA-only wiring (and tests).
-func (d *Device) ServePort(port *simnet.Port) {
-	d.AttachPort(port)
-	var serve func(simnet.Frame)
-	serve = func(f simnet.Frame) {
-		for {
-			pkt, err := d.pktPool.Decode(f)
-			if err != nil {
-				d.Stats.Dropped++
-			} else if u := pkt.UDP(); u != nil && (u.DstPort == packet.PortRoCEv2 || u.DstPort == packet.PortRoCEShared) {
-				d.Ingress.Put(pkt)
-			} else {
-				pkt.Release()
-			}
-			var ok bool
-			f, ok = port.RX.TryGet()
-			if !ok {
-				port.RX.OnNext(serve)
-				return
-			}
-		}
-	}
-	port.RX.OnNext(serve)
-}
-
 // PF returns the physical function.
 func (d *Device) PF() *Func { return d.funcs[0] }
-
-// Funcs returns all functions, PF first.
-func (d *Device) Funcs() []*Func { return d.funcs }
 
 // AddVF creates a new virtual function. The device exposes at most
 // Params.MaxVFs of them (Table 5: 8 on non-ARI PCIe).
@@ -314,14 +283,6 @@ func (f *Func) GID(i int) packet.GID {
 		return f.gids[i]
 	}
 	return packet.GID{}
-}
-
-// SetGID writes GID table entry i, growing the table as needed.
-func (f *Func) SetGID(i int, g packet.GID) {
-	for len(f.gids) <= i {
-		f.gids = append(f.gids, packet.GID{})
-	}
-	f.gids[i] = g
 }
 
 // IsVF reports whether the function is a virtual function.
@@ -409,9 +370,6 @@ func (d *Device) DeregMR(p *simtime.Proc, f *Func, mr *MR) {
 	d.exec(p, VerbDeregMR, f, 0)
 	delete(d.mrs, mr.LKey)
 }
-
-// LookupMR finds a region by rkey/lkey.
-func (d *Device) LookupMR(key uint32) *MR { return d.mrs[key] }
 
 // CreateCQ models ibv_create_cq.
 func (d *Device) CreateCQ(p *simtime.Proc, f *Func, capacity int) *CQ {

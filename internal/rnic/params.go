@@ -60,16 +60,6 @@ func (v Verb) String() string {
 	return "verb(?)"
 }
 
-// IsControlPath reports whether the verb manipulates resources/QPC (the
-// paper's control-path class) rather than exchanging data.
-func (v Verb) IsControlPath() bool {
-	switch v {
-	case VerbPostSend, VerbPostRecv, VerbPollCQ:
-		return false
-	}
-	return true
-}
-
 // Params holds every latency and capacity constant of the device model.
 // The defaults are calibrated against the paper's testbed (Mellanox CX-3
 // Pro 40 Gbps): Table 1 verb costs, ~0.8 µs host 2 B send latency (Fig. 8a),

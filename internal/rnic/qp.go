@@ -103,15 +103,6 @@ type writeCtx struct {
 // State returns the current QP state.
 func (qp *QP) State() State { return qp.state }
 
-// Func returns the PCI function the QP was created on.
-func (qp *QP) Func() *Func { return qp.fn }
-
-// SQLen returns the number of outstanding (unretired) send WRs.
-func (qp *QP) SQLen() int { return len(qp.sq) }
-
-// RQLen returns the number of posted receive WRs.
-func (qp *QP) RQLen() int { return len(qp.rq) }
-
 // Rebind repoints a pooled QP at a new consumer's PD, CQs and caps (MasQ's
 // warm QP pool): a host-memory QPC rewrite with no firmware verb, legal
 // only while the QP is idle in RESET or INIT with empty work queues.

@@ -32,8 +32,35 @@ func newNode(eng *simtime.Engine, name string, ip packet.IP, mac packet.MAC, p P
 	dev := NewDevice(eng, name, p, phys)
 	dev.PF().SetAddr(ip, mac)
 	port := simnet.NewPort(eng, name+".port")
-	dev.ServePort(port)
+	servePort(dev, port)
 	return &node{phys: phys, hva: hva, dev: dev, port: port}
+}
+
+// servePort attaches the port and pumps every RoCEv2 frame arriving on it
+// into the device: RDMA-only wiring. Hosts that share the port with an
+// overlay network run their own demultiplexer and feed Ingress themselves.
+func servePort(d *Device, port *simnet.Port) {
+	d.AttachPort(port)
+	var serve func(simnet.Frame)
+	serve = func(f simnet.Frame) {
+		for {
+			pkt, err := d.pktPool.Decode(f)
+			if err != nil {
+				d.Stats.Dropped++
+			} else if u := pkt.UDP(); u != nil && (u.DstPort == packet.PortRoCEv2 || u.DstPort == packet.PortRoCEShared) {
+				d.Ingress.Put(pkt)
+			} else {
+				pkt.Release()
+			}
+			var ok bool
+			f, ok = port.RX.TryGet()
+			if !ok {
+				port.RX.OnNext(serve)
+				return
+			}
+		}
+	}
+	port.RX.OnNext(serve)
 }
 
 func newEnv(t *testing.T) *env {
@@ -944,11 +971,8 @@ func TestResetCostBreakdown(t *testing.T) {
 }
 
 func TestVerbStringAndClass(t *testing.T) {
-	if VerbPostSend.String() != "post_send" || VerbPostSend.IsControlPath() {
-		t.Error("post_send classification")
-	}
-	if !VerbCreateQP.IsControlPath() {
-		t.Error("create_qp must be control path")
+	if VerbPostSend.String() != "post_send" || VerbCreateQP.String() != "create_qp" {
+		t.Error("verb names")
 	}
 	if StateRTS.String() != "RTS" || RC.String() != "RC" || WRWrite.String() != "WRITE" {
 		t.Error("String methods")

@@ -14,7 +14,6 @@ var (
 	ErrBadState      = errors.New("rnic: invalid QP state for operation")
 	ErrBadTransition = errors.New("rnic: invalid QP state transition")
 	ErrNoResources   = errors.New("rnic: out of device resources")
-	ErrBadKey        = errors.New("rnic: unknown or mismatched key")
 	ErrBadAccess     = errors.New("rnic: access violates MR permissions or bounds")
 	ErrQueueFull     = errors.New("rnic: work queue full")
 )

@@ -127,8 +127,8 @@ func TestSwitchDownDropsEverything(t *testing.T) {
 	b := NewPort(eng, "b")
 	la := sw.AttachPort(a, Gbps(40), 0)
 	lb := sw.AttachPort(b, Gbps(40), 0)
-	if len(sw.Links()) != 2 || la == nil || lb == nil {
-		t.Fatalf("AttachPort must record and return uplinks: %v", sw.Links())
+	if len(sw.links) != 2 || la == nil || lb == nil {
+		t.Fatalf("AttachPort must record and return uplinks: %v", sw.links)
 	}
 	got := 0
 	rxCount(eng, b, &got)

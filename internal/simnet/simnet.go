@@ -56,12 +56,6 @@ func NewPort(eng *simtime.Engine, name string) *Port {
 	return &Port{Name: name, RX: simtime.NewQueue[Frame](eng), eng: eng}
 }
 
-// Engine returns the engine the port was created on.
-func (p *Port) Engine() *simtime.Engine { return p.eng }
-
-// Attached reports whether the port has been wired to a link.
-func (p *Port) Attached() bool { return p.tx != nil }
-
 // Send transmits a frame. It never blocks: the frame queues at the link and
 // is serialized at link rate. Sending on an unattached port panics — it is
 // a wiring bug, not a runtime condition.
@@ -150,7 +144,7 @@ type Link struct {
 	Drop func(Frame) bool
 
 	dirs  [2]*linkDir
-	cross bool // endpoints live on different shards (ConnectVia)
+	cross bool // endpoints on different shards (ConnectVia): no faults or taps
 	down  bool
 	loss  *LossModel
 	tap   *Tap
@@ -222,16 +216,6 @@ func (l *Link) AttachTap() *Tap {
 	}
 	return l.tap
 }
-
-// MinLatency returns the link's guaranteed minimum delivery latency: its
-// propagation delay. The sharded topology's conservative lookahead is the
-// minimum MinLatency over all cross-shard links.
-func (l *Link) MinLatency() simtime.Duration { return l.PropDelay }
-
-// CrossShard reports whether the link was wired across shards. Fault
-// injection (SetDown, SetLoss, Drop) and taps touch state shared by both
-// directions and are not supported on cross-shard links.
-func (l *Link) CrossShard() bool { return l.cross }
 
 // Connect wires ports a and b with a link of the given bandwidth and
 // propagation delay and starts its pump processes.
@@ -399,9 +383,6 @@ func (s *Switch) SetDown(down bool) { s.down = down }
 
 // IsDown reports whether the switch is failed.
 func (s *Switch) IsDown() bool { return s.down }
-
-// Links returns the links created by AttachPort, in attach order.
-func (s *Switch) Links() []*Link { return s.links }
 
 // NewSwitch returns a switch with no ports.
 func NewSwitch(eng *simtime.Engine, name string, forwardDelay simtime.Duration) *Switch {

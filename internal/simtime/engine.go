@@ -346,10 +346,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.block()
 }
 
-// Yield cedes the processor to other events scheduled at the current
-// instant and then continues.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Run executes scheduled events in time order until the queue drains or
 // Stop is called. It returns the final virtual time.
 func (e *Engine) Run() Time { return e.RunUntil(Time(1<<62 - 1)) }
@@ -359,8 +355,7 @@ func (e *Engine) Run() Time { return e.RunUntil(Time(1<<62 - 1)) }
 //
 // Entering RunUntil (or Run) clears a previous Stop: Stop halts the
 // current run, and the next Run/RunUntil call resumes from the queued
-// events. Use Stopped between runs to observe whether the last run was
-// halted.
+// events.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
 	for !e.stopped && len(e.pq) > 0 {
@@ -413,10 +408,6 @@ func (e *Engine) dispatch(ev *event) {
 // dead: the next Run/RunUntil call clears the flag and resumes from the
 // still-queued events.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called since the last time a run
-// started.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 // Timer is a re-armable one-shot callback with a pre-allocated event, the
 // allocation-free alternative to Engine.After for components that arm the

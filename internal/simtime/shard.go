@@ -124,17 +124,6 @@ func (se *ShardedEngine) PendingProcs() []string {
 	return names
 }
 
-// Stop makes the current run return at the next window barrier. It only
-// marks shard 0 (the coordinator's shard), which the barrier check sees —
-// writing other shards' flags from here would race with their window
-// workers. Simulation code on shard i stops the whole run by calling its
-// own engine's Stop: the shard quits its window early and the barrier
-// ends the run.
-func (se *ShardedEngine) Stop() { se.shards[0].stopped = true }
-
-// Stopped reports whether any shard has stopped since the last run began.
-func (se *ShardedEngine) Stopped() bool { return se.anyStopped() }
-
 // Exchange is a directed cross-shard channel with a declared minimum
 // delivery latency. Sends are staged in a single-writer buffer (only the
 // source shard's goroutine appends; only the coordinator drains, at a
@@ -145,7 +134,6 @@ type Exchange struct {
 	se       *ShardedEngine
 	id       int
 	src, dst int
-	lat      Duration
 	seq      uint64
 	buf      []xmsg
 }
@@ -163,7 +151,7 @@ func (se *ShardedEngine) NewExchange(src, dst int, minLatency Duration) *Exchang
 	if minLatency <= 0 {
 		panic("simtime: exchange latency must be positive (conservative lookahead needs a nonzero horizon)")
 	}
-	x := &Exchange{se: se, id: len(se.exchanges), src: src, dst: dst, lat: minLatency}
+	x := &Exchange{se: se, id: len(se.exchanges), src: src, dst: dst}
 	se.exchanges = append(se.exchanges, x)
 	if !se.haveLook || minLatency < se.lookahead {
 		se.lookahead = minLatency
@@ -171,9 +159,6 @@ func (se *ShardedEngine) NewExchange(src, dst int, minLatency Duration) *Exchang
 	}
 	return x
 }
-
-// MinLatency returns the latency the exchange was declared with.
-func (x *Exchange) MinLatency() Duration { return x.lat }
 
 // Send stages fn to run on the destination shard at virtual time at. It
 // must be called from the source shard's execution context (or before the
@@ -323,6 +308,10 @@ func (se *ShardedEngine) collect() {
 	}
 }
 
+// anyStopped reports whether any shard has stopped since the last run
+// began. Simulation code on shard i stops the whole run by calling its own
+// engine's Stop: the shard quits its window early and the barrier ends
+// the run.
 func (se *ShardedEngine) anyStopped() bool {
 	for _, e := range se.shards {
 		if e.stopped {

@@ -204,13 +204,13 @@ func TestRunAfterStopResumes(t *testing.T) {
 	if end := e.RunUntil(100); end != 10 {
 		t.Fatalf("first run ended at %v, want 10 (Stop)", end)
 	}
-	if !e.Stopped() {
+	if !e.stopped {
 		t.Fatal("engine not stopped after Stop")
 	}
 	if end := e.RunUntil(100); end != 20 {
 		t.Fatalf("resumed run ended at %v, want 20 (queue drained)", end)
 	}
-	if e.Stopped() {
+	if e.stopped {
 		t.Fatal("resumed run left the engine stopped")
 	}
 	if len(fired) != 2 || fired[1] != 20 {
@@ -231,7 +231,7 @@ func TestShardedRunAfterStopResumes(t *testing.T) {
 	})
 	se.Shard(1).At(2000, func() { fired = append(fired, "late") })
 	se.RunUntil(10_000)
-	if !se.Stopped() {
+	if !se.anyStopped() {
 		t.Fatal("sharded engine not stopped")
 	}
 	if len(fired) != 0 {

@@ -373,6 +373,3 @@ func (r *Resource) Release() {
 		panic("simtime: Release without Acquire")
 	}
 }
-
-// InUse returns the number of currently-held units.
-func (r *Resource) InUse() int { return r.inUse }

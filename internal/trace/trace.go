@@ -137,9 +137,6 @@ func (r *Recorder) SetEnabled(on bool) {
 	r.enabled = on
 }
 
-// Enabled reports whether the recorder is currently accepting events.
-func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
-
 // Events returns the number of recorded spans across all lanes.
 func (r *Recorder) Events() int {
 	if r == nil {

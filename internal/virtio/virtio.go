@@ -29,9 +29,6 @@ func DefaultParams() Params {
 	}
 }
 
-// RTT is the total round-trip overhead excluding handler work.
-func (p Params) RTT() simtime.Duration { return p.KickCost + p.HostProc + p.IRQCost }
-
 // call is one in-flight batch of commands on the ring. inv carries the
 // guest's active trace invocation across the proc hop so the host-side
 // spans attribute to the right verb call under concurrent setups.
