@@ -213,7 +213,8 @@ func TestMapRejectsUnaligned(t *testing.T) {
 func TestReadWriteQuickRoundtrip(t *testing.T) {
 	phys := NewPhys(gb)
 	host := NewAddrSpace("hva", phys, phys.AllocPages)
-	va, err := host.Alloc(64 * 1024)
+	const size = 64 * 1024
+	va, err := host.Alloc(size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,11 @@ func TestReadWriteQuickRoundtrip(t *testing.T) {
 			data = data[:32*1024]
 		}
 		addr := va + uint64(off)
-		if err := host.Write(addr, data); err != nil {
+		err := host.Write(addr, data)
+		if int(off)+len(data) > size {
+			return err != nil // runs past the allocation: must be refused
+		}
+		if err != nil {
 			return false
 		}
 		got := make([]byte, len(data))

@@ -3,9 +3,10 @@ package simtime
 import "testing"
 
 // BenchmarkSleepWake measures one Sleep/wake round trip of a single proc:
-// the engine schedules the proc's intrusive wake event, hands the baton to
-// the goroutine, and takes it back. Steady state must be 0 allocs/op — the
-// wake event is pre-allocated in the Proc and the heap slot is recycled.
+// the proc schedules its intrusive wake event and, holding the baton, runs
+// the event loop until that event fires, with no goroutine switch. Steady
+// state must be 0 allocs/op — the wake event is pre-allocated in the Proc
+// and the heap slot is recycled.
 func BenchmarkSleepWake(b *testing.B) {
 	eng := NewEngine()
 	n := b.N
@@ -96,6 +97,27 @@ func BenchmarkQueueProcPingPong(b *testing.B) {
 			q.Get(p)
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+}
+
+// BenchmarkProcRoundRobin measures proc-to-proc hand-offs: 64 procs sleep
+// in a staggered ring, so every wake belongs to a different proc than the
+// one that just blocked and each one passes the baton once. This is the
+// control-plane pattern (many RPC procs taking turns). 0 allocs/op.
+func BenchmarkProcRoundRobin(b *testing.B) {
+	const procs = 64
+	eng := NewEngine()
+	n := b.N
+	for i := 0; i < procs; i++ {
+		eng.Spawn("ring", func(p *Proc) {
+			p.Sleep(Duration(i))
+			for k := i; k < n; k += procs {
+				p.Sleep(procs)
+			}
+		})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	eng.Run()

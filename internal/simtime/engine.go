@@ -1,9 +1,26 @@
 // Package simtime implements a deterministic discrete-event simulation
 // engine in the style of SimPy: simulated components run as cooperative
 // processes (goroutines managed by the engine), exactly one of which
-// executes at a time. Blocking primitives — Sleep, Wait, Queue.Get,
-// Resource.Acquire — hand control back to the engine, which advances the
-// virtual clock to the next scheduled wakeup.
+// executes at a time.
+//
+// Control moves as a baton, and whichever goroutine holds it runs the
+// event loop: the caller of Run or RunUntil (in a ShardedEngine, the
+// goroutine running the shard's window), or a process that has just
+// blocked in Sleep, Wait, Queue.Get or Resource.Acquire. The holder
+// dispatches events in time order, running callbacks inline on its own
+// goroutine, until one wakes a process. If that is the holder itself, its
+// blocking call returns with no goroutine switch; otherwise one channel
+// send hands the baton straight to the woken process. The baton returns
+// to the run's caller only when the run ends: at its deadline or window
+// horizon, on Stop, or when the queue drains.
+//
+// So a callback may run on any process's goroutine and must not depend on
+// which one. A process goroutine that exits without returning — through
+// runtime.Goexit, as t.FailNow does, in the process body or in a callback
+// it ran — stops the run and hands the baton back to the caller: Run
+// returns instead of hanging, and the process stays in PendingProcs.
+// Panics are not recovered. A panic in a callback reaches a recover around
+// Run only if no process held the baton when the callback ran.
 //
 // Virtual time is an int64 nanosecond count starting at zero. There is no
 // wall clock anywhere in the engine, so a simulation run is a pure function
@@ -176,8 +193,9 @@ type Engine struct {
 	free    []*event // recycled pooled events
 	nevents uint64   // events dispatched (perf accounting)
 	procs   map[*Proc]struct{}
-	current *Proc
-	turn    chan struct{}
+	ready   *Proc         // process woken by the last dispatched event
+	limit   Time          // exclusive end of the current run
+	turn    chan struct{} // hands the baton back to the run's caller
 	stopped bool
 	shard   int // index within a ShardedEngine; 0 for a standalone engine
 }
@@ -271,12 +289,12 @@ func (e *Engine) After(d Duration, fn func()) { e.schedule(e.now.Add(d), fn) }
 type Proc struct {
 	eng    *Engine
 	name   string
-	resume chan struct{}
-	done   bool
+	fn     func(p *Proc) // body; nil once the goroutine has started
+	resume chan struct{} // hands the baton to this process
 	// wakeEv is the proc's intrusive wake event. A parked proc has exactly
 	// one pending wakeup, so a single pre-allocated event (with a reusable
-	// resume closure) makes Sleep and every queue/event/resource wakeup
-	// allocation-free in steady state.
+	// closure that marks the proc ready) makes Sleep and every
+	// queue/event/resource wakeup allocation-free in steady state.
 	wakeEv event
 }
 
@@ -290,41 +308,87 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Now() Time { return p.eng.now }
 
 // Spawn creates a process running fn, started at the current virtual time
-// (after already-scheduled events for this instant).
+// (after already-scheduled events for this instant). Spawn only schedules
+// the process's wake event; no goroutine exists until that event fires
+// and the baton is handed to the process for the first time.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
-	p.wakeEv.fn = func() { e.runProc(p) }
+	p := &Proc{eng: e, name: name, fn: fn, resume: make(chan struct{}, 1)}
+	p.wakeEv.fn = func() { e.ready = p }
 	e.procs[p] = struct{}{}
-	e.schedule(e.now, func() {
-		go func() {
-			<-p.resume // wait for the engine to hand us the baton
-			fn(p)
-			p.done = true
-			delete(e.procs, p)
-			e.yieldToEngine(p)
-		}()
-		e.runProc(p)
-	})
+	e.wake(p, e.now)
 	return p
 }
 
-// runProc transfers control to p and blocks the engine loop until p yields.
-func (e *Engine) runProc(p *Proc) {
-	e.current = p
-	p.resume <- struct{}{}
-	<-e.turn
-	e.current = nil
+// main is a process goroutine; it starts holding the baton. When the body
+// returns, the process retires and passes the baton on. If the goroutine
+// exits any other way — runtime.Goexit in the body or in a callback it
+// ran — the deferred guard cancels the process's wakeups, stops the run
+// and hands the baton back to the run's caller. It does not recover, so a
+// panic keeps its own stack.
+func (p *Proc) main(fn func(p *Proc)) {
+	e := p.eng
+	passed := false
+	defer func() {
+		if !passed {
+			p.wakeEv.fn = nil // the goroutine is gone: never hand it the baton
+			e.stopped = true
+			e.turn <- struct{}{}
+		}
+	}()
+	fn(p)
+	delete(e.procs, p)
+	e.pass(e.next())
+	passed = true
 }
 
-// yieldToEngine returns control from process p to the engine loop.
-func (e *Engine) yieldToEngine(p *Proc) {
-	e.turn <- struct{}{}
+// next runs the event loop on the baton holder. It dispatches events in
+// order until one wakes a process, and returns that process; it returns
+// nil when the run ends (limit reached, Stop, or an empty queue).
+func (e *Engine) next() *Proc {
+	for !e.stopped && len(e.pq) > 0 {
+		ev := e.pq[0]
+		if ev.at >= e.limit {
+			break
+		}
+		e.dispatch(ev)
+		if p := e.ready; p != nil {
+			e.ready = nil
+			return p
+		}
+	}
+	return nil
 }
 
-// block parks the calling process until something calls wake on it.
-// It must only be called from within p's goroutine while p is current.
+// pass hands the baton to p, starting p's goroutine on its first hand-off,
+// or back to the run's caller when p is nil. The sender must not touch
+// engine state afterwards: with several Ps the receiver may already be
+// running before the sender parks.
+func (e *Engine) pass(p *Proc) {
+	switch {
+	case p == nil:
+		e.turn <- struct{}{}
+	case p.fn != nil:
+		fn := p.fn
+		p.fn = nil
+		go p.main(fn)
+	default:
+		p.resume <- struct{}{}
+	}
+}
+
+// block parks the calling process until something calls wake on it. It
+// must only be called from within p's goroutine, which holds the baton, so
+// p runs the event loop itself: if the next wake is p's own, block returns
+// with no goroutine switch; otherwise p passes the baton to the woken
+// process, or to the run's caller when the run has ended, and waits for a
+// later holder to pass it back.
 func (p *Proc) block() {
-	p.eng.yieldToEngine(p)
+	e := p.eng
+	next := e.next()
+	if next == p {
+		return
+	}
+	e.pass(next)
 	<-p.resume
 }
 
@@ -358,29 +422,26 @@ func (e *Engine) Run() Time { return e.RunUntil(Time(1<<62 - 1)) }
 // events.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	for !e.stopped && len(e.pq) > 0 {
-		ev := e.pq[0]
-		if ev.at > deadline {
-			e.now = deadline
-			return e.now
-		}
-		e.dispatch(ev)
+	e.runWindow(deadline + 1)
+	if !e.stopped && len(e.pq) > 0 {
+		e.now = deadline // the run was cut short by the deadline
 	}
 	return e.now
 }
 
 // runWindow executes events with timestamps strictly below horizon,
-// leaving the clock at the last executed event. It is the per-shard inner
-// loop of ShardedEngine: unlike RunUntil it neither clears a pending Stop
-// nor advances the clock to the horizon, so a shard's Now never outruns
-// its own event stream between barriers.
+// leaving the clock at the last executed event. It is RunUntil's loop and
+// the per-shard inner loop of ShardedEngine: unlike RunUntil it neither
+// clears a pending Stop nor advances the clock to the horizon, so a
+// shard's Now never outruns its own event stream between barriers. The
+// calling goroutine holds the baton until an event wakes a process; it
+// then passes the baton on and waits for it to come back when the run
+// ends.
 func (e *Engine) runWindow(horizon Time) {
-	for !e.stopped && len(e.pq) > 0 {
-		ev := e.pq[0]
-		if ev.at >= horizon {
-			return
-		}
-		e.dispatch(ev)
+	e.limit = horizon
+	if p := e.next(); p != nil {
+		e.pass(p)
+		<-e.turn
 	}
 }
 
@@ -404,9 +465,10 @@ func (e *Engine) dispatch(ev *event) {
 }
 
 // Stop makes Run return after the current event finishes. It is safe to
-// call from inside event callbacks or processes. A stopped engine is not
-// dead: the next Run/RunUntil call clears the flag and resumes from the
-// still-queued events.
+// call from inside event callbacks or processes; a process that calls it
+// runs on until it next blocks, and Run returns then. A stopped engine is
+// not dead: the next Run/RunUntil call clears the flag and resumes from
+// the still-queued events.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Timer is a re-armable one-shot callback with a pre-allocated event, the

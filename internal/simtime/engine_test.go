@@ -1,6 +1,8 @@
 package simtime
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -466,5 +468,109 @@ func TestQueueOrderPreservedUnderMixedOps(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sleepLoop spawns a process that sleeps d forever, appending each wake
+// time to *wakes.
+func sleepLoop(e *Engine, d Duration, wakes *[]Time) {
+	e.Spawn("loop", func(p *Proc) {
+		for {
+			p.Sleep(d)
+			*wakes = append(*wakes, p.Now())
+		}
+	})
+}
+
+// TestRunUntilResumesSleepingProc: a process whose next wake lies past the
+// deadline hands the baton back at the deadline, and the next RunUntil
+// resumes it where it left off.
+func TestRunUntilResumesSleepingProc(t *testing.T) {
+	e := NewEngine()
+	var wakes []Time
+	sleepLoop(e, 10, &wakes)
+	if end := e.RunUntil(25); end != 25 {
+		t.Fatalf("RunUntil(25) = %v, want 25", end)
+	}
+	if want := []Time{10, 20}; !slices.Equal(wakes, want) {
+		t.Fatalf("wakes after RunUntil(25) = %v, want %v", wakes, want)
+	}
+	if end := e.RunUntil(40); end != 40 {
+		t.Fatalf("RunUntil(40) = %v, want 40", end)
+	}
+	if want := []Time{10, 20, 30, 40}; !slices.Equal(wakes, want) {
+		t.Fatalf("wakes after RunUntil(40) = %v, want %v", wakes, want)
+	}
+}
+
+// TestStopFromProcThenSleep: a Stop issued by a process ends the run when
+// the process next blocks, and the next Run resumes it.
+func TestStopFromProcThenSleep(t *testing.T) {
+	e := NewEngine()
+	var resumed Time
+	e.Spawn("stopper", func(p *Proc) {
+		p.Sleep(30)
+		e.Stop()
+		p.Sleep(10)
+		resumed = p.Now()
+	})
+	if end := e.Run(); end != 30 {
+		t.Fatalf("Run = %v, want 30 (Stop)", end)
+	}
+	if resumed != 0 {
+		t.Fatalf("process resumed at %v inside the stopped run", resumed)
+	}
+	if end := e.Run(); end != 40 || resumed != 40 {
+		t.Fatalf("second Run = %v, process resumed at %v; want both 40", end, resumed)
+	}
+}
+
+// TestSpawnStartsNoGoroutine: a process's goroutine starts on its first
+// hand-off, not at Spawn. (The count may drop while goroutines of earlier
+// tests finish exiting; it must not grow.)
+func TestSpawnStartsNoGoroutine(t *testing.T) {
+	e := NewEngine()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		e.Spawn("idle", func(p *Proc) {})
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("100 Spawns without Run: %d goroutines, want at most %d", after, before)
+	}
+}
+
+// TestProcGoexitStopsRun: a process that exits without returning (as
+// t.FailNow does) stops the run instead of hanging it.
+func TestProcGoexitStopsRun(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("quitter", func(p *Proc) {
+		p.Sleep(10)
+		runtime.Goexit()
+	})
+	if end := e.Run(); end != 10 {
+		t.Fatalf("Run = %v, want 10", end)
+	}
+	if got := e.PendingProcs(); len(got) != 1 || got[0] != "quitter" {
+		t.Fatalf("PendingProcs = %v, want [quitter]", got)
+	}
+}
+
+// TestCallbackGoexitOnProcGoroutine: a callback runs on whichever
+// goroutine holds the baton — here a sleeping process's — and a Goexit
+// there stops the run too. The process whose goroutine died is never
+// handed the baton again.
+func TestCallbackGoexitOnProcGoroutine(t *testing.T) {
+	e := NewEngine()
+	var wakes []Time
+	sleepLoop(e, 10, &wakes)
+	e.At(25, func() { runtime.Goexit() })
+	if end := e.Run(); end != 25 {
+		t.Fatalf("Run = %v, want 25", end)
+	}
+	if end := e.Run(); end != 25 {
+		t.Fatalf("Run after the Goexit = %v, want 25 (dead process skipped)", end)
+	}
+	if want := []Time{10, 20}; !slices.Equal(wakes, want) {
+		t.Fatalf("wakes = %v, want %v", wakes, want)
 	}
 }

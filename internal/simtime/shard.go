@@ -125,8 +125,8 @@ func (se *ShardedEngine) PendingProcs() []string {
 }
 
 // Exchange is a directed cross-shard channel with a declared minimum
-// delivery latency. Sends are staged in a single-writer buffer (only the
-// source shard's goroutine appends; only the coordinator drains, at a
+// delivery latency. Sends are staged in a single-writer buffer (only code
+// running on the source shard appends; only the coordinator drains, at a
 // barrier), making the mailbox lock-free. The exchange ID is assigned in
 // creation order, so as long as the topology is wired in a deterministic
 // order the cross-shard application order is deterministic too.

@@ -325,3 +325,54 @@ func TestShardedDeadlineSettlesClocks(t *testing.T) {
 		t.Fatalf("follow-up Run = %v, want 9000", end)
 	}
 }
+
+// TestShardedSelfWakeOnHorizon: a process whose own next wake lands
+// exactly on the window horizon hands the baton back at the barrier rather
+// than running on into the next window ahead of that window's cross-shard
+// deliveries. Both processes here wake on every horizon; the one-shard and
+// two-shard runs must log the same trace, in time order.
+func TestShardedSelfWakeOnHorizon(t *testing.T) {
+	const lat = Duration(100) // the lookahead: window horizons fall on multiples of it
+	run := func(shards int) [2]string {
+		se := NewSharded(shards)
+		ab := se.NewExchange(0, shards-1, lat)
+		a, b := se.Shard(0), se.Shard(shards-1)
+		var logs [2]strings.Builder
+		a.Spawn("a", func(p *Proc) {
+			for k := 0; k < 5; k++ {
+				p.Sleep(lat)
+				fmt.Fprintf(&logs[0], "%d a k=%d\n", p.Now(), k)
+				ab.Send(p.Now().Add(lat), func() {
+					fmt.Fprintf(&logs[1], "%d b recv k=%d\n", b.Now(), k)
+				})
+			}
+		})
+		b.Spawn("b", func(p *Proc) {
+			for k := 0; k < 13; k++ {
+				p.Sleep(lat / 2)
+				fmt.Fprintf(&logs[1], "%d b tick=%d\n", p.Now(), k)
+			}
+		})
+		se.Run()
+		return [2]string{logs[0].String(), logs[1].String()}
+	}
+	oracle := run(1)
+	if got := run(2); got != oracle {
+		t.Fatalf("2-shard trace diverges from the 1-shard oracle:\noracle:\n%s%s\ngot:\n%s%s",
+			oracle[0], oracle[1], got[0], got[1])
+	}
+	for _, log := range oracle {
+		var prev int64
+		for _, line := range strings.Split(strings.TrimSpace(log), "\n") {
+			var at int64
+			fmt.Sscan(line, &at)
+			if at < prev {
+				t.Fatalf("trace runs backwards at %q:\n%s", line, log)
+			}
+			prev = at
+		}
+	}
+	if !strings.Contains(oracle[1], "600 b recv k=4\n") {
+		t.Fatalf("last delivery missing from the trace:\n%s", oracle[1])
+	}
+}
