@@ -1,9 +1,19 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"testing"
 )
+
+// ctrlScaleDigest renders every virtual-time metric of a storm (wall
+// seconds excluded).
+func ctrlScaleDigest(p CtrlScalePoint) string {
+	return fmt.Sprintf("%d/%v p50=%.3f p99=%.3f wave=%.4f hwm=%d retries=%d fenced=%d events=%d",
+		p.Shards, p.Failover, p.ResolveP50Us, p.ResolveP99Us, p.RenewWaveMs,
+		p.MaxQueueHWM, p.Retries, p.FencedWrites, p.Events)
+}
 
 // TestCtrlScaleSmoke is the CI regression guard on the controller-scale
 // curve at a reduced scale: sharding must improve both the setup-path tail
@@ -29,13 +39,8 @@ func TestCtrlScaleSmoke(t *testing.T) {
 	}
 
 	// Determinism: every virtual-time metric is a pure function of the
-	// parameters (wall seconds excluded, obviously).
-	digest := func(p CtrlScalePoint) string {
-		return fmt.Sprintf("%d/%v p50=%.3f p99=%.3f wave=%.4f hwm=%d retries=%d fenced=%d events=%d",
-			p.Shards, p.Failover, p.ResolveP50Us, p.ResolveP99Us, p.RenewWaveMs,
-			p.MaxQueueHWM, p.Retries, p.FencedWrites, p.Events)
-	}
-	if a, b := digest(four), digest(runCtrlScale(hosts, vms, resolves, 4, false)); a != b {
+	// parameters.
+	if a, b := ctrlScaleDigest(four), ctrlScaleDigest(runCtrlScale(hosts, vms, resolves, 4, false)); a != b {
 		t.Fatalf("same-parameter runs diverged:\nA: %s\nB: %s", a, b)
 	}
 }
@@ -68,5 +73,29 @@ func TestCtrlScaleMidStormFailover(t *testing.T) {
 	again := runCtrlScale(hosts, vms, resolves, 2, true)
 	if pt.Events != again.Events || pt.Retries != again.Retries || pt.FencedWrites != again.FencedWrites {
 		t.Fatalf("same-parameter failover runs diverged: %+v vs %+v", pt, again)
+	}
+}
+
+// TestCtrlScaleFrozenDigests pins the storms of the two tests above to
+// testdata/ctrl_scale.digest byte for byte: TestCtrlScaleSmoke's 1- and
+// 4-shard storms and TestCtrlScaleMidStormFailover's failover storm. The
+// failover line covers the standby's log pump and its fencing at
+// promotion, so a change to the service queue or the replica that moves
+// any event shows up here.
+func TestCtrlScaleFrozenDigests(t *testing.T) {
+	want, err := os.ReadFile("testdata/ctrl_scale.digest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, pt := range []CtrlScalePoint{
+		runCtrlScale(100, 10, 10, 1, false),
+		runCtrlScale(100, 10, 10, 4, false),
+		runCtrlScale(300, 20, 5, 2, true),
+	} {
+		fmt.Fprintln(&got, ctrlScaleDigest(pt))
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("storms diverge from testdata/ctrl_scale.digest:\n--- want ---\n%s--- got ---\n%s", want, got.Bytes())
 	}
 }

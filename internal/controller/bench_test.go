@@ -1,0 +1,57 @@
+package controller
+
+import (
+	"testing"
+
+	"masq/internal/packet"
+	"masq/internal/simtime"
+)
+
+// BenchmarkQueueStorm measures one shard's service queue under the
+// renewal-wave load abl-ctrl-scale models: 16 procs loop 100-renewal batch
+// RPCs, whose serialization holds the slot and keeps extending the wait,
+// and 256 procs loop Resolve behind them. Replication is on, with a
+// per-record delay the standby keeps up with, so the log pump runs through
+// all its states while memory stays flat. One op is one RPC.
+func BenchmarkQueueStorm(b *testing.B) {
+	const batchers, batch, resolvers = 16, 100, 256
+	eng := simtime.NewEngine()
+	p := DefaultParams()
+	p.Replicate = true
+	p.ReplDelay = simtime.Us(0.5)
+	s := NewSharded([]*simtime.Engine{eng}, p, 1)
+	m := mapping(packet.NewIP(172, 16, 0, 1))
+	keys := make([]Key, batchers*batch)
+	for i := range keys {
+		keys[i] = keyN(7, i)
+		s.Register(keys[i], m)
+	}
+	n, ops := b.N, 0
+	for w := 0; w < batchers; w++ {
+		renew := make([]RenewReq, batch)
+		for i := range renew {
+			renew[i] = RenewReq{K: keys[w*batch+i], M: m}
+		}
+		eng.Spawn("batch", func(pr *simtime.Proc) {
+			for ops < n {
+				ops++
+				if _, _, err := s.BatchLookupShard(pr, 0, nil, renew); err != nil {
+					b.Error(err)
+				}
+			}
+		})
+	}
+	for r := 0; r < resolvers; r++ {
+		eng.Spawn("resolve", func(pr *simtime.Proc) {
+			for i := r; ops < n; i += resolvers {
+				ops++
+				if _, ok, _, err := s.Resolve(pr, keys[i%len(keys)]); err != nil || !ok {
+					b.Errorf("resolve: ok=%v err=%v", ok, err)
+				}
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+}

@@ -73,10 +73,12 @@ type Params struct {
 	// FailoverDetect. Ignored by a bare Controller.
 	Replicate bool
 
-	// ReplDelay is the per-record apply latency of the replication log:
-	// a mutation is visible on the standby this long after the primary
-	// accepted it. The window between accept and apply is exactly what a
-	// failover can lose (fenced writes).
+	// ReplDelay is the per-record apply latency of the replication log.
+	// Records apply one at a time: each enters the channel once the one
+	// before it has applied, so the standby trails the primary by the
+	// log backlog × ReplDelay, not by ReplDelay alone. The window between
+	// accept and apply is exactly what a failover can lose (fenced
+	// writes).
 	ReplDelay simtime.Duration
 
 	// FailoverDetect is how long a shard primary must be unreachable
@@ -450,21 +452,19 @@ func (c *Controller) windowOverlaps(from, to simtime.Time) bool {
 
 // enter waits for the serialization slot to free. Uncontended callers pass
 // straight through (no events); contended callers sleep until busyUntil,
-// re-checking because a batch that slipped in ahead may have extended it.
-// The waiter count's high-water mark is the controller's queue HWM.
+// which a batch that slipped in ahead may extend while they wait —
+// SleepUntil follows it without waking them in between. The waiter
+// count's high-water mark is the controller's queue HWM.
 func (c *Controller) enter(p *simtime.Proc) {
-	for {
-		wait := c.busyUntil.Sub(p.Now())
-		if wait <= 0 {
-			return
-		}
-		c.waiting++
-		if c.waiting > c.queueHWM {
-			c.queueHWM = c.waiting
-		}
-		p.Sleep(wait)
-		c.waiting--
+	if c.busyUntil <= p.Now() {
+		return
 	}
+	c.waiting++
+	if c.waiting > c.queueHWM {
+		c.queueHWM = c.waiting
+	}
+	p.SleepUntil(&c.busyUntil)
+	c.waiting--
 }
 
 // serialize holds the serialization slot for cost. When the slot is free
@@ -506,15 +506,25 @@ func (c *Controller) rpc(p *simtime.Proc) error {
 		return ErrUnavailable
 	}
 	p.Sleep(c.P.QueryRTT)
-	if c.down {
-		// Crashed while the request was in flight: the reply never comes.
-		c.Stats.Timeouts++
-		if rest := c.P.Timeout() - c.P.QueryRTT; rest > 0 {
-			p.Sleep(rest)
-		}
+	if c.replyLost(p, send) {
 		return ErrUnavailable
 	}
 	return nil
+}
+
+// replyLost reports whether the controller went down while serving a
+// request sent at send: the reply never comes, so it counts a timeout and
+// keeps the caller waiting until QueryTimeout after send, as for any lost
+// answer (at once if serving already took that long).
+func (c *Controller) replyLost(p *simtime.Proc, send simtime.Time) bool {
+	if !c.down {
+		return false
+	}
+	c.Stats.Timeouts++
+	if rest := send.Add(c.P.Timeout()).Sub(p.Now()); rest > 0 {
+		p.Sleep(rest)
+	}
+	return true
 }
 
 // Lookup performs one remote lookup attempt, modelling the RPC. On
@@ -635,12 +645,16 @@ func (c *Controller) BatchLookup(p *simtime.Proc, keys []Key, renew []RenewReq) 
 	sp := c.rec.Begin(p, trace.LayerController, "batch_lookup")
 	defer sp.End(p)
 	c.Stats.Queries++
+	send := p.Now()
 	if err := c.rpc(p); err != nil {
 		return nil, 0, err
 	}
 	if d := c.P.DumpEntryCost; d > 0 {
 		if extra := len(keys) + len(renew) - 1; extra > 0 {
 			c.serialize(p, simtime.Duration(extra)*d)
+			if c.replyLost(p, send) {
+				return nil, 0, ErrUnavailable
+			}
 		}
 	}
 	now := p.Now()
@@ -687,6 +701,7 @@ func (c *Controller) FetchDump(p *simtime.Proc, vni uint32) (map[Key]Mapping, ui
 	sp := c.rec.Begin(p, trace.LayerController, "dump")
 	defer sp.End(p)
 	c.Stats.Queries++
+	send := p.Now()
 	if err := c.rpc(p); err != nil {
 		return nil, 0, err
 	}
@@ -699,6 +714,9 @@ func (c *Controller) FetchDump(p *simtime.Proc, vni uint32) (map[Key]Mapping, ui
 		}
 		if n > 0 {
 			c.serialize(p, simtime.Duration(n)*d)
+			if c.replyLost(p, send) {
+				return nil, 0, ErrUnavailable
+			}
 		}
 	}
 	now := p.Now()

@@ -24,18 +24,46 @@ type Replica struct {
 	eng   *simtime.Engine
 	delay simtime.Duration
 
-	q       *simtime.Queue[replRec]
+	q       *simtime.Queue[replRec] // logged records not yet on the channel
 	table   map[Key]entry
 	logSeq  uint64 // records accepted by the primary
 	applied uint64 // records folded into the shadow table
 	gen     uint64 // truncation generation: fences the in-flight record
 	fenced  uint64 // records dropped by truncation (lost writes)
 
+	// The log pump moves one record at a time from q onto the channel and
+	// into the table, as a state machine driven by one timer.
+	state  pumpState
+	cur    replRec        // the handed or in-flight record
+	curGen uint64         // gen when cur entered the channel
+	timer  *simtime.Timer // start, hand-off or apply, by state
+
 	// Chaos replica-lag window: every record applied before lagUntil pays
 	// lagExtra on top of the base delay.
 	lagExtra simtime.Duration
 	lagUntil simtime.Time
 }
+
+// pumpState is where the log pump stands. Truncation treats the four
+// states differently, so they are kept apart.
+type pumpState uint8
+
+const (
+	// pumpStarting: the start timer is pending. Records logged before it
+	// fires wait in q, where a truncation fences them.
+	pumpStarting pumpState = iota
+	// pumpParked: q is empty and no timer is pending. The next append
+	// hands its record straight to the pump (pumpHanded).
+	pumpParked
+	// pumpHanded: cur was handed over at append and the hand-off timer is
+	// pending at that instant. The record is in neither q nor the channel,
+	// so a truncation in the same instant does not fence it: it enters
+	// the channel under the new generation.
+	pumpHanded
+	// pumpSending: cur is on the channel and the apply timer is pending;
+	// a truncation before it fires fences cur.
+	pumpSending
+)
 
 // newReplica builds a standby and starts its apply pump on the shard's
 // engine.
@@ -46,39 +74,89 @@ func newReplica(eng *simtime.Engine, delay simtime.Duration) *Replica {
 		q:     simtime.NewQueue[replRec](eng),
 		table: make(map[Key]entry),
 	}
-	eng.Spawn("controller.replica", func(p *simtime.Proc) {
-		for {
-			rec := r.q.Get(p)
-			gen := r.gen
-			d := r.delay
-			if p.Now() < r.lagUntil {
-				d += r.lagExtra
-			}
-			if d > 0 {
-				p.Sleep(d)
-			}
-			if r.gen != gen {
-				// A promotion truncated the log while this record was on
-				// the channel: it belongs to the deposed primary's epoch
-				// and must not contaminate the promoted table.
-				r.fenced++
-				continue
-			}
-			if rec.removed {
-				delete(r.table, rec.k)
-			} else {
-				r.table[rec.k] = rec.e
-			}
-			r.applied = rec.seq
-		}
-	})
+	r.timer = eng.NewTimer(r.fire)
+	r.timer.ScheduleAt(eng.Now())
 	return r
 }
 
+// fire runs the pump step the pending timer stood for, then moves on to
+// the next logged record.
+func (r *Replica) fire() {
+	switch r.state {
+	case pumpHanded:
+		if r.send() {
+			return
+		}
+	case pumpSending:
+		r.apply()
+	}
+	r.pump()
+}
+
+// pump sends logged records onto the channel until one is in flight or
+// the log is empty, in which case the pump parks. With no delay each
+// record applies as it is sent, so the loop drains the log in one go.
+func (r *Replica) pump() {
+	for {
+		rec, ok := r.q.TryGet()
+		if !ok {
+			r.state = pumpParked
+			return
+		}
+		r.cur = rec
+		if r.send() {
+			return
+		}
+	}
+}
+
+// send puts cur on the channel under the current generation and arms the
+// apply timer for its delay. With no delay it applies cur at once and
+// reports false.
+func (r *Replica) send() bool {
+	r.curGen = r.gen
+	d := r.delay
+	if r.eng.Now() < r.lagUntil {
+		d += r.lagExtra
+	}
+	if d <= 0 {
+		r.apply()
+		return false
+	}
+	r.state = pumpSending
+	r.timer.ScheduleAfter(d)
+	return true
+}
+
+// apply folds cur into the shadow table unless a truncation fenced it.
+func (r *Replica) apply() {
+	if r.gen != r.curGen {
+		// A promotion truncated the log while this record was on the
+		// channel: it belongs to the deposed primary's epoch and must not
+		// contaminate the promoted table.
+		r.fenced++
+		return
+	}
+	if r.cur.removed {
+		delete(r.table, r.cur.k)
+	} else {
+		r.table[r.cur.k] = r.cur.e
+	}
+	r.applied = r.cur.seq
+}
+
 // append logs one accepted primary write (the Controller mutation hook).
+// A parked pump takes the record at once and starts on it at this instant.
 func (r *Replica) append(k Key, e entry, removed bool) {
 	r.logSeq++
-	r.q.Put(replRec{seq: r.logSeq, k: k, e: e, removed: removed})
+	rec := replRec{seq: r.logSeq, k: k, e: e, removed: removed}
+	if r.state != pumpParked {
+		r.q.Put(rec)
+		return
+	}
+	r.cur = rec
+	r.state = pumpHanded
+	r.timer.ScheduleAt(r.eng.Now())
 }
 
 // Lag returns the replication backlog: records accepted by the primary but

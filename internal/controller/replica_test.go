@@ -153,3 +153,21 @@ func TestReplicaReset(t *testing.T) {
 		t.Fatal("reset did not count the discarded record as fenced")
 	}
 }
+
+// TestReplicaParkedPumpTakesRecord: a parked pump takes an appended record
+// at once, so a truncation in the same instant does not see it. The record
+// enters the channel under the new generation and is applied.
+func TestReplicaParkedPumpTakesRecord(t *testing.T) {
+	eng := simtime.NewEngine()
+	r := newReplica(eng, simtime.Us(10))
+	eng.Run() // the pump starts and parks on the empty log
+	k, e := replEntry(0)
+	eng.At(eng.Now().Add(simtime.Us(5)), func() {
+		r.append(k, e, false)
+		r.truncate()
+	})
+	eng.Run()
+	if _, ok := r.snapshot()[k]; !ok || r.Fenced() != 0 || r.Lag() != 0 {
+		t.Fatalf("applied=%v fenced=%d lag=%d, want the record applied and nothing fenced", ok, r.Fenced(), r.Lag())
+	}
+}

@@ -367,3 +367,67 @@ func TestQueueHWMTracksContention(t *testing.T) {
 		t.Fatal("six concurrent batches left queue HWM at 0")
 	}
 }
+
+// TestBatchReplyLostToMidSerializationCrash: a shard primary that crashes
+// while it serializes a batch never replies. The batch times out, and none
+// of its renewals reach the wiped table or the standby's log.
+func TestBatchReplyLostToMidSerializationCrash(t *testing.T) {
+	eng := simtime.NewEngine()
+	p := DefaultParams()
+	p.Replicate = true
+	s := NewSharded([]*simtime.Engine{eng}, p, 1)
+	renew := make([]RenewReq, 1000) // 999 µs of serialization after the RTT
+	for i := range renew {
+		renew[i] = RenewReq{K: keyN(7, i), M: mapping(packet.NewIP(172, 16, 0, 1))}
+	}
+	eng.At(simtime.Time(simtime.Us(500)), func() { s.CrashShard(0) })
+	var err error
+	var done simtime.Time
+	var table int
+	var logged uint64
+	eng.Spawn("batch", func(pr *simtime.Proc) {
+		_, _, err = s.BatchLookupShard(pr, 0, nil, renew)
+		done = pr.Now()
+		table, logged = len(s.Primary(0).table), s.shards[0].rep.logSeq
+	})
+	eng.Run()
+	if err != ErrUnavailable {
+		t.Fatalf("batch across the crash returned %v, want ErrUnavailable", err)
+	}
+	// Serialization ended past the 1 ms timeout: the caller learns at once.
+	if want := simtime.Time(simtime.Us(1099)); done != want {
+		t.Fatalf("batch returned at %v, want %v", done, want)
+	}
+	if table != 0 || logged != 0 {
+		t.Fatalf("lost batch wrote %d entries to the crashed table and logged %d records", table, logged)
+	}
+	if st := s.Primary(0).Stats; st.Timeouts != 1 || st.Renewals != 0 {
+		t.Fatalf("timeouts = %d, renewals = %d; want 1 and 0", st.Timeouts, st.Renewals)
+	}
+}
+
+// TestDumpReplyLostToMidSerializationPartition: a dump whose shard is
+// partitioned while it serializes times out too, and the caller waits the
+// full QueryTimeout from the send when serialization ends sooner.
+func TestDumpReplyLostToMidSerializationPartition(t *testing.T) {
+	eng := simtime.NewEngine()
+	s := NewSharded([]*simtime.Engine{eng}, DefaultParams(), 1)
+	for i := 0; i < 300; i++ { // 300 µs of serialization after the RTT
+		s.Register(keyN(7, i), mapping(packet.NewIP(172, 16, 0, 1)))
+	}
+	eng.At(simtime.Time(simtime.Us(200)), func() { s.PartitionShard(0, simtime.Ms(5)) })
+	var got map[Key]Mapping
+	var err error
+	var done simtime.Time
+	eng.Spawn("dump", func(pr *simtime.Proc) {
+		got, _, err = s.FetchShardDump(pr, 0, 7)
+		done = pr.Now()
+	})
+	eng.Run()
+	if err != ErrUnavailable || got != nil {
+		t.Fatalf("dump across the partition returned %d mappings, err %v; want ErrUnavailable", len(got), err)
+	}
+	if want := simtime.Time(simtime.Ms(1)); done != want {
+		t.Fatalf("dump returned at %v, want %v (QueryTimeout after the send)", done, want)
+	}
+}

@@ -6,13 +6,13 @@
 // Control moves as a baton, and whichever goroutine holds it runs the
 // event loop: the caller of Run or RunUntil (in a ShardedEngine, the
 // goroutine running the shard's window), or a process that has just
-// blocked in Sleep, Wait, Queue.Get or Resource.Acquire. The holder
-// dispatches events in time order, running callbacks inline on its own
-// goroutine, until one wakes a process. If that is the holder itself, its
-// blocking call returns with no goroutine switch; otherwise one channel
-// send hands the baton straight to the woken process. The baton returns
-// to the run's caller only when the run ends: at its deadline or window
-// horizon, on Stop, or when the queue drains.
+// blocked in Sleep, SleepUntil, Wait, Queue.Get or Resource.Acquire. The
+// holder dispatches events in time order, running callbacks inline on its
+// own goroutine, until one wakes a process. If that is the holder itself,
+// its blocking call returns with no goroutine switch; otherwise one
+// channel send hands the baton straight to the woken process. The baton
+// returns to the run's caller only when the run ends: at its deadline or
+// window horizon, on Stop, or when the queue drains.
 //
 // So a callback may run on any process's goroutine and must not depend on
 // which one. A process goroutine that exits without returning — through
@@ -296,6 +296,8 @@ type Proc struct {
 	// closure that marks the proc ready) makes Sleep and every
 	// queue/event/resource wakeup allocation-free in steady state.
 	wakeEv event
+	// until is the deadline a SleepUntil is waiting for; nil otherwise.
+	until *Time
 }
 
 // Name returns the name the process was spawned with.
@@ -313,7 +315,15 @@ func (p *Proc) Now() Time { return p.eng.now }
 // and the baton is handed to the process for the first time.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name, fn: fn, resume: make(chan struct{}, 1)}
-	p.wakeEv.fn = func() { e.ready = p }
+	p.wakeEv.fn = func() {
+		if t := p.until; t != nil && *t > e.now {
+			// SleepUntil's deadline moved while the proc slept: re-arm
+			// instead of handing it the baton only to sleep again.
+			e.scheduleEvent(&p.wakeEv, *t)
+			return
+		}
+		e.ready = p
+	}
 	e.procs[p] = struct{}{}
 	e.wake(p, e.now)
 	return p
@@ -408,6 +418,31 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	p.eng.wake(p, p.eng.now.Add(d))
 	p.block()
+}
+
+// SleepUntil suspends the process until virtual time reaches *t, which
+// other code may move later while the process sleeps. It returns at once,
+// without yielding, when *t is not after the current time. It behaves
+// exactly like the loop
+//
+//	for *t > p.Now() {
+//		p.Sleep(t.Sub(p.Now()))
+//	}
+//
+// with the same wake instants, Events count and event order, but a wake
+// that finds *t moved re-arms itself inside the event loop instead of
+// handing the process the baton: nothing runs between that wake's dispatch
+// and the loop's next Sleep, so the re-arm takes the same seq. A *t moved
+// earlier is noticed only at the pending wake, as in the loop.
+func (p *Proc) SleepUntil(t *Time) {
+	e := p.eng
+	if *t <= e.now {
+		return
+	}
+	p.until = t
+	e.wake(p, *t)
+	p.block()
+	p.until = nil
 }
 
 // Run executes scheduled events in time order until the queue drains or

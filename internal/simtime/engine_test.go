@@ -1,8 +1,11 @@
 package simtime
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -572,5 +575,107 @@ func TestCallbackGoexitOnProcGoroutine(t *testing.T) {
 	}
 	if want := []Time{10, 20}; !slices.Equal(wakes, want) {
 		t.Fatalf("wakes = %v, want %v", wakes, want)
+	}
+}
+
+// sleepUntilRun drives waiters that queue on a shared deadline, which
+// callbacks and the waiters themselves keep extending at seeded random
+// instants, and returns the run's interleaving trace, Events count and
+// final clock. With ref set the waiters use the reference loop that
+// SleepUntil replaces. Some extensions are made by an event scheduled at
+// the very instant the deadline ends, so it runs just before a waiter's
+// wake at that instant. The run advances in random RunUntil slices, so
+// re-armed wakes also land past a run's deadline.
+func sleepUntilRun(seed int64, ref bool) (string, uint64, Time) {
+	rng := rand.New(rand.NewSource(seed))
+	e := NewEngine()
+	var busy Time
+	var log strings.Builder
+	wait := func(p *Proc) {
+		if ref {
+			for busy > p.Now() {
+				p.Sleep(busy.Sub(p.Now()))
+			}
+			return
+		}
+		p.SleepUntil(&busy)
+	}
+	var extend func(string)
+	extend = func(who string) {
+		busy = e.Now().Add(Duration(1 + rng.Intn(20)))
+		fmt.Fprintf(&log, "%d %s extends to %d\n", e.Now(), who, busy)
+		if rng.Intn(3) == 0 {
+			e.At(busy, func() { extend("edge") })
+		}
+	}
+	for i := 0; i < 5; i++ {
+		name := fmt.Sprintf("w%d", i)
+		e.Spawn(name, func(p *Proc) {
+			for k := 0; k < 40; k++ {
+				p.Sleep(Duration(rng.Intn(15)))
+				fmt.Fprintf(&log, "%d %s waits for %d\n", p.Now(), name, busy)
+				wait(p)
+				fmt.Fprintf(&log, "%d %s enters\n", p.Now(), name)
+				if rng.Intn(2) == 0 {
+					extend(name)
+				}
+			}
+		})
+	}
+	for i := 0; i < 60; i++ {
+		e.At(Time(rng.Intn(600)), func() {
+			if rng.Intn(2) == 0 {
+				extend("cb")
+			}
+		})
+	}
+	for end := Time(0); len(e.pq) > 0; {
+		end += Time(rng.Intn(40))
+		e.RunUntil(end)
+	}
+	return log.String(), e.Events(), e.Now()
+}
+
+// TestSleepUntilMatchesSleepLoop: SleepUntil wakes at the same instants,
+// dispatches the same events and interleaves with other processes and
+// callbacks exactly as the reference loop
+// "for *t > now { Sleep(*t - now) }", over seeded random deadline moves.
+func TestSleepUntilMatchesSleepLoop(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		wantLog, wantEvents, wantNow := sleepUntilRun(seed, true)
+		gotLog, gotEvents, gotNow := sleepUntilRun(seed, false)
+		if gotLog != wantLog {
+			t.Fatalf("seed %d: trace diverges from the reference loop:\n--- want ---\n%s--- got ---\n%s", seed, wantLog, gotLog)
+		}
+		if gotEvents != wantEvents || gotNow != wantNow {
+			t.Fatalf("seed %d: Events %d at %v, reference loop %d at %v", seed, gotEvents, gotNow, wantEvents, wantNow)
+		}
+		if !strings.Contains(wantLog, "edge extends") {
+			t.Fatalf("seed %d: no extension ran at a deadline instant", seed)
+		}
+	}
+}
+
+// TestSleepUntilPastDeadline: SleepUntil on a deadline that is not after
+// the current time returns at once. It schedules nothing and does not
+// yield, so an event due at the same instant has not run yet.
+func TestSleepUntilPastDeadline(t *testing.T) {
+	e := NewEngine()
+	ran := false
+	e.Spawn("p", func(p *Proc) {
+		p.Sleep(10)
+		e.At(10, func() { ran = true })
+		seq, events := e.seq, e.Events()
+		for _, d := range []Time{0, 9, 10} {
+			p.SleepUntil(&d)
+		}
+		if e.seq != seq || e.Events() != events || ran || p.Now() != 10 {
+			t.Errorf("SleepUntil on a passed deadline: seq %d→%d, events %d→%d, callback ran %v, now %v",
+				seq, e.seq, events, e.Events(), ran, p.Now())
+		}
+	})
+	e.Run()
+	if !ran {
+		t.Fatal("the callback never ran")
 	}
 }

@@ -335,13 +335,29 @@ func (se *ShardedEngine) startWorkers() {
 	for i := 1; i < len(se.shards); i++ {
 		ch := make(chan Time)
 		se.start[i] = ch
-		go func(i int, ch chan Time) {
-			for h := range ch {
-				se.shards[i].runWindow(h)
-				se.done <- i
-			}
-		}(i, ch)
+		go se.worker(i, ch)
 	}
+}
+
+// worker runs shard i's windows until the run ends. A callback runs on the
+// worker goroutine when no process holds shard i's baton; if it leaves
+// through runtime.Goexit (as t.FailNow does), runWindow never returns, so
+// the deferred guard stops the shard and reports the window done. The
+// barrier then ends the run instead of hanging, and the next run starts a
+// fresh worker.
+func (se *ShardedEngine) worker(i int, ch chan Time) {
+	returned := false
+	defer func() {
+		if !returned {
+			se.shards[i].stopped = true
+			se.done <- i
+		}
+	}()
+	for h := range ch {
+		se.shards[i].runWindow(h)
+		se.done <- i
+	}
+	returned = true
 }
 
 // stopWorkers retires the run's workers. Blocked simulation processes

@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -374,5 +375,23 @@ func TestShardedSelfWakeOnHorizon(t *testing.T) {
 	}
 	if !strings.Contains(oracle[1], "600 b recv k=4\n") {
 		t.Fatalf("last delivery missing from the trace:\n%s", oracle[1])
+	}
+}
+
+// TestShardWorkerGoexitStopsRun: a callback on shard 1 that runs while no
+// process holds the baton runs on the shard's window worker. A Goexit
+// there stops the run instead of hanging the barrier, and the next run
+// resumes the shard's remaining events on a fresh worker.
+func TestShardWorkerGoexitStopsRun(t *testing.T) {
+	se := NewSharded(2)
+	se.NewExchange(0, 1, 10)
+	ran := false
+	se.Shard(1).At(5, func() { runtime.Goexit() })
+	se.Shard(1).At(8, func() { ran = true })
+	if end := se.Run(); end != 5 || ran {
+		t.Fatalf("Run = %v (later callback ran: %v), want 5 and stopped at the Goexit", end, ran)
+	}
+	if end := se.Run(); end != 8 || !ran {
+		t.Fatalf("second Run = %v (later callback ran: %v), want 8 and the callback run", end, ran)
 	}
 }
