@@ -21,11 +21,7 @@ type LinkTap = simnet.Tap
 // WriteTapPcap writes a tap's capture as a Wireshark-readable pcap stream
 // with virtual-time timestamps.
 func WriteTapPcap(w io.Writer, tap *LinkTap) error {
-	frames := make([]packet.CapturedFrame, len(tap.Frames()))
-	for i, f := range tap.Frames() {
-		frames[i] = packet.CapturedFrame{TimeNanos: f.TimeNanos, Data: f.Data}
-	}
-	return packet.WritePcap(w, frames)
+	return packet.WritePcap(w, tap.Frames())
 }
 
 // --- perftest (ib_send_lat / ib_write_lat / ib_send_bw / ib_write_bw) -------

@@ -193,10 +193,31 @@ func main() {
 	for _, row := range tb.Trace.Aggregate() {
 		fmt.Printf("  %-14s %-16s %-14s x%-3d %v\n", row.Actor, row.Verb, row.Layer, row.Count, row.Self)
 	}
-	if cs := tb.Trace.Counters(); len(cs) > 0 {
+	// Rename and retry counts, summed over the backends: nonzero ones
+	// only, in name order.
+	counts := map[string]uint64{}
+	for _, be := range tb.Backends {
+		if be == nil {
+			continue
+		}
+		counts["controller.query_retries"] += be.Stats.QueryRetries
+		counts["rconnrename.cache_hits"] += be.Stats.CacheHits
+		counts["rconnrename.cache_misses"] += be.Stats.CacheMisses
+		counts["rconnrename.grace"] += be.Stats.GraceRenames
+		counts["rconnrename.renames"] += be.Stats.Renames
+		counts["rconnrename.stale"] += be.Stats.StaleRenames
+	}
+	var names []string
+	for name, v := range counts {
+		if v > 0 {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	if len(names) > 0 {
 		fmt.Println("trace counters:")
-		for _, c := range cs {
-			fmt.Printf("  %-28s %d\n", c.Name, c.Value)
+		for _, name := range names {
+			fmt.Printf("  %-28s %d\n", name, counts[name])
 		}
 	}
 

@@ -71,27 +71,11 @@ type Config struct {
 	PropDelay simtime.Duration
 	SwitchFwd simtime.Duration
 
-	// Shards runs the testbed on a parallel ShardedEngine: host i (its
-	// RNIC, vswitch, VMs, procs) lives on shard i % Shards, while the ToR
-	// switch, fabric, and chaos injector stay on shard 0. The underlay
-	// links become cross-shard exchanges whose minimum latency is
-	// PropDelay, which therefore must be positive and becomes the engine's
-	// conservative lookahead. 0 (the default) keeps the single Engine with
-	// no exchange machinery; 1 runs the sharded machinery on one shard —
-	// the reference oracle that N-shard runs are byte-compared against.
-	// On any sharded engine, MasQ backends reach the controller through
-	// per-host exchange proxies (controller.Remote), so every controller
-	// RPC pays one exchange hop (PropDelay) each way. FreeFlow is not
-	// shard-safe with Shards > 1, and chaos plans are rejected there
-	// (fault callbacks mutate devices across shards).
-	Shards int
-
 	// CtrlShards splits the controller's mapping table across this many
 	// shards by consistent hash of (VNI, vGID) — each with its own epoch,
 	// lease table, push queues, and (with Ctrl.Replicate) a standby
 	// replica that auto-promotes on failover. 0 and 1 both mean one
-	// shard. On an engine-sharded testbed controller shard c lives on
-	// engine shard c % Shards.
+	// shard.
 	CtrlShards int
 
 	// Trace enables the cross-layer span recorder: Testbed.Trace is
@@ -121,17 +105,12 @@ func DefaultConfig() Config {
 
 // Testbed is an assembled cluster.
 type Testbed struct {
-	// Eng is the control-plane engine: shard 0 of Sharded when the testbed
-	// is sharded, or the single global engine otherwise. The controller,
-	// fabric, ToR switch, and chaos injector live on it.
-	Eng *simtime.Engine
-	// Sharded is the parallel engine driving all shards, non-nil iff
-	// Cfg.Shards > 0. Drive sharded testbeds with tb.Run (or Sharded.Run),
-	// never Eng.Run — shard 0 alone would starve the rest.
-	Sharded *simtime.ShardedEngine
-	Cfg     Config
-	Hosts   []*hyper.Host
-	Fab     *overlay.Fabric
+	// Eng is the testbed's one simulation engine: every host, device,
+	// link, the controller and the chaos injector run on it.
+	Eng   *simtime.Engine
+	Cfg   Config
+	Hosts []*hyper.Host
+	Fab   *overlay.Fabric
 	// CtrlSharded is the SDN controller every backend, chaos hook and
 	// migration talks to: max(CtrlShards, 1) shards.
 	CtrlSharded *controller.Sharded
@@ -169,43 +148,19 @@ func New(cfg Config) *Testbed {
 	if cfg.Hosts == 0 {
 		cfg = DefaultConfig()
 	}
-	var eng *simtime.Engine
-	var se *simtime.ShardedEngine
-	if cfg.Shards > 0 {
-		if cfg.PropDelay <= 0 {
-			panic("cluster: sharded testbeds need PropDelay > 0 (it is the conservative lookahead)")
-		}
-		if cfg.Shards > 1 && len(cfg.Chaos.Events) > 0 {
-			panic("cluster: chaos plans are not supported with Shards > 1")
-		}
-		se = simtime.NewSharded(cfg.Shards)
-		eng = se.Shard(0)
-	} else {
-		eng = simtime.NewEngine()
-	}
+	eng := simtime.NewEngine()
 	tb := &Testbed{
 		Eng:       eng,
-		Sharded:   se,
 		Cfg:       cfg,
 		neighbors: make(map[packet.IP]packet.MAC),
 		masqMode:  masq.ModeVF,
 	}
-	// Controller shard c lives on engine shard c % Shards (shard 0's engine
-	// when the testbed is not engine-sharded), so MasQ nodes on any engine
-	// shard reach their shards without serializing through engine shard 0.
-	engines := []*simtime.Engine{eng}
-	if se != nil {
-		engines = engines[:0]
-		for i := 0; i < se.NumShards(); i++ {
-			engines = append(engines, se.Shard(i))
-		}
-	}
-	tb.CtrlSharded = controller.NewSharded(engines, cfg.Ctrl, max(cfg.CtrlShards, 1))
+	tb.CtrlSharded = controller.NewSharded([]*simtime.Engine{eng}, cfg.Ctrl, max(cfg.CtrlShards, 1))
 	tb.CtrlSharded.SetFaultPlan(cfg.CtrlFault)
 	tb.Ctrl = tb.CtrlSharded.Primary(0)
 	tb.Fab = overlay.NewFabric(cfg.Overlay)
 	if cfg.Trace {
-		tb.Trace = trace.NewSharded(max(cfg.Shards, 1))
+		tb.Trace = trace.New()
 		tb.CtrlSharded.SetRecorder(tb.Trace)
 	}
 
@@ -221,7 +176,7 @@ func New(cfg Config) *Testbed {
 		// state), which must never collide with a key minted there.
 		rn := cfg.RNIC
 		rn.KeyBase = uint32(i) << 20
-		h := hyper.NewHost(tb.HostEngine(i), hyper.HostConfig{
+		h := hyper.NewHost(eng, hyper.HostConfig{
 			Name: fmt.Sprintf("host%d", i), IP: ip, MAC: mac,
 			MemBytes: cfg.HostMem, RNIC: rn, Hyper: cfg.Hyper,
 			Fabric: tb.Fab, ResolveHost: resolveHost,
@@ -233,21 +188,13 @@ func New(cfg Config) *Testbed {
 	tb.Backends = make([]*masq.Backend, cfg.Hosts)
 	tb.routers = make([]*freeflow.Router, cfg.Hosts)
 
-	switch {
-	case cfg.Hosts == 2 && se == nil:
+	if cfg.Hosts == 2 {
 		tb.Links = append(tb.Links,
 			simnet.Connect(eng, tb.Hosts[0].Port, tb.Hosts[1].Port, cfg.RNIC.LineRate, cfg.PropDelay))
-	case cfg.Hosts == 2:
-		tb.Links = append(tb.Links,
-			simnet.ConnectVia(se, tb.Hosts[0].Port, tb.Hosts[1].Port, cfg.RNIC.LineRate, cfg.PropDelay))
-	default:
+	} else {
 		tb.Switch = simnet.NewSwitch(eng, "tor", cfg.SwitchFwd)
 		for _, h := range tb.Hosts {
-			if se == nil {
-				tb.Links = append(tb.Links, tb.Switch.AttachPort(h.Port, cfg.RNIC.LineRate, cfg.PropDelay))
-			} else {
-				tb.Links = append(tb.Links, tb.Switch.AttachPortVia(se, h.Port, cfg.RNIC.LineRate, cfg.PropDelay))
-			}
+			tb.Links = append(tb.Links, tb.Switch.AttachPort(h.Port, cfg.RNIC.LineRate, cfg.PropDelay))
 		}
 	}
 
@@ -289,35 +236,6 @@ func New(cfg Config) *Testbed {
 	return tb
 }
 
-// HostEngine returns the engine host i's components run on: shard
-// i % Shards of the sharded engine, or the single global engine. Spawn
-// workload procs that touch host i's devices on this engine.
-func (tb *Testbed) HostEngine(i int) *simtime.Engine {
-	if tb.Sharded == nil {
-		return tb.Eng
-	}
-	return tb.Sharded.Shard(i % tb.Sharded.NumShards())
-}
-
-// Run drives the testbed to quiescence — on the sharded engine when
-// configured, the classic engine otherwise — and returns the final
-// virtual time.
-func (tb *Testbed) Run() simtime.Time {
-	if tb.Sharded != nil {
-		return tb.Sharded.Run()
-	}
-	return tb.Eng.Run()
-}
-
-// PendingProcs lists blocked procs across every shard of the testbed's
-// engine, for post-run diagnostics.
-func (tb *Testbed) PendingProcs() []string {
-	if tb.Sharded != nil {
-		return tb.Sharded.PendingProcs()
-	}
-	return tb.Eng.PendingProcs()
-}
-
 // HostLink returns the underlay link adjacent to host i: the single
 // direct link for a two-host pair, or the host's ToR uplink otherwise.
 func (tb *Testbed) HostLink(i int) *simnet.Link {
@@ -345,24 +263,10 @@ func (tb *Testbed) AllowAll(vni uint32) int {
 	})
 }
 
-// ctrlFor returns the controller service host hostIdx's backend should
-// talk to: the CtrlSharded front directly, or — on an engine-sharded
-// testbed — a per-host controller.Remote that routes every RPC and
-// notification over exchanges, so host procs never touch another engine
-// shard's state.
-func (tb *Testbed) ctrlFor(hostIdx int) controller.Service {
-	if tb.Sharded == nil {
-		return tb.CtrlSharded
-	}
-	n := tb.Sharded.NumShards()
-	return controller.NewRemote(tb.Sharded, tb.CtrlSharded, hostIdx%n,
-		func(ctrlShard int) int { return ctrlShard % n }, tb.Cfg.PropDelay)
-}
-
 // Backend returns (creating on demand) the MasQ backend of a host.
 func (tb *Testbed) Backend(hostIdx int) *masq.Backend {
 	if tb.Backends[hostIdx] == nil {
-		tb.Backends[hostIdx] = masq.NewBackend(tb.Hosts[hostIdx], tb.ctrlFor(hostIdx), tb.Fab, tb.Cfg.Masq, tb.masqMode)
+		tb.Backends[hostIdx] = masq.NewBackend(tb.Hosts[hostIdx], tb.CtrlSharded, tb.Fab, tb.Cfg.Masq, tb.masqMode)
 		tb.Backends[hostIdx].SetRecorder(tb.Trace)
 		if tb.leaseUntil != 0 {
 			tb.Backends[hostIdx].StartLeaseRenewal(tb.leaseUntil)
@@ -441,14 +345,6 @@ type Node struct {
 // NewNode creates a workload endpoint on a host under the given mode,
 // attached to tenant vni at virtual IP vip.
 func (tb *Testbed) NewNode(mode Mode, hostIdx int, vni uint32, vip packet.IP) (*Node, error) {
-	// FreeFlow is the one mode that is not shard-safe. After setup, host
-	// and SR-IOV nodes interact across hosts only through simnet frames,
-	// which ride the exchanges, and MasQ backends reach the controller
-	// through per-host exchange proxies (controller.Remote).
-	if mode == ModeFreeFlow && tb.Sharded != nil && tb.Sharded.NumShards() > 1 {
-		return nil, fmt.Errorf("cluster: %v nodes resolve peers through the shared fabric from host procs, "+
-			"which is not shard-safe with Shards > 1", mode)
-	}
 	tb.nodeSeq++
 	name := fmt.Sprintf("%s-%d", mode, tb.nodeSeq)
 	h := tb.Hosts[hostIdx]

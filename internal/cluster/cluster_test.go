@@ -702,6 +702,64 @@ func TestConnectionSetupOrdering(t *testing.T) {
 	}
 }
 
+// TestShardedMasqOracleMode pins the MasQ connect instant of the default
+// testbed: one engine, with MasQ reaching the one-shard controller.Sharded
+// front directly.
+func TestShardedMasqOracleMode(t *testing.T) {
+	tb := New(DefaultConfig())
+	const vni = 7
+	tb.AddTenant(vni, "t")
+	tb.AllowAll(vni)
+	s, err := tb.NewNode(ModeMasQ, 0, vni, packet.NewIP(10, 0, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := tb.NewNode(ModeMasQ, 1, vni, packet.NewIP(10, 0, 0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var connected simtime.Time
+	tb.Eng.Spawn("srv", func(p *simtime.Proc) {
+		ep, err := s.Setup(p, DefaultEndpointOpts())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		peer, err := ep.ExchangeServer(p, 7000)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := ep.ConnectRC(p, peer); err != nil {
+			t.Error(err)
+		}
+	})
+	tb.Eng.Spawn("cli", func(p *simtime.Proc) {
+		ep, err := c.Setup(p, DefaultEndpointOpts())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		peer, err := ep.ExchangeClient(p, s.VIP, 7000, simtime.Ms(50))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := ep.ConnectRC(p, peer); err != nil {
+			t.Error(err)
+			return
+		}
+		connected = p.Now()
+	})
+	tb.Eng.Run()
+	if connected == 0 {
+		t.Fatalf("setup never completed; pending: %v", tb.Eng.PendingProcs())
+	}
+	if want := simtime.Time(4484284); connected != want {
+		t.Fatalf("MasQ connect instant = %d ns, want %d ns", connected, want)
+	}
+}
+
 // TestLiveMigration runs the full application-assisted migration cycle of
 // Sec. 5: tear down RDMA state, migrate the VM (memory image + vNIC +
 // paravirtual device), re-register the vGID, reconnect, and verify both

@@ -24,7 +24,6 @@ import (
 	"masq/internal/masq"
 	"masq/internal/packet"
 	"masq/internal/simtime"
-	"masq/internal/verbs"
 )
 
 // ctrlShardFailoverSummary runs the sharded-controller soak once and
@@ -344,85 +343,6 @@ func TestOneShardControllerMatchesSeedOracle(t *testing.T) {
 		if got := oracleDigest(t, shards); !bytes.Equal(got, want) {
 			t.Fatalf("CtrlShards=%d diverges from the seed oracle:\n--- oracle ---\n%s\n--- got ---\n%s",
 				shards, want, got)
-		}
-	}
-}
-
-// TestMasQOnEngineShardedCluster: with a sharded controller, MasQ nodes are
-// admitted on an engine-sharded testbed (each controller shard lives on its
-// own event shard, RPCs travel over exchanges), and the full connect
-// timeline is byte-identical across engine shard counts — the 1-shard
-// engine being the oracle.
-func TestMasQOnEngineShardedCluster(t *testing.T) {
-	run := func(engineShards int) simtime.Time {
-		cfg := cluster.DefaultConfig()
-		cfg.Hosts = 4
-		cfg.Shards = engineShards
-		cfg.CtrlShards = 2
-		tb := cluster.New(cfg)
-		tb.AddTenant(vni, "t")
-		tb.AllowAll(vni)
-		s, err := tb.NewNode(cluster.ModeMasQ, 0, vni, packet.NewIP(192, 168, 14, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := tb.NewNode(cluster.ModeMasQ, 1, vni, packet.NewIP(192, 168, 14, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var connected simtime.Time
-		tb.HostEngine(0).Spawn("srv", func(p *simtime.Proc) {
-			ep, err := s.Setup(p, cluster.DefaultEndpointOpts())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			peer, err := ep.ExchangeServer(p, 7000)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := ep.ConnectRC(p, peer); err != nil {
-				t.Error(err)
-				return
-			}
-			ep.QP.PostRecv(p, verbs.RecvWR{WRID: 1, Addr: ep.Buf, LKey: ep.MR.LKey(), Len: ep.Len})
-			ep.RCQ.Wait(p)
-		})
-		tb.HostEngine(1).Spawn("cli", func(p *simtime.Proc) {
-			ep, err := c.Setup(p, cluster.DefaultEndpointOpts())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			peer, err := ep.ExchangeClient(p, s.VIP, 7000, simtime.Ms(50))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := ep.ConnectRC(p, peer); err != nil {
-				t.Error(err)
-				return
-			}
-			p.Sleep(simtime.Us(50))
-			msg := []byte("hello-sharded")
-			c.Write(ep.Buf, msg)
-			ep.QP.PostSend(p, verbs.SendWR{WRID: 2, Op: verbs.WRSend, LocalAddr: ep.Buf, LKey: ep.MR.LKey(), Len: len(msg)})
-			ep.SCQ.Wait(p)
-			connected = p.Now()
-		})
-		tb.Run()
-		if connected == 0 {
-			t.Fatalf("workload never completed (engine shards=%d); pending: %v",
-				engineShards, tb.PendingProcs())
-		}
-		return connected
-	}
-	oracle := run(1)
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); got != oracle {
-			t.Fatalf("MasQ send-complete instant on %d engine shards = %v, oracle = %v",
-				shards, got, oracle)
 		}
 	}
 }

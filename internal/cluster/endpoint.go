@@ -16,10 +16,8 @@ import (
 // oob aliases the stack type for Node fields.
 type oob = ooblib.Stack
 
-// newOOB builds a node's out-of-band stack on its host's engine, so its
-// retransmission timers and flows stay on the host's shard. The resolver
-// closure reads fabric state that is only written at build time, which
-// keeps the concurrent cross-shard reads safe.
+// newOOB builds a node's out-of-band stack on its host's engine; the
+// resolver maps overlay destinations to VM MACs through the fabric.
 func newOOB(tb *Testbed, h *hyper.Host, vni uint32, vp *overlay.VMPort) *oob {
 	return ooblib.NewStack(h.Eng, vp, func(dst packet.IP) (packet.MAC, bool) {
 		ep := tb.Fab.Lookup(vni, dst)

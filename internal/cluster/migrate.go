@@ -89,11 +89,6 @@ func (tb *Testbed) LiveMigrateNode(p *simtime.Proc, n *Node, dstHost int, opts M
 	if n.Mode != ModeMasQ && n.Mode != ModeMasQPF {
 		return nil, fmt.Errorf("cluster: transparent live migration needs a MasQ VF/PF node (got %v)", n.Mode)
 	}
-	if tb.Sharded != nil && tb.Sharded.NumShards() > 1 {
-		// The migration engine mutates source and destination host state
-		// from one proc, which is not safe across engine shards.
-		return nil, fmt.Errorf("cluster: transparent live migration is not supported with engine Shards > 1")
-	}
 	if n.crashed {
 		return nil, fmt.Errorf("cluster: %s has crashed", n.Name)
 	}

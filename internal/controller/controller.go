@@ -221,24 +221,25 @@ type Notify struct {
 // Subscription is one backend's delivery channel: a FIFO queue drained by
 // a dedicated DES process, so pushes arrive in order but asynchronously.
 // Its accessors let the subscriber audit the channel: Seq is the highest
-// sequence number addressed to it, Pending the queue depth, HighWater the
-// deepest backlog ever observed.
+// sequence number addressed to it, Pending the pushes still on their way.
 type Subscription struct {
-	fn  func(Notify)
-	q   *simtime.Queue[Notify]
-	seq uint64
-	hwm int
+	fn      func(Notify)
+	q       *simtime.Queue[Notify]
+	seq     uint64
+	pending int // pushes addressed to the subscriber, neither delivered nor lost
+	hwm     int // deepest the delivery queue has been
 }
 
 // Seq returns the highest sequence number addressed to this subscriber
 // (delivered, queued, or lost in flight).
 func (s *Subscription) Seq() uint64 { return s.seq }
 
-// Pending returns the current delivery-queue depth.
-func (s *Subscription) Pending() int { return s.q.Len() }
-
-// HighWater returns the deepest the delivery queue has ever been.
-func (s *Subscription) HighWater() int { return s.hwm }
+// Pending returns how many pushes are on their way to the subscriber:
+// queued, or taken off the queue by the delivery process and not yet
+// applied. A push stops counting once it is delivered, dropped in flight,
+// or wiped by a crash, so Seq ahead of everything seen with nothing
+// pending means a push was lost.
+func (s *Subscription) Pending() int { return s.pending }
 
 // Controller is the mapping service of one keyspace shard; Sharded runs
 // one as each shard's primary.
@@ -318,6 +319,7 @@ func (c *Controller) Crash() {
 			if _, ok := s.q.TryGet(); !ok {
 				break
 			}
+			s.pending--
 			c.Stats.NotifyWiped++
 		}
 	}
@@ -390,6 +392,7 @@ func (c *Controller) notify(n Notify) {
 			c.Stats.NotifyDropped++
 			continue
 		}
+		s.pending++
 		s.q.Put(n)
 		if d := s.q.Len(); d > s.hwm {
 			s.hwm = d
@@ -407,7 +410,7 @@ func (c *Controller) notify(n Notify) {
 // NotifyDelay per notification, so a backend's cache view lags the
 // controller's table — eventually consistent, like a real SDN. The
 // returned Subscription exposes the channel's fencing metadata (Seq,
-// Pending, HighWater) for the subscriber's reconciliation logic.
+// Pending) for the subscriber's reconciliation logic.
 func (c *Controller) Subscribe(fn func(Notify)) *Subscription {
 	s := &Subscription{fn: fn, q: simtime.NewQueue[Notify](c.eng)}
 	c.subs = append(c.subs, s)
@@ -418,6 +421,7 @@ func (c *Controller) Subscribe(fn func(Notify)) *Subscription {
 			if d := c.P.NotifyDelay; d > 0 {
 				p.Sleep(d)
 			}
+			s.pending--
 			s.fn(n)
 			sp.End(p)
 			c.Stats.NotifyDelivered++

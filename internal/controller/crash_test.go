@@ -279,8 +279,8 @@ func TestSubscriberQueueHighWaterMarks(t *testing.T) {
 	if sub.Pending() != 0 {
 		t.Fatalf("pending = %d after the drain", sub.Pending())
 	}
-	if sub.HighWater() != 4 || c.Stats.NotifyQueueHWM != 4 {
-		t.Fatalf("hwm = %d / %d, want 4", sub.HighWater(), c.Stats.NotifyQueueHWM)
+	if sub.hwm != 4 || c.Stats.NotifyQueueHWM != 4 {
+		t.Fatalf("hwm = %d / %d, want 4", sub.hwm, c.Stats.NotifyQueueHWM)
 	}
 	if hwms := c.QueueHWMs(); len(hwms) != 1 || hwms[0] != 4 {
 		t.Fatalf("QueueHWMs = %v", hwms)

@@ -24,11 +24,6 @@ var ErrFenced = errors.New("controller: write fenced by shard failover")
 // mutation log; a primary unreachable for FailoverDetect is promoted
 // automatically: the replicated prefix becomes the new table under a
 // bumped epoch, and the un-replicated tail is fenced.
-//
-// Concurrency contract: a Sharded whose shards live on different DES
-// engine shards must be reached through per-host Remote proxies (the
-// front-door methods touch shard state directly). On a single engine the
-// front door is safe to call from any proc.
 type Sharded struct {
 	p      Params
 	sm     *ShardMap
@@ -66,9 +61,8 @@ type ShardStats struct {
 }
 
 // NewSharded builds an N-shard controller. engines supplies the DES engine
-// for each shard — shard s runs on engines[s % len(engines)], which is how
-// the cluster gives controller shards their own engine-shard affinity. All
-// shards share the same Params; per-shard notification-loss PRNGs are
+// for each shard: shard s runs on engines[s % len(engines)]. All shards
+// share the same Params; per-shard notification-loss PRNGs are
 // decorrelated by offsetting the seed with the shard index (shard 0 keeps
 // the configured seed).
 func NewSharded(engines []*simtime.Engine, p Params, n int) *Sharded {
@@ -155,7 +149,12 @@ func (s *Sharded) Dump(vni uint32) map[Key]Mapping {
 	return out
 }
 
-// ─── Service implementation ──────────────────────────────────────────────
+// ─── Front door ───────────────────────────────────────────────────────────
+//
+// Shard-indexed calls (BatchLookupShard, FetchShardDump) keep failure
+// isolation: a batch is per owning shard, so one dark shard cannot fail
+// another shard's keys, and the retry policy stays at the edge. Every RPC
+// that reaches a shard returns that shard's epoch as of the reply instant.
 
 // NumShards returns the keyspace shard count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
@@ -176,13 +175,9 @@ func (s *Sharded) Unregister(k Key) {
 	s.shards[s.sm.Owner(k)].pri.Unregister(k)
 }
 
-// Resolve looks k up on its owning shard.
+// Resolve looks k up on its owning shard and returns the shard's epoch.
 func (s *Sharded) Resolve(p *simtime.Proc, k Key) (Mapping, bool, uint64, error) {
-	return s.resolveOn(p, s.sm.Owner(k), k)
-}
-
-func (s *Sharded) resolveOn(p *simtime.Proc, shard int, k Key) (Mapping, bool, uint64, error) {
-	sh := s.shards[shard]
+	sh := s.shards[s.sm.Owner(k)]
 	sh.pri.enter(p)
 	m, ok, err := sh.pri.Lookup(p, k)
 	return m, ok, sh.pri.epoch, err
@@ -190,11 +185,7 @@ func (s *Sharded) resolveOn(p *simtime.Proc, shard int, k Key) (Mapping, bool, u
 
 // Renew re-asserts a lease on the owning shard, fenced against failover.
 func (s *Sharded) Renew(p *simtime.Proc, k Key, m Mapping) (uint64, error) {
-	return s.renewOn(p, s.sm.Owner(k), k, m)
-}
-
-func (s *Sharded) renewOn(p *simtime.Proc, shard int, k Key, m Mapping) (uint64, error) {
-	sh := s.shards[shard]
+	sh := s.shards[s.sm.Owner(k)]
 	sh.pri.enter(p)
 	gen := sh.gen
 	ep, err := sh.pri.Renew(p, k, m)
@@ -205,13 +196,10 @@ func (s *Sharded) renewOn(p *simtime.Proc, shard int, k Key, m Mapping) (uint64,
 	return ep, err
 }
 
-// BatchLookupShard resolves one shard's keys (and applies its renewals) in
-// one RPC, fenced against failover because the batch writes.
+// BatchLookupShard resolves many keys owned by one shard in one RPC,
+// applying the piggybacked renewals (which must be owned by the same
+// shard) first. It is fenced against failover because the batch writes.
 func (s *Sharded) BatchLookupShard(p *simtime.Proc, shard int, keys []Key, renew []RenewReq) ([]BatchResult, uint64, error) {
-	return s.batchOn(p, shard, keys, renew)
-}
-
-func (s *Sharded) batchOn(p *simtime.Proc, shard int, keys []Key, renew []RenewReq) ([]BatchResult, uint64, error) {
 	sh := s.shards[shard]
 	sh.pri.enter(p)
 	gen := sh.gen
@@ -223,12 +211,9 @@ func (s *Sharded) batchOn(p *simtime.Proc, shard int, keys []Key, renew []RenewR
 	return res, ep, err
 }
 
-// FetchShardDump returns one shard's live mappings for a tenant.
+// FetchShardDump returns one shard's live mappings for a tenant — a
+// shard-scoped resync snapshot.
 func (s *Sharded) FetchShardDump(p *simtime.Proc, shard int, vni uint32) (map[Key]Mapping, uint64, error) {
-	return s.dumpOn(p, shard, vni)
-}
-
-func (s *Sharded) dumpOn(p *simtime.Proc, shard int, vni uint32) (map[Key]Mapping, uint64, error) {
 	sh := s.shards[shard]
 	sh.pri.enter(p)
 	return sh.pri.FetchDump(p, vni)
@@ -236,11 +221,7 @@ func (s *Sharded) dumpOn(p *simtime.Proc, shard int, vni uint32) (map[Key]Mappin
 
 // Suspend routes the migration freeze announcement to the owning shard.
 func (s *Sharded) Suspend(p *simtime.Proc, k Key) error {
-	return s.suspendOn(p, s.sm.Owner(k), k)
-}
-
-func (s *Sharded) suspendOn(p *simtime.Proc, shard int, k Key) error {
-	sh := s.shards[shard]
+	sh := s.shards[s.sm.Owner(k)]
 	sh.pri.enter(p)
 	return sh.pri.Suspend(p, k)
 }
@@ -248,11 +229,7 @@ func (s *Sharded) suspendOn(p *simtime.Proc, shard int, k Key) error {
 // Move routes the migration commit to the owning shard, fenced against
 // failover.
 func (s *Sharded) Move(p *simtime.Proc, k Key, m Mapping, qpnMap map[uint32]uint32) error {
-	return s.moveOn(p, s.sm.Owner(k), k, m, qpnMap)
-}
-
-func (s *Sharded) moveOn(p *simtime.Proc, shard int, k Key, m Mapping, qpnMap map[uint32]uint32) error {
-	sh := s.shards[shard]
+	sh := s.shards[s.sm.Owner(k)]
 	sh.pri.enter(p)
 	gen := sh.gen
 	err := sh.pri.Move(p, k, m, qpnMap)
@@ -263,19 +240,15 @@ func (s *Sharded) moveOn(p *simtime.Proc, shard int, k Key, m Mapping, qpnMap ma
 	return err
 }
 
-// SubscribeShards subscribes fn to every shard's push channel.
-func (s *Sharded) SubscribeShards(fn func(shard int, n Notify)) []SubView {
-	out := make([]SubView, len(s.shards))
+// SubscribeShards subscribes fn to every shard's push channel (invoked
+// with the shard index) and returns the subscriptions in shard order.
+func (s *Sharded) SubscribeShards(fn func(shard int, n Notify)) []*Subscription {
+	out := make([]*Subscription, len(s.shards))
 	for i, sh := range s.shards {
 		i := i
 		out[i] = sh.pri.Subscribe(func(n Notify) { fn(i, n) })
 	}
 	return out
-}
-
-// subscribeOn subscribes to one shard (the Remote relay's entry point).
-func (s *Sharded) subscribeOn(shard int, fn func(Notify)) *Subscription {
-	return s.shards[shard].pri.Subscribe(fn)
 }
 
 // ─── Failover, fencing, partition ────────────────────────────────────────

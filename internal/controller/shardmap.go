@@ -8,9 +8,7 @@ import "sort"
 // the key's hash (wrapping). Consistent hashing keeps the assignment
 // deterministic, spreads tenants across shards regardless of VNI locality,
 // and — should a deployment ever resize — moves only ~1/N of the keyspace.
-//
-// The map is immutable after construction, so Owner is safe to call from
-// any DES engine shard without synchronization.
+// The map is immutable after construction.
 type ShardMap struct {
 	n      int
 	points []ringPoint

@@ -24,7 +24,7 @@ type Backend struct {
 	Mode Mode
 
 	Host *hyper.Host
-	Ctrl controller.Service
+	Ctrl *controller.Sharded
 	Fab  *overlay.Fabric
 	CT   *RConntrack
 
@@ -143,7 +143,7 @@ type graceConn struct {
 // shard's crash arms grace mode and reconciliation for its slice of the
 // keyspace while the other shards' leases and caches stay undisturbed.
 type ctrlShard struct {
-	sub          controller.SubView
+	sub          *controller.Subscription
 	resyncBase   map[uint32]uint64 // per-VNI seq superseded by the last resync snapshot
 	epoch        uint64            // highest epoch observed from this shard
 	notifSeen    uint64            // highest notification seq observed (gap detection)
@@ -152,9 +152,8 @@ type ctrlShard struct {
 	needResync   bool              // replay this shard's table slice over the cache
 }
 
-// NewBackend creates the host driver and hooks it to the controller (a
-// *controller.Sharded, or its per-host controller.Remote proxy).
-func NewBackend(host *hyper.Host, ctrl controller.Service, fab *overlay.Fabric, p Params, mode Mode) *Backend {
+// NewBackend creates the host driver and hooks it to the controller.
+func NewBackend(host *hyper.Host, ctrl *controller.Sharded, fab *overlay.Fabric, p Params, mode Mode) *Backend {
 	b := &Backend{
 		P:         p,
 		Mode:      mode,
@@ -354,7 +353,6 @@ func (b *Backend) resolveGID(p *simtime.Proc, vni uint32, vgid packet.GID) (cont
 	if ok {
 		if !b.shards[b.Ctrl.Owner(k)].down || b.P.GraceTTL <= 0 {
 			b.Stats.CacheHits++
-			b.Rec.Add("rconnrename.cache_hits", 1)
 			return e.m, false, nil
 		}
 		// The controller is unreachable: trust the cache only within the
@@ -363,13 +361,11 @@ func (b *Backend) resolveGID(p *simtime.Proc, vni uint32, vgid packet.GID) (cont
 		// onto an address nobody has vouched for recently.
 		if p.Now().Sub(e.fresh) <= b.P.GraceTTL {
 			b.Stats.GraceRenames++
-			b.Rec.Add("rconnrename.grace", 1)
 			return e.m, true, nil
 		}
 		b.Stats.GraceExpired++
 	}
 	b.Stats.CacheMisses++
-	b.Rec.Add("rconnrename.cache_misses", 1)
 	if b.P.BatchLookups {
 		m, err := b.batchResolve(p, k)
 		return m, false, err
@@ -426,7 +422,6 @@ func (b *Backend) withRetry(p *simtime.Proc, shard int, call func() (uint64, err
 			return i, err
 		}
 		b.Stats.QueryRetries++
-		b.Rec.Add("controller.query_retries", 1)
 		p.Sleep(backoff)
 		backoff = nextBackoff(backoff, limit)
 	}
@@ -771,8 +766,8 @@ func (b *Backend) revalidateGrace(p *simtime.Proc) {
 // renewal stops hammering only that shard (arming grace mode for its
 // keys) while the other shards' renewals proceed. Renewal doubles as the
 // backend's failure detector: the first success after an outage reveals
-// epoch bumps, and a round whose reply seq is ahead of everything
-// received with an empty delivery queue means pushes were lost in
+// epoch bumps, and a round whose subscription seq is ahead of everything
+// received with no push still on its way means pushes were lost in
 // flight, scheduling a shard-scoped resync. The process is bounded by
 // the horizon so Engine.Run still quiesces.
 func (b *Backend) StartLeaseRenewal(until simtime.Time) {
@@ -805,9 +800,10 @@ func (b *Backend) StartLeaseRenewal(until simtime.Time) {
 				}
 				if contacted && cs.sub.Seq() > cs.notifSeen && cs.sub.Pending() == 0 {
 					// Everything addressed to us should be delivered or
-					// still queued; an advanced seq over an empty queue
-					// means pushes were dropped in flight. Lease-driven
-					// repair: resync this shard's slice.
+					// still on its way; an advanced seq with nothing
+					// pending means pushes were dropped in flight or
+					// wiped. Lease-driven repair: resync this shard's
+					// slice.
 					b.Stats.NotifyGaps++
 					cs.needResync = true
 					b.kickReconcile()
@@ -1190,7 +1186,6 @@ func (b *Backend) renameRTR(p *simtime.Proc, c cmdModifyQP, a verbs.Attr, attr r
 		// once — this is what makes live migration + reconnect
 		// correct under delayed invalidation.
 		b.Stats.StaleRenames++
-		b.Rec.Add("rconnrename.stale", 1)
 		p.Sleep(b.P.StaleDetectCost)
 		b.invalidate(k)
 		if m, err = b.lookupWithRetry(p, k); err != nil {
@@ -1204,7 +1199,6 @@ func (b *Backend) renameRTR(p *simtime.Proc, c cmdModifyQP, a verbs.Attr, attr r
 	// The rename: the application's QPC view keeps the virtual GID;
 	// the hardware sees only physical addresses.
 	b.Stats.Renames++
-	b.Rec.Add("rconnrename.renames", 1)
 	attr.AV = rnic.AddressVector{DGID: m.PGID, DIP: m.PIP, DMAC: m.PMAC, DQPN: a.DQPN}
 	if b.Mode == ModeVFShared {
 		if err := b.sharedRTR(p, c.qp, c.sess.vni, m, attr); err != nil {

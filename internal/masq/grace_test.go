@@ -161,3 +161,52 @@ func TestLeaseAuditRepairsDroppedNotification(t *testing.T) {
 		t.Fatalf("repaired cache entry = %+v, %v; want %+v", got, ok, mapping)
 	}
 }
+
+// TestLeaseAuditIgnoresPushInDelivery: a push the delivery process has
+// taken off the queue but not yet applied — it is still in its
+// NotifyDelay — is late, not lost. Lease rounds that end in that window
+// must not count a gap or trigger a resync.
+func TestLeaseAuditIgnoresPushInDelivery(t *testing.T) {
+	b := newBed(t, ModeVF)
+	b.allowAll(t, 100)
+	b.be.P.PushDown = true
+	b.be.P.LeaseRenewEvery = simtime.Us(200)
+	b.ctrl.P.NotifyDelay = simtime.Us(50)
+
+	vm1, err := b.host.NewVM("vm1", 1<<30, 100, packet.NewIP(192, 168, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.be.NewFrontend(vm1, 100); err != nil {
+		t.Fatal(err)
+	}
+	b.be.StartLeaseRenewal(simtime.Time(simtime.Ms(10)))
+
+	// Twenty remote endpoints register, 130µs apart; every push is
+	// delivered, 50µs after it is sent.
+	want := make(map[controller.Key]controller.Mapping)
+	for i := 0; i < 20; i++ {
+		k := controller.Key{VNI: 100, VGID: packet.GIDFromIP(packet.NewIP(192, 168, 2, byte(i+1)))}
+		m := controller.Mapping{PIP: packet.NewIP(172, 16, 1, byte(i+1)), PMAC: packet.MAC{2, 0, 0, 0, 1, byte(i + 1)}}
+		want[k] = m
+		at := simtime.Time(simtime.Ms(1) + simtime.Duration(i)*simtime.Us(130))
+		b.eng.At(at, func() { b.ctrl.Register(k, m) })
+	}
+	b.eng.Run()
+
+	if b.ctrl.Stats.NotifyDropped != 0 {
+		t.Fatalf("dropped notifications = %d, want 0", b.ctrl.Stats.NotifyDropped)
+	}
+	if b.be.Stats.NotifyGaps != 0 {
+		t.Fatalf("the lease audit counted %d gaps, but no push was lost", b.be.Stats.NotifyGaps)
+	}
+	if b.be.Stats.Resyncs != 1 {
+		t.Fatalf("resyncs = %d, want 1 (the push-down seed only)", b.be.Stats.Resyncs)
+	}
+	cache := b.be.CacheSnapshot()
+	for k, m := range want {
+		if got, ok := cache[k]; !ok || got != m {
+			t.Fatalf("cache entry for %v = %+v, %v; want %+v", k.VGID, got, ok, m)
+		}
+	}
+}

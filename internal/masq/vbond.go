@@ -15,7 +15,7 @@ import (
 type VBond struct {
 	vni     uint32
 	vnic    *overlay.VMPort
-	ctrl    controller.Service
+	ctrl    *controller.Sharded
 	phys    controller.Mapping // this host's physical identity
 	vgid    packet.GID
 	stopped bool
@@ -25,7 +25,7 @@ type VBond struct {
 // virtual Ethernet interface already has a valid IP, so the GID is
 // initialized immediately, and a callback is hooked onto the notification
 // chain for future changes.
-func NewVBond(vni uint32, vnic *overlay.VMPort, ctrl controller.Service, phys controller.Mapping) *VBond {
+func NewVBond(vni uint32, vnic *overlay.VMPort, ctrl *controller.Sharded, phys controller.Mapping) *VBond {
 	b := &VBond{vni: vni, vnic: vnic, ctrl: ctrl, phys: phys}
 	if ip := vnic.EP.VIP; !ip.IsZero() {
 		b.vgid = packet.GIDFromIP(ip)
@@ -41,7 +41,7 @@ func NewVBond(vni uint32, vnic *overlay.VMPort, ctrl controller.Service, phys co
 // published atomically by the controller Move RPC — the commit point —
 // rather than by construction. activate() arms it once the move commits;
 // a rolled-back migration simply abandons the stopped bond.
-func NewVBondDeferred(vni uint32, vnic *overlay.VMPort, ctrl controller.Service, phys controller.Mapping) *VBond {
+func NewVBondDeferred(vni uint32, vnic *overlay.VMPort, ctrl *controller.Sharded, phys controller.Mapping) *VBond {
 	b := &VBond{vni: vni, vnic: vnic, ctrl: ctrl, phys: phys, stopped: true}
 	if ip := vnic.EP.VIP; !ip.IsZero() {
 		b.vgid = packet.GIDFromIP(ip)

@@ -185,7 +185,7 @@ type VSwitch struct {
 	Ingress *simtime.Queue[*packet.Packet]
 
 	fab      *Fabric
-	eng      *simtime.Engine // the host's shard: all vswitch work runs here
+	eng      *simtime.Engine // the host's engine: all vswitch work runs here
 	uplink   *simnet.Port
 	ports    map[epKey]*VMPort
 	egress   *simtime.Queue[egressJob]
@@ -205,11 +205,11 @@ type flowKey struct {
 
 // NewVSwitch creates a host's vswitch on engine eng and starts its pumps.
 // uplink is the host's physical port; resolver maps peer host IPs to their
-// MACs (the underlay neighbor table). On a sharded testbed eng is the
-// HOST's shard: every queue, worker proc, and per-frame Sleep here charges
-// virtual time to eng's clock, and the host's VMs put frames into those
-// queues synchronously. The fabric itself stays global — its registry is
-// written at build time and only read from the data path.
+// MACs (the underlay neighbor table). Every queue, worker proc, and
+// per-frame Sleep here charges virtual time to eng's clock, and the host's
+// VMs put frames into those queues synchronously. The fabric itself stays
+// global — its registry is written at build time and only read from the
+// data path.
 func (f *Fabric) NewVSwitch(eng *simtime.Engine, hostIP packet.IP, hostMAC packet.MAC, uplink *simnet.Port, resolver func(packet.IP) (packet.MAC, bool)) *VSwitch {
 	sw := &VSwitch{
 		HostIP:   hostIP,

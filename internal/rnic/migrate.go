@@ -11,8 +11,7 @@ import (
 // guest's verbs layer holds (QPs, CQs, MRs, PDs) stays valid across a
 // transparent live migration (the MigrOS model). Detach/Adopt are pure
 // host-memory table operations — the migration engine charges their time
-// explicitly — and are only meaningful within one simulation engine (the
-// cluster layer already restricts MasQ nodes to a single shard).
+// explicitly — and are only meaningful within one simulation engine.
 //
 // Identifier rules:
 //   - QPNs are renumbered: each device allocates QPNs densely from 1, so a

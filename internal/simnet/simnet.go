@@ -41,19 +41,17 @@ type Port struct {
 	Name string
 	RX   *simtime.Queue[Frame]
 
-	eng *simtime.Engine
-	tx  func(Frame)
+	tx func(Frame)
 
 	// Counters, maintained by the link layer.
 	TxBytes, RxBytes   uint64
 	TxFrames, RxFrames uint64
 }
 
-// NewPort returns an unattached port. The engine is the port's home shard:
-// frames are delivered into RX on it, and ConnectVia uses it to decide
-// whether a link crosses shards.
+// NewPort returns an unattached port whose frames are delivered into RX on
+// eng.
 func NewPort(eng *simtime.Engine, name string) *Port {
-	return &Port{Name: name, RX: simtime.NewQueue[Frame](eng), eng: eng}
+	return &Port{Name: name, RX: simtime.NewQueue[Frame](eng)}
 }
 
 // Send transmits a frame. It never blocks: the frame queues at the link and
@@ -143,36 +141,19 @@ type Link struct {
 	// SetLoss, whose drops are attributed in Stats.
 	Drop func(Frame) bool
 
-	dirs  [2]*linkDir
-	cross bool // endpoints on different shards (ConnectVia): no faults or taps
 	down  bool
 	loss  *LossModel
 	tap   *Tap
+	stats LinkStats
 }
 
-// Stats sums both directions' frame accounting. Counters live per
-// direction so that the two halves of a cross-shard link never write the
-// same memory; read Stats only while the simulation is quiesced.
-func (l *Link) Stats() LinkStats {
-	var st LinkStats
-	for _, d := range l.dirs {
-		if d == nil {
-			continue
-		}
-		st.Delivered += d.stats.Delivered
-		st.Dropped += d.stats.Dropped
-		st.DroppedDown += d.stats.DroppedDown
-		st.DroppedLoss += d.stats.DroppedLoss
-		st.DroppedHook += d.stats.DroppedHook
-	}
-	return st
-}
+// Stats returns both directions' frame accounting.
+func (l *Link) Stats() LinkStats { return l.stats }
 
 // SetDown raises or clears the link's administrative down state. While
 // down, every frame that finishes serializing (either direction) is
 // discarded and counted in Stats.DroppedDown; frames already propagating
-// are delivered (they left the wire before the cut). Fault injection is
-// not supported on cross-shard links: the flag is read by both shards.
+// are delivered (they left the wire before the cut).
 func (l *Link) SetDown(down bool) { l.down = down }
 
 // IsDown reports the administrative state.
@@ -191,26 +172,15 @@ func (l *Link) Name() string { return l.A.Name + "<->" + l.B.Name }
 // is recorded with its virtual transmission-complete time, ready for
 // packet.WritePcap.
 type Tap struct {
-	frames []TappedFrame
-}
-
-// TappedFrame is one captured frame.
-type TappedFrame struct {
-	TimeNanos int64
-	Data      []byte
+	frames []packet.CapturedFrame
 }
 
 // Frames returns the capture so far.
-func (t *Tap) Frames() []TappedFrame { return t.frames }
+func (t *Tap) Frames() []packet.CapturedFrame { return t.frames }
 
 // AttachTap starts capturing on the link and returns the tap. Frames are
-// copied, so later buffer reuse cannot corrupt the capture. Taps record
-// both directions into one buffer, so they are not available on links
-// whose endpoints live on different shards.
+// copied, so later buffer reuse cannot corrupt the capture.
 func (l *Link) AttachTap() *Tap {
-	if l.cross {
-		panic("simnet: tap on cross-shard link " + l.Name())
-	}
 	if l.tap == nil {
 		l.tap = &Tap{}
 	}
@@ -221,28 +191,8 @@ func (l *Link) AttachTap() *Tap {
 // propagation delay and starts its pump processes.
 func Connect(eng *simtime.Engine, a, b *Port, bandwidth float64, prop simtime.Duration) *Link {
 	l := &Link{A: a, B: b, Bandwidth: bandwidth, PropDelay: prop}
-	l.dirs[0] = l.pump(eng, a, b)
-	l.dirs[1] = l.pump(eng, b, a)
-	return l
-}
-
-// ConnectVia wires ports a and b like Connect, but routes each direction's
-// propagation through a ShardedEngine exchange so the endpoints may live
-// on different shards (each port's home engine decides its shard). The
-// propagation delay doubles as the link's declared minimum latency, which
-// bounds the topology's conservative lookahead — so it must be positive.
-// An exchange is created even when both ports share a shard: the oracle
-// property (a 1-shard run byte-identical to an N-shard run) depends on
-// every ConnectVia link taking the staged, window-ordered delivery path
-// regardless of shard placement.
-func ConnectVia(se *simtime.ShardedEngine, a, b *Port, bandwidth float64, prop simtime.Duration) *Link {
-	l := &Link{A: a, B: b, Bandwidth: bandwidth, PropDelay: prop}
-	sa, sb := a.eng.ShardID(), b.eng.ShardID()
-	l.cross = sa != sb
-	l.dirs[0] = l.pump(a.eng, a, b)
-	l.dirs[0].xchg = se.NewExchange(sa, sb, prop)
-	l.dirs[1] = l.pump(b.eng, b, a)
-	l.dirs[1].xchg = se.NewExchange(sb, sa, prop)
+	l.pump(eng, a, b)
+	l.pump(eng, b, a)
 	return l
 }
 
@@ -251,26 +201,21 @@ func ConnectVia(se *simtime.ShardedEngine, a, b *Port, bandwidth float64, prop s
 // The serialization stage runs inline in the engine loop (no goroutine per
 // direction), and its state machine — one frame in serialization at a time,
 // the rest queued — matches the FIFO the process version modeled.
-func (l *Link) pump(eng *simtime.Engine, from, to *Port) *linkDir {
+func (l *Link) pump(eng *simtime.Engine, from, to *Port) {
 	d := &linkDir{l: l, eng: eng, to: to, q: simtime.NewQueue[Frame](eng)}
 	from.tx = d.q.Put
 	d.serve = d.start
 	d.done = eng.NewTimer(d.txDone)
 	d.q.OnNext(d.serve)
-	return d
 }
 
-// linkDir is one direction of a link's serialization pipeline. Everything
-// it owns — queue, timers, pools, counters — lives on the sender's shard;
-// only the final delivery hop crosses to the receiver, via xchg when the
-// link was wired with ConnectVia.
+// linkDir is one direction of a link's serialization pipeline: its queue,
+// timers and propagation pool.
 type linkDir struct {
 	l       *Link
 	eng     *simtime.Engine
 	to      *Port
 	q       *simtime.Queue[Frame]
-	xchg    *simtime.Exchange // cross-shard delivery lane (nil for Connect links)
-	stats   LinkStats
 	serve   func(Frame)    // cached OnNext callback (avoids method-value allocs)
 	done    *simtime.Timer // fires when the in-flight frame finishes serializing
 	pending Frame
@@ -287,16 +232,6 @@ type propJob struct {
 }
 
 func (d *linkDir) propagate(f Frame) {
-	if d.xchg != nil {
-		// ConnectVia link: deliver through the exchange. The arrival time is
-		// now + PropDelay >= now + lookahead (the lookahead is the minimum
-		// PropDelay over all exchanges), so the conservative bound holds by
-		// construction. The receiving shard applies deliveries in (time,
-		// exchange, seq) order at its next window boundary.
-		to := d.to
-		d.xchg.Send(d.eng.Now().Add(d.l.PropDelay), func() { to.deliver(f) })
-		return
-	}
 	var j *propJob
 	if n := len(d.propFree); n > 0 {
 		j = d.propFree[n-1]
@@ -328,23 +263,23 @@ func (d *linkDir) txDone() {
 	d.pending = nil
 	l := d.l
 	if l.tap != nil {
-		l.tap.frames = append(l.tap.frames, TappedFrame{
+		l.tap.frames = append(l.tap.frames, packet.CapturedFrame{
 			TimeNanos: int64(d.eng.Now()),
 			Data:      append([]byte(nil), f...),
 		})
 	}
 	switch {
 	case l.down:
-		d.stats.Dropped++
-		d.stats.DroppedDown++
+		l.stats.Dropped++
+		l.stats.DroppedDown++
 	case l.loss != nil && l.loss.drop(d.eng.Now()):
-		d.stats.Dropped++
-		d.stats.DroppedLoss++
+		l.stats.Dropped++
+		l.stats.DroppedLoss++
 	case l.Drop != nil && l.Drop(f):
-		d.stats.Dropped++
-		d.stats.DroppedHook++
+		l.stats.Dropped++
+		l.stats.DroppedHook++
 	default:
-		d.stats.Delivered++
+		l.stats.Delivered++
 		d.propagate(f)
 	}
 	if next, ok := d.q.TryGet(); ok {
@@ -395,17 +330,6 @@ func NewSwitch(eng *simtime.Engine, name string, forwardDelay simtime.Duration) 
 func (s *Switch) AttachPort(peer *Port, bandwidth float64, prop simtime.Duration) *Link {
 	sp := s.newPort()
 	l := Connect(s.eng, sp, peer, bandwidth, prop)
-	s.links = append(s.links, l)
-	return l
-}
-
-// AttachPortVia is AttachPort for sharded topologies: the uplink is wired
-// with ConnectVia, so the peer may live on a different shard than the
-// switch. The switch itself (its forwarding state and FDB) stays on the
-// shard of the engine it was created with.
-func (s *Switch) AttachPortVia(se *simtime.ShardedEngine, peer *Port, bandwidth float64, prop simtime.Duration) *Link {
-	sp := s.newPort()
-	l := ConnectVia(se, sp, peer, bandwidth, prop)
 	s.links = append(s.links, l)
 	return l
 }

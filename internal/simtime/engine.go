@@ -197,7 +197,6 @@ type Engine struct {
 	limit   Time          // exclusive end of the current run
 	turn    chan struct{} // hands the baton back to the run's caller
 	stopped bool
-	shard   int // index within a ShardedEngine; 0 for a standalone engine
 }
 
 // NewEngine returns an engine with the clock at zero and no processes.
@@ -210,11 +209,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// ShardID returns the engine's index within its ShardedEngine, or 0 for a
-// standalone engine. Cross-shard plumbing (simnet exchanges, the sharded
-// trace recorder) uses it to pick the right per-shard lane.
-func (e *Engine) ShardID() int { return e.shard }
 
 // Events returns the number of events the engine has dispatched so far.
 // It is the denominator of the events-per-second wall-clock figure the

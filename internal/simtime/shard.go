@@ -70,27 +70,13 @@ func NewSharded(n int) *ShardedEngine {
 	se := &ShardedEngine{shards: make([]*Engine, n)}
 	for i := range se.shards {
 		se.shards[i] = NewEngine()
-		se.shards[i].shard = i
 	}
 	return se
 }
 
-// NumShards returns the shard count.
-func (se *ShardedEngine) NumShards() int { return len(se.shards) }
-
 // Shard returns shard i's engine. Build shard-i components against it
 // exactly as against a standalone Engine.
 func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
-
-// Lookahead returns the conservative lookahead: the minimum latency
-// declared by any exchange, or 0 if no exchange exists yet (in which case
-// shards are fully independent and run unsynchronized).
-func (se *ShardedEngine) Lookahead() Duration {
-	if !se.haveLook {
-		return 0
-	}
-	return se.lookahead
-}
 
 // Now returns the global virtual time: the latest shard clock. Between
 // windows every shard clock is within one lookahead of it.
@@ -162,10 +148,10 @@ func (se *ShardedEngine) NewExchange(src, dst int, minLatency Duration) *Exchang
 
 // Send stages fn to run on the destination shard at virtual time at. It
 // must be called from the source shard's execution context (or before the
-// run starts), and at must honor the global lookahead: at >= src.Now() +
-// Lookahead. Violating the bound is a wiring bug — the destination shard
-// may already have advanced past at — and panics rather than corrupting
-// causality.
+// run starts), and at must honor the global lookahead L, the smallest
+// latency any exchange declared: at >= src.Now() + L. Violating the bound
+// is a wiring bug — the destination shard may already have advanced past
+// at — and panics rather than corrupting causality.
 func (x *Exchange) Send(at Time, fn func()) {
 	src := x.se.shards[x.src]
 	if at < src.now.Add(x.se.lookahead) {

@@ -27,8 +27,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	var events []chromeEvent
 	tids := map[string]int{}
 	if r != nil {
-		spans, invs := r.merged()
-		for _, s := range spans {
+		for _, s := range r.spans {
 			if s.open {
 				continue
 			}
@@ -43,7 +42,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			}
 			args := map[string]any{"layer": s.layer.String()}
 			if s.inv >= 0 {
-				inv := invs[s.inv]
+				inv := r.invs[s.inv]
 				args["verb"] = inv.Verb
 				args["actor"] = inv.Actor
 			}

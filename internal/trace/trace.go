@@ -1,8 +1,8 @@
-// Package trace is a deterministic span/counter recorder for the MasQ
-// control path. Spans are keyed to the simulation clock: recording a span
-// only reads p.Now() and appends to host-side slices, so event ordering and
-// every virtual-time measurement are bit-identical whether tracing is on or
-// off. A disabled (or nil) Recorder is zero-cost — no events, no
+// Package trace is a deterministic span recorder for the MasQ control
+// path. Spans are keyed to the simulation clock: recording a span only
+// reads p.Now() and appends to host-side slices, so event ordering and
+// every virtual-time measurement are bit-identical whether tracing is on
+// or off. A disabled (or nil) Recorder is zero-cost — no events, no
 // allocations.
 //
 // The recorder understands two kinds of structure:
@@ -21,21 +21,10 @@
 //     the software stack of the paper's Fig. 16. Attribution computes
 //     per-layer *self* time (span duration minus time covered by nested
 //     spans), so layer shares of a verb partition its measured total.
-//
-// Sharding. One Recorder can serve a whole sharded testbed: spans and
-// invocations land in the lane of the recording Proc's shard (each lane is
-// only ever touched by its shard's goroutine), and read-side views merge
-// the lanes into one globally ordered stream keyed by (start, lane, record
-// index) — a key that is identical across shard counts, so sharded and
-// single-shard runs export byte-identical traces. With a single lane (the
-// default) the merge is the identity and nothing changes. Counters are the
-// one shared structure; they take a mutex, and Add stays
-// order-independent (pure sums), so they too are deterministic.
 package trace
 
 import (
 	"sort"
-	"sync"
 
 	"masq/internal/simtime"
 )
@@ -69,7 +58,7 @@ func (l Layer) String() string {
 }
 
 // Invocation is one control-verb call recorded by BeginVerb. IDs are
-// assigned in global merged order, so they are stable across shard counts.
+// assigned in recording order.
 type Invocation struct {
 	ID    int
 	Verb  string // rnic verb name, e.g. "create_qp", "modify_qp_RTR"
@@ -83,46 +72,22 @@ type spanRec struct {
 	name       string
 	proc       string
 	start, end simtime.Time
-	inv        int // lane-local invocation index, -1 if none active
+	inv        int // invocation index, -1 if none active
 	open       bool
 }
 
-// lane is one shard's private recording surface. Only the owning shard's
-// goroutine appends to it; readers merge lanes while the sim is quiesced.
-type lane struct {
-	spans []spanRec
-	invs  []Invocation
-	cur   map[string]int // proc name -> lane-local invocation bound to it
-}
-
-// Recorder accumulates spans and counters. The zero value is disabled; New
-// returns an enabled one. All methods are safe on a nil receiver.
+// Recorder accumulates spans and verb invocations. The zero value is
+// disabled; New returns an enabled one. All methods are safe on a nil
+// receiver.
 type Recorder struct {
 	enabled bool
-	lanes   []lane
-
-	mu       sync.Mutex // guards counters (shared across shards)
-	counters map[string]int64
+	spans   []spanRec
+	invs    []Invocation
+	cur     map[string]int // proc name -> invocation bound to it
 }
 
-// New returns an enabled single-lane Recorder.
-func New() *Recorder { return NewSharded(1) }
-
-// NewSharded returns an enabled Recorder with one lane per shard. Procs
-// record into the lane of their engine's ShardID, so a recorder built for
-// a ShardedEngine must have at least NumShards lanes.
-func NewSharded(shards int) *Recorder {
-	if shards < 1 {
-		shards = 1
-	}
-	return &Recorder{enabled: true, lanes: make([]lane, shards)}
-}
-
-// laneOf picks the recording lane for p. Standalone engines report shard
-// 0, so unsharded setups always land in lane 0.
-func (r *Recorder) laneOf(p *simtime.Proc) *lane {
-	return &r.lanes[p.Engine().ShardID()]
-}
+// New returns an enabled Recorder.
+func New() *Recorder { return &Recorder{enabled: true} }
 
 // SetEnabled turns recording on or off. Already-recorded events are kept;
 // spans opened while enabled may still be closed after disabling.
@@ -130,36 +95,28 @@ func (r *Recorder) SetEnabled(on bool) {
 	if r == nil {
 		return
 	}
-	if on && len(r.lanes) == 0 {
-		// A zero-value Recorder enabled after the fact gets one lane.
-		r.lanes = make([]lane, 1)
-	}
 	r.enabled = on
 }
 
-// Events returns the number of recorded spans across all lanes.
+// Events returns the number of recorded spans.
 func (r *Recorder) Events() int {
 	if r == nil {
 		return 0
 	}
-	n := 0
-	for i := range r.lanes {
-		n += len(r.lanes[i].spans)
-	}
-	return n
+	return len(r.spans)
 }
 
 // bind marks inv as the active invocation on the named proc.
-func (ln *lane) bind(proc string, inv int) {
-	if ln.cur == nil {
-		ln.cur = make(map[string]int)
+func (r *Recorder) bind(proc string, inv int) {
+	if r.cur == nil {
+		r.cur = make(map[string]int)
 	}
-	ln.cur[proc] = inv
+	r.cur[proc] = inv
 }
 
 // currentOf returns the invocation bound to the named proc, or -1.
-func (ln *lane) currentOf(proc string) int {
-	if inv, ok := ln.cur[proc]; ok {
+func (r *Recorder) currentOf(proc string) int {
+	if inv, ok := r.cur[proc]; ok {
 		return inv
 	}
 	return -1
@@ -168,7 +125,6 @@ func (ln *lane) currentOf(proc string) int {
 // VerbCall is an open verb invocation; close it with End.
 type VerbCall struct {
 	r    *Recorder
-	ln   *lane
 	inv  int
 	prev int // invocation previously bound to proc, -1 if none
 	proc string
@@ -181,13 +137,12 @@ func (r *Recorder) BeginVerb(p *simtime.Proc, verb, actor string) VerbCall {
 	if r == nil || !r.enabled {
 		return VerbCall{inv: -1}
 	}
-	ln := r.laneOf(p)
-	id := len(ln.invs)
-	ln.invs = append(ln.invs, Invocation{ID: id, Verb: verb, Actor: actor, Start: p.Now(), End: -1})
+	id := len(r.invs)
+	r.invs = append(r.invs, Invocation{ID: id, Verb: verb, Actor: actor, Start: p.Now(), End: -1})
 	name := p.Name()
-	prev := ln.currentOf(name)
-	ln.bind(name, id)
-	return VerbCall{r: r, ln: ln, inv: id, prev: prev, proc: name, span: r.Begin(p, LayerVerbs, verb)}
+	prev := r.currentOf(name)
+	r.bind(name, id)
+	return VerbCall{r: r, inv: id, prev: prev, proc: name, span: r.Begin(p, LayerVerbs, verb)}
 }
 
 // End closes the invocation and its root span, restoring whatever
@@ -197,29 +152,26 @@ func (vc VerbCall) End(p *simtime.Proc) {
 		return
 	}
 	vc.span.End(p)
-	vc.ln.invs[vc.inv].End = p.Now()
+	vc.r.invs[vc.inv].End = p.Now()
 	if vc.prev >= 0 {
-		vc.ln.bind(vc.proc, vc.prev)
+		vc.r.bind(vc.proc, vc.prev)
 	} else {
-		delete(vc.ln.cur, vc.proc)
+		delete(vc.r.cur, vc.proc)
 	}
 }
 
 // CurrentInv returns the invocation bound to p, or -1. The virtio transport
 // captures it on the guest side so the host-side ring process can adopt it.
-// The returned index is lane-local: it may only be adopted by a Proc on the
-// same shard (the virtio ring never hops shards — guest and host backend
-// share a host, hence a shard).
 func (r *Recorder) CurrentInv(p *simtime.Proc) int {
 	if r == nil || !r.enabled {
 		return -1
 	}
-	return r.laneOf(p).currentOf(p.Name())
+	return r.currentOf(p.Name())
 }
 
-// AdoptInv binds p to an invocation opened on another Proc of the same
-// shard, so host-side spans roll up under the guest's verb call. Undo with
-// ReleaseInv. Adopting -1 (no active invocation) just releases.
+// AdoptInv binds p to an invocation opened on another Proc, so host-side
+// spans roll up under the guest's verb call. Undo with ReleaseInv.
+// Adopting -1 (no active invocation) just releases.
 func (r *Recorder) AdoptInv(p *simtime.Proc, inv int) {
 	if r == nil || !r.enabled {
 		return
@@ -228,7 +180,7 @@ func (r *Recorder) AdoptInv(p *simtime.Proc, inv int) {
 		r.ReleaseInv(p)
 		return
 	}
-	r.laneOf(p).bind(p.Name(), inv)
+	r.bind(p.Name(), inv)
 }
 
 // ReleaseInv removes p's invocation binding.
@@ -236,16 +188,13 @@ func (r *Recorder) ReleaseInv(p *simtime.Proc) {
 	if r == nil {
 		return
 	}
-	ln := r.laneOf(p)
-	if ln.cur != nil {
-		delete(ln.cur, p.Name())
-	}
+	delete(r.cur, p.Name())
 }
 
 // Span is an open span handle; close it with End. The zero value (from a
 // disabled recorder) is a no-op.
 type Span struct {
-	ln  *lane
+	r   *Recorder
 	idx int
 }
 
@@ -255,20 +204,19 @@ func (r *Recorder) Begin(p *simtime.Proc, layer Layer, name string) Span {
 	if r == nil || !r.enabled {
 		return Span{}
 	}
-	ln := r.laneOf(p)
-	ln.spans = append(ln.spans, spanRec{
+	r.spans = append(r.spans, spanRec{
 		layer: layer, name: name, proc: p.Name(),
-		start: p.Now(), end: -1, inv: ln.currentOf(p.Name()), open: true,
+		start: p.Now(), end: -1, inv: r.currentOf(p.Name()), open: true,
 	})
-	return Span{ln: ln, idx: len(ln.spans)}
+	return Span{r: r, idx: len(r.spans)}
 }
 
 // End closes the span at p.Now().
 func (s Span) End(p *simtime.Proc) {
-	if s.ln == nil {
+	if s.r == nil {
 		return
 	}
-	rec := &s.ln.spans[s.idx-1]
+	rec := &s.r.spans[s.idx-1]
 	rec.end = p.Now()
 	rec.open = false
 }
@@ -281,121 +229,10 @@ func (r *Recorder) Interval(p *simtime.Proc, layer Layer, name string, start, en
 	if r == nil || !r.enabled {
 		return
 	}
-	ln := r.laneOf(p)
-	ln.spans = append(ln.spans, spanRec{
+	r.spans = append(r.spans, spanRec{
 		layer: layer, name: name, proc: p.Name(),
-		start: start, end: end, inv: ln.currentOf(p.Name()),
+		start: start, end: end, inv: r.currentOf(p.Name()),
 	})
-}
-
-// Add increments a named counter. Counters are shared across shards (Add
-// carries no Proc), so this takes the recorder's mutex.
-func (r *Recorder) Add(name string, delta int64) {
-	if r == nil || !r.enabled {
-		return
-	}
-	r.mu.Lock()
-	if r.counters == nil {
-		r.counters = make(map[string]int64)
-	}
-	r.counters[name] += delta
-	r.mu.Unlock()
-}
-
-// Counter is a named event count.
-type Counter struct {
-	Name  string
-	Value int64
-}
-
-// Counters returns all counters sorted by name.
-func (r *Recorder) Counters() []Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.counters) == 0 {
-		return nil
-	}
-	out := make([]Counter, 0, len(r.counters))
-	for k, v := range r.counters {
-		out = append(out, Counter{k, v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// merged flattens the lanes into one globally ordered stream: invocations
-// sorted by (Start, lane, lane index) and renumbered in that order, spans
-// sorted by (start, lane, record index) with their invocation references
-// remapped. The key never compares anything that depends on the shard
-// count, so an N-shard run merges to exactly the single-shard stream.
-// With one lane this is the identity (no copy, original IDs).
-func (r *Recorder) merged() ([]spanRec, []Invocation) {
-	if r == nil || len(r.lanes) == 0 {
-		return nil, nil
-	}
-	if len(r.lanes) == 1 {
-		return r.lanes[0].spans, r.lanes[0].invs
-	}
-	type ref struct{ lane, idx int }
-	var iorder []ref
-	for li := range r.lanes {
-		for ii := range r.lanes[li].invs {
-			iorder = append(iorder, ref{li, ii})
-		}
-	}
-	sort.Slice(iorder, func(a, b int) bool {
-		x, y := iorder[a], iorder[b]
-		sx := r.lanes[x.lane].invs[x.idx].Start
-		sy := r.lanes[y.lane].invs[y.idx].Start
-		if sx != sy {
-			return sx < sy
-		}
-		if x.lane != y.lane {
-			return x.lane < y.lane
-		}
-		return x.idx < y.idx
-	})
-	invs := make([]Invocation, len(iorder))
-	remap := make([][]int, len(r.lanes))
-	for li := range r.lanes {
-		remap[li] = make([]int, len(r.lanes[li].invs))
-	}
-	for mid, k := range iorder {
-		inv := r.lanes[k.lane].invs[k.idx]
-		inv.ID = mid
-		invs[mid] = inv
-		remap[k.lane][k.idx] = mid
-	}
-	var sorder []ref
-	for li := range r.lanes {
-		for si := range r.lanes[li].spans {
-			sorder = append(sorder, ref{li, si})
-		}
-	}
-	sort.Slice(sorder, func(a, b int) bool {
-		x, y := sorder[a], sorder[b]
-		sx := r.lanes[x.lane].spans[x.idx].start
-		sy := r.lanes[y.lane].spans[y.idx].start
-		if sx != sy {
-			return sx < sy
-		}
-		if x.lane != y.lane {
-			return x.lane < y.lane
-		}
-		return x.idx < y.idx
-	})
-	spans := make([]spanRec, 0, len(sorder))
-	for _, k := range sorder {
-		s := r.lanes[k.lane].spans[k.idx]
-		if s.inv >= 0 {
-			s.inv = remap[k.lane][s.inv]
-		}
-		spans = append(spans, s)
-	}
-	return spans, invs
 }
 
 // Breakdown is the per-layer self-time attribution of one verb invocation.
@@ -414,17 +251,16 @@ func (r *Recorder) Attribute() []Breakdown {
 	if r == nil {
 		return nil
 	}
-	allSpans, allInvs := r.merged()
 	// Group closed spans by invocation.
 	byInv := make(map[int][]spanRec)
-	for _, s := range allSpans {
+	for _, s := range r.spans {
 		if s.open || s.inv < 0 {
 			continue
 		}
 		byInv[s.inv] = append(byInv[s.inv], s)
 	}
 	var out []Breakdown
-	for _, inv := range allInvs {
+	for _, inv := range r.invs {
 		if inv.End < 0 {
 			continue
 		}
