@@ -123,6 +123,28 @@ func BenchmarkProcRoundRobin(b *testing.B) {
 	eng.Run()
 }
 
+// BenchmarkSpawnChurn measures a stream of short procs, one per op: a
+// timer spawns a proc every nanosecond, and each proc sleeps once and
+// returns. The proc whose sleep ends first finishes and starts the next one
+// on its own goroutine, so steady state needs no goroutine creation and no
+// hand-off. 2 allocs/op: the Proc and its wake closure.
+func BenchmarkSpawnChurn(b *testing.B) {
+	eng := NewEngine()
+	n := b.N
+	body := func(p *Proc) { p.Sleep(1) }
+	var t *Timer
+	t = eng.NewTimer(func() {
+		eng.Spawn("short", body)
+		if n--; n > 0 {
+			t.ScheduleAfter(1)
+		}
+	})
+	t.ScheduleAfter(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+}
+
 // BenchmarkResource measures Acquire/Release handoff between two procs
 // contending for a capacity-1 resource (the firmware-serialization
 // pattern). Waiter records are pooled; 0 allocs/op in steady state.

@@ -1,7 +1,9 @@
 // Package simtime implements a deterministic discrete-event simulation
 // engine in the style of SimPy: simulated components run as cooperative
-// processes (goroutines managed by the engine), exactly one of which
-// executes at a time.
+// processes, exactly one of which executes at a time. Each process runs
+// on a goroutine the engine manages, and when a process finishes, its
+// goroutine goes on to run the engine's next new process, so a stream of
+// short processes needs only as many goroutines as ever run at once.
 //
 // Control moves as a baton, and whichever goroutine holds it runs the
 // event loop: the caller of Run or RunUntil (in a ShardedEngine, the
@@ -18,7 +20,8 @@
 // which one. A process goroutine that exits without returning — through
 // runtime.Goexit, as t.FailNow does, in the process body or in a callback
 // it ran — stops the run and hands the baton back to the caller: Run
-// returns instead of hanging, and the process stays in PendingProcs.
+// returns instead of hanging, the process stays in PendingProcs, and the
+// dead goroutine runs no later process.
 // Panics are not recovered. A panic in a callback reaches a recover around
 // Run only if no process held the baton when the callback ran.
 //
@@ -95,65 +98,76 @@ func (t Time) String() string { return Duration(t).String() }
 // Timer) and carry a reusable fn, making their whole schedule→fire cycle
 // allocation-free.
 type event struct {
-	at     Time
-	seq    uint64 // tie-break so equal-time events run in schedule order
-	xkey   uint64 // cross-shard ordering key; 0 for ordinary local events
 	fn     func() // runs inline in the engine loop; must not block
 	pooled bool   // engine-owned: recycle onto the free list after firing
-	inHeap bool   // double-schedule guard for intrusive events
+	queued bool   // double-schedule guard for intrusive events
 }
 
-// eventQueue is a 4-ary min-heap over (at, xkey, seq). Because seq is
-// unique, the ordering is a strict total order and the minimum is always
-// unique, so the pop sequence — and therefore the simulation — is
-// independent of heap shape and arity. The 4-ary layout halves the tree
-// depth of a binary heap and the hand-rolled sift loops (hole-based, no
-// interface dispatch, no swaps) take heap maintenance off the hot-path
-// profile.
+// entry is one pending event with its ordering key inline, so ordering
+// entries never dereferences an event. Entries run in (at, key) order. key
+// is the schedule seq for a local event, and 1<<63 | the exchange key for
+// a cross-shard delivery (scheduleEx). Because every key is unique, the
+// ordering is a strict total order, so the dispatch sequence — and
+// therefore the simulation — does not depend on how the queue stores its
+// entries.
 //
-// xkey exists for the sharded engine. Local events carry xkey 0 and tie-
-// break on seq, the insertion order. Exchange deliveries carry a key built
-// from (exchange ID, per-exchange send sequence), which (a) runs every
-// cross-shard delivery at an instant after the instant's local events, and
-// (b) orders simultaneous deliveries by wiring order rather than by the
-// window that happened to carry them. Both rules depend only on values
-// that are invariant across shard counts, which is what lets an N-shard
-// run replay the 1-shard oracle byte for byte.
-type eventQueue []*event
+// The exchange key packs (exchange ID, per-exchange send sequence). Its
+// high bit runs every cross-shard delivery at an instant after the
+// instant's local events, and the rest of the key orders simultaneous
+// deliveries by wiring order rather than by the window that happened to
+// carry them. Both rules depend only on values that are invariant across
+// shard counts, which is what lets an N-shard run replay the 1-shard
+// oracle byte for byte.
+type entry struct {
+	at  Time
+	key uint64
+	ev  *event
+}
 
 // before reports whether a orders strictly before b.
-func eventBefore(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.xkey != b.xkey {
-		return a.xkey < b.xkey
-	}
-	return a.seq < b.seq
+func (a entry) before(b entry) bool {
+	return a.at < b.at || a.at == b.at && a.key < b.key
 }
 
-func (e *Engine) pushEvent(ev *event) {
-	q := append(e.pq, ev)
+// The event queue has two parts. Local events scheduled for the current
+// instant go to the lane, a FIFO (Engine.lane from lhead on); all others go
+// to the heap (Engine.pq), a 4-ary min-heap whose hand-rolled sift loops
+// (hole-based, no interface dispatch, no swaps) halve the depth of a
+// binary heap. The head of the queue is the earlier of the two heads under
+// before, and that merge gives exactly the order of a heap-only queue:
+//   - every lane entry is at Now(), in seq order, so the lane head is the
+//     lane's minimum;
+//   - a heap entry at Now() was scheduled before the clock reached it, so
+//     its seq is smaller than any lane entry's;
+//   - exchange deliveries always go to the heap and order after local
+//     events.
+//
+// The lane relies on the clock never moving while it holds entries: they
+// all order before any later heap entry, so they run before the clock
+// advances, and RunUntil never sets the clock back.
+
+func (e *Engine) push(x entry) {
+	q := append(e.pq, x)
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
 		p := q[parent]
-		if !eventBefore(ev, p) {
+		if !x.before(p) {
 			break
 		}
 		q[i] = p
 		i = parent
 	}
-	q[i] = ev
+	q[i] = x
 	e.pq = q
 }
 
-func (e *Engine) popEvent() *event {
+func (e *Engine) pop() entry {
 	q := e.pq
 	top := q[0]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = nil
+	q[n] = entry{}
 	q = q[:n]
 	e.pq = q
 	if n > 0 {
@@ -169,11 +183,11 @@ func (e *Engine) popEvent() *event {
 			}
 			m, mc := c, q[c]
 			for j := c + 1; j < end; j++ {
-				if eventBefore(q[j], mc) {
+				if q[j].before(mc) {
 					m, mc = j, q[j]
 				}
 			}
-			if !eventBefore(mc, last) {
+			if !mc.before(last) {
 				break
 			}
 			q[i] = mc
@@ -184,15 +198,32 @@ func (e *Engine) popEvent() *event {
 	return top
 }
 
+// peek returns the head of the queue without removing it, and false when
+// the queue is empty.
+func (e *Engine) peek() (entry, bool) {
+	if e.lhead < len(e.lane) {
+		if x := e.lane[e.lhead]; len(e.pq) == 0 || !e.pq[0].before(x) {
+			return x, true
+		}
+	}
+	if len(e.pq) == 0 {
+		return entry{}, false
+	}
+	return e.pq[0], true
+}
+
 // Engine owns the virtual clock and the set of managed processes.
 // The zero value is not usable; call NewEngine.
 type Engine struct {
 	now     Time
 	seq     uint64
-	pq      eventQueue
+	pq      []entry  // heap: later events and exchange deliveries
+	lane    []entry  // local events scheduled at Now(), from lhead on
+	lhead   int      // index of the lane's head
 	free    []*event // recycled pooled events
 	nevents uint64   // events dispatched (perf accounting)
 	procs   map[*Proc]struct{}
+	idle    []chan *Proc  // parked workers, each waiting for a new proc to run
 	ready   *Proc         // process woken by the last dispatched event
 	limit   Time          // exclusive end of the current run
 	turn    chan struct{} // hands the baton back to the run's caller
@@ -215,8 +246,9 @@ func (e *Engine) Now() Time { return e.now }
 // benchmark harness tracks across revisions.
 func (e *Engine) Events() uint64 { return e.nevents }
 
-// schedule enqueues fn to run at time at (>= now) on a pooled event.
-func (e *Engine) schedule(at Time, fn func()) {
+// pooledEvent returns an engine-owned event running fn, from the free list
+// when it has one.
+func (e *Engine) pooledEvent(fn func()) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -226,49 +258,45 @@ func (e *Engine) schedule(at Time, fn func()) {
 		ev = &event{pooled: true}
 	}
 	ev.fn = fn
-	e.scheduleEvent(ev, at)
+	return ev
+}
+
+// schedule enqueues fn to run at time at (>= now) on a pooled event.
+func (e *Engine) schedule(at Time, fn func()) {
+	e.scheduleEvent(e.pooledEvent(fn), at)
 }
 
 // scheduleEvent enqueues ev (whose fn is already set) to fire at time at
-// (>= now). For intrusive events this is the allocation-free scheduling
-// path; an event may only be in the heap once, so rescheduling before the
-// previous firing is a bug the guard below turns into a panic.
+// (>= now): in the lane when that is the current instant, otherwise in the
+// heap. For intrusive events this is the allocation-free scheduling path;
+// an event may only be queued once, so rescheduling before the previous
+// firing is a bug the guard below turns into a panic.
 func (e *Engine) scheduleEvent(ev *event, at Time) {
-	if ev.inHeap {
+	if ev.queued {
 		panic("simtime: event scheduled twice")
 	}
-	if at < e.now {
-		at = e.now
-	}
+	ev.queued = true
 	e.seq++
-	ev.at, ev.seq, ev.xkey = at, e.seq, 0
-	ev.inHeap = true
-	e.pushEvent(ev)
+	if at <= e.now {
+		e.lane = append(e.lane, entry{e.now, e.seq, ev})
+		return
+	}
+	e.push(entry{at, e.seq, ev})
 }
 
 // scheduleEx enqueues an exchange delivery with its shard-count-invariant
 // ordering key: exchange exID's send number exSeq, firing at time at. The
-// key packs (exID+1, exSeq) into 64 bits — exID+1 so every delivery sorts
-// after the instant's local events (xkey 0), with 40 bits of sequence per
-// exchange (≈10^12 sends, far beyond any simulated run).
+// key is 1<<63 | exID<<40 | exSeq, so every delivery sorts after the
+// instant's local events, with 40 bits of sequence per exchange (≈10^12
+// sends, far beyond any simulated run). Deliveries always go to the heap.
 func (e *Engine) scheduleEx(at Time, exID int, exSeq uint64, fn func()) {
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = &event{pooled: true}
-	}
-	ev.fn = fn
+	ev := e.pooledEvent(fn)
+	ev.queued = true
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	ev.at, ev.seq = at, e.seq
-	ev.xkey = uint64(exID+1)<<40 | exSeq
-	ev.inHeap = true
-	e.pushEvent(ev)
+	e.push(entry{at, 1<<63 | uint64(exID)<<40 | exSeq, ev})
 }
 
 // At schedules fn to run inline at virtual time at. fn must not block; to
@@ -279,12 +307,14 @@ func (e *Engine) At(at Time, fn func()) { e.schedule(at, fn) }
 func (e *Engine) After(d Duration, fn func()) { e.schedule(e.now.Add(d), fn) }
 
 // Proc is a managed simulation process. All blocking calls take the Proc so
-// that the engine knows which goroutine is yielding.
+// that the engine knows which goroutine is yielding. A process runs on a
+// worker goroutine from its first hand-off until its body returns; the
+// worker then runs later processes.
 type Proc struct {
 	eng    *Engine
 	name   string
-	fn     func(p *Proc) // body; nil once the goroutine has started
-	resume chan struct{} // hands the baton to this process
+	fn     func(p *Proc) // body; nil once a worker has started it
+	resume chan *Proc    // its worker's channel, which hands it the baton
 	// wakeEv is the proc's intrusive wake event. A parked proc has exactly
 	// one pending wakeup, so a single pre-allocated event (with a reusable
 	// closure that marks the proc ready) makes Sleep and every
@@ -305,10 +335,12 @@ func (p *Proc) Now() Time { return p.eng.now }
 
 // Spawn creates a process running fn, started at the current virtual time
 // (after already-scheduled events for this instant). Spawn only schedules
-// the process's wake event; no goroutine exists until that event fires
-// and the baton is handed to the process for the first time.
+// the process's wake event. The process gets a goroutine when that event
+// fires and the baton is handed to it for the first time: the goroutine
+// of a process that has just finished if one is free, a new one only if
+// none is.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, fn: fn, resume: make(chan struct{}, 1)}
+	p := &Proc{eng: e, name: name, fn: fn}
 	p.wakeEv.fn = func() {
 		if t := p.until; t != nil && *t > e.now {
 			// SleepUntil's deadline moved while the proc slept: re-arm
@@ -323,38 +355,49 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// main is a process goroutine; it starts holding the baton. When the body
-// returns, the process retires and passes the baton on. If the goroutine
-// exits any other way — runtime.Goexit in the body or in a callback it
-// ran — the deferred guard cancels the process's wakeups, stops the run
-// and hands the baton back to the run's caller. It does not recover, so a
-// panic keeps its own stack.
-func (p *Proc) main(fn func(p *Proc)) {
-	e := p.eng
-	passed := false
+// main is a worker goroutine. It starts holding the baton, to run p, and
+// runs one process after another. When a body returns, the process retires
+// and the worker runs the event loop itself. If the next process to wake
+// has never run, the worker runs it at once, with no hand-off. Otherwise
+// it joins the engine's idle pool, passes the baton on, and waits on its
+// own channel until pass gives it a new process. Idle workers stay parked
+// until the program exits, as parked processes do.
+//
+// If the goroutine exits any other way — runtime.Goexit in a body or in a
+// callback it ran — the deferred guard cancels the current process's
+// wakeups, stops the run and hands the baton back to the run's caller. A
+// worker joins the pool only after its own next returns, so a dead
+// goroutine never does. The guard does not recover, so a panic keeps its
+// own stack.
+func (p *Proc) main() {
+	e, ch := p.eng, p.resume
 	defer func() {
-		if !passed {
-			p.wakeEv.fn = nil // the goroutine is gone: never hand it the baton
-			e.stopped = true
-			e.turn <- struct{}{}
-		}
+		p.wakeEv.fn = nil // the goroutine is gone: never hand p the baton
+		e.stopped = true
+		e.turn <- struct{}{}
 	}()
-	fn(p)
-	delete(e.procs, p)
-	e.pass(e.next())
-	passed = true
+	for {
+		fn := p.fn
+		p.fn = nil
+		fn(p)
+		delete(e.procs, p)
+		next := e.next()
+		if next != nil && next.fn != nil {
+			next.resume = ch
+			p = next
+			continue
+		}
+		e.idle = append(e.idle, ch)
+		e.pass(next)
+		p = <-ch
+	}
 }
 
 // next runs the event loop on the baton holder. It dispatches events in
 // order until one wakes a process, and returns that process; it returns
 // nil when the run ends (limit reached, Stop, or an empty queue).
 func (e *Engine) next() *Proc {
-	for !e.stopped && len(e.pq) > 0 {
-		ev := e.pq[0]
-		if ev.at >= e.limit {
-			break
-		}
-		e.dispatch(ev)
+	for !e.stopped && e.dispatch() {
 		if p := e.ready; p != nil {
 			e.ready = nil
 			return p
@@ -363,20 +406,25 @@ func (e *Engine) next() *Proc {
 	return nil
 }
 
-// pass hands the baton to p, starting p's goroutine on its first hand-off,
-// or back to the run's caller when p is nil. The sender must not touch
-// engine state afterwards: with several Ps the receiver may already be
-// running before the sender parks.
+// pass hands the baton to p, or back to the run's caller when p is nil. A
+// process that has never run starts on an idle worker, or on a new
+// goroutine when the pool is empty. The sender must not touch engine
+// state afterwards: with several Ps the receiver may already be running
+// before the sender parks.
 func (e *Engine) pass(p *Proc) {
 	switch {
 	case p == nil:
 		e.turn <- struct{}{}
-	case p.fn != nil:
-		fn := p.fn
-		p.fn = nil
-		go p.main(fn)
+	case p.fn == nil:
+		p.resume <- p
+	case len(e.idle) > 0:
+		n := len(e.idle) - 1
+		p.resume = e.idle[n]
+		e.idle = e.idle[:n]
+		p.resume <- p
 	default:
-		p.resume <- struct{}{}
+		p.resume = make(chan *Proc, 1)
+		go p.main()
 	}
 }
 
@@ -445,14 +493,19 @@ func (e *Engine) Run() Time { return e.RunUntil(Time(1<<62 - 1)) }
 
 // RunUntil executes events with timestamps <= deadline and then stops,
 // leaving later events queued. It returns the virtual time when it stopped.
+// A deadline before Now() runs nothing and leaves the clock where it is:
+// the clock never moves back.
 //
 // Entering RunUntil (or Run) clears a previous Stop: Stop halts the
 // current run, and the next Run/RunUntil call resumes from the queued
 // events.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
+	if deadline < e.now {
+		return e.now
+	}
 	e.runWindow(deadline + 1)
-	if !e.stopped && len(e.pq) > 0 {
+	if _, ok := e.peek(); ok && !e.stopped {
 		e.now = deadline // the run was cut short by the deadline
 	}
 	return e.now
@@ -474,10 +527,31 @@ func (e *Engine) runWindow(horizon Time) {
 	}
 }
 
-// dispatch pops and executes the head event ev (== e.pq[0]).
-func (e *Engine) dispatch(ev *event) {
-	e.popEvent()
-	ev.inHeap = false
+// dispatch removes the head of the queue and runs it, unless nothing is
+// due before the run's limit; it reports whether it removed an entry. It
+// finds and removes the head in one step: with an empty lane that costs
+// one branch more than a heap alone.
+func (e *Engine) dispatch() bool {
+	var x entry
+	switch {
+	case e.lhead == len(e.lane):
+		if len(e.pq) == 0 || e.pq[0].at >= e.limit {
+			return false
+		}
+		x = e.pop()
+	case e.lane[e.lhead].at >= e.limit:
+		return false // a heap entry before the lane head is at the same instant
+	case len(e.pq) > 0 && e.pq[0].before(e.lane[e.lhead]):
+		x = e.pop()
+	default:
+		x = e.lane[e.lhead]
+		e.lane[e.lhead] = entry{}
+		if e.lhead++; e.lhead == len(e.lane) {
+			e.lane, e.lhead = e.lane[:0], 0
+		}
+	}
+	ev := x.ev
+	ev.queued = false
 	fn := ev.fn
 	// Recycle pooled events (and clear intrusive ones) before running
 	// fn, so the callback may immediately reschedule.
@@ -486,11 +560,12 @@ func (e *Engine) dispatch(ev *event) {
 		e.free = append(e.free, ev)
 	}
 	if fn == nil {
-		return // cancelled
+		return true // cancelled
 	}
-	e.now = ev.at
+	e.now = x.at
 	e.nevents++
 	fn()
+	return true
 }
 
 // Stop makes Run return after the current event finishes. It is safe to
@@ -526,7 +601,7 @@ func (t *Timer) ScheduleAt(at Time) { t.eng.scheduleEvent(&t.ev, at) }
 func (t *Timer) ScheduleAfter(d Duration) { t.ScheduleAt(t.eng.now.Add(d)) }
 
 // Pending reports whether the timer is armed and has not fired yet.
-func (t *Timer) Pending() bool { return t.ev.inHeap }
+func (t *Timer) Pending() bool { return t.ev.queued }
 
 // PendingProcs returns the names of processes that have been spawned but
 // have not finished, sorted. Useful in tests for deadlock diagnosis.

@@ -629,7 +629,10 @@ func sleepUntilRun(seed int64, ref bool) (string, uint64, Time) {
 			}
 		})
 	}
-	for end := Time(0); len(e.pq) > 0; {
+	for end := Time(0); ; {
+		if _, ok := e.peek(); !ok {
+			break
+		}
 		end += Time(rng.Intn(40))
 		e.RunUntil(end)
 	}
@@ -678,4 +681,161 @@ func TestSleepUntilPastDeadline(t *testing.T) {
 	if !ran {
 		t.Fatal("the callback never ran")
 	}
+}
+
+// TestRunUntilPastDeadlineKeepsClock: RunUntil with a deadline before Now()
+// runs nothing and leaves the clock alone, on both engines, so work
+// scheduled afterwards never runs before an instant the clock has already
+// reached.
+func TestRunUntilPastDeadlineKeepsClock(t *testing.T) {
+	e := NewEngine()
+	e.At(200, func() {})
+	if end := e.RunUntil(100); end != 100 {
+		t.Fatalf("RunUntil(100) = %v, want 100", end)
+	}
+	if end := e.RunUntil(50); end != 100 || e.Now() != 100 {
+		t.Fatalf("RunUntil(50) at 100 = %v with Now %v, want both 100", end, e.Now())
+	}
+	var ran Time
+	e.After(10, func() { ran = e.Now() })
+	e.Run()
+	if ran != 110 {
+		t.Fatalf("After(10) scheduled at 100 ran at %v, want 110", ran)
+	}
+
+	se := NewSharded(2)
+	se.NewExchange(0, 1, 10)
+	se.Shard(0).At(200, func() {})
+	if end := se.RunUntil(100); end != 100 {
+		t.Fatalf("sharded RunUntil(100) = %v, want 100", end)
+	}
+	if end := se.RunUntil(50); end != 100 {
+		t.Fatalf("sharded RunUntil(50) at 100 = %v, want 100", end)
+	}
+	for i := 0; i < 2; i++ {
+		if now := se.Shard(i).Now(); now != 100 {
+			t.Fatalf("shard %d clock = %v after RunUntil(50), want 100", i, now)
+		}
+	}
+	s1 := se.Shard(1)
+	s1.After(10, func() { ran = s1.Now() })
+	se.Run()
+	if ran != 110 {
+		t.Fatalf("shard 1 After(10) scheduled at 100 ran at %v, want 110", ran)
+	}
+}
+
+// goid returns the calling goroutine's ID, read from its stack trace.
+func goid() string {
+	var buf [32]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	return f[1] // "goroutine N [running]:"
+}
+
+// TestFinishedProcGoroutinesAreReused: a finished process's goroutine runs
+// later processes, so a stream of short processes needs only as many
+// goroutines as ever run at once. Here a spawner starts 1000 processes 3
+// ns apart and each sleeps 10 ns, so at most four of them overlap.
+func TestFinishedProcGoroutinesAreReused(t *testing.T) {
+	e := NewEngine()
+	before := runtime.NumGoroutine()
+	seen := map[string]bool{}
+	idle := 0
+	e.Spawn("spawner", func(p *Proc) {
+		seen[goid()] = true
+		for i := 0; i < 1000; i++ {
+			e.Spawn("short", func(p *Proc) {
+				seen[goid()] = true
+				idle = max(idle, len(e.idle))
+				p.Sleep(10)
+			})
+			p.Sleep(3)
+		}
+	})
+	e.Run()
+	idle = max(idle, len(e.idle))
+	if len(seen) > 5 || idle > 5 {
+		t.Fatalf("1001 processes ran on %d goroutines with up to %d idle, want at most 5 each", len(seen), idle)
+	}
+	if grown := runtime.NumGoroutine() - before; grown > 5 {
+		t.Fatalf("%d goroutines left after the run, want at most 5", grown)
+	}
+}
+
+// TestSpawnSteadyStateAllocs: once a finished process's goroutine is idle,
+// Spawn plus running the process to its end allocates only the Proc and
+// its wake closure.
+func TestSpawnSteadyStateAllocs(t *testing.T) {
+	e := NewEngine()
+	run := func() {
+		e.Spawn("short", func(p *Proc) {})
+		e.Run()
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs > 2 {
+		t.Fatalf("Spawn plus finish allocates %.1f times, want at most 2", allocs)
+	}
+}
+
+// TestGoexitOnReusedWorker: a goroutine that exits through Goexit after
+// running another process stops the run and never rejoins the idle pool,
+// whether the Goexit comes from a process body or from a callback run in
+// a finished process's event loop. A process spawned afterwards still runs
+// to completion.
+func TestGoexitOnReusedWorker(t *testing.T) {
+	after := func(t *testing.T, e *Engine, pending ...string) {
+		t.Helper()
+		if got := e.PendingProcs(); !slices.Equal(got, pending) {
+			t.Fatalf("PendingProcs = %v, want %v", got, pending)
+		}
+		if len(e.idle) != 0 {
+			t.Fatalf("%d idle workers after the only one exited, want 0", len(e.idle))
+		}
+		start, done := e.Now(), false
+		e.Spawn("after", func(p *Proc) {
+			p.Sleep(5)
+			done = true
+		})
+		if end := e.Run(); end != start+5 || !done {
+			t.Fatalf("Run after the Goexit = %v (process done: %v), want %v", end, done, start+5)
+		}
+	}
+	quitter := func(e *Engine, g *string) {
+		e.Spawn("quitter", func(p *Proc) {
+			*g = goid()
+			p.Sleep(10)
+			runtime.Goexit()
+		})
+	}
+	t.Run("body on an idle worker", func(t *testing.T) {
+		e := NewEngine()
+		var first, quit string
+		e.Spawn("first", func(p *Proc) { first = goid() })
+		e.Run()
+		quitter(e, &quit)
+		if end := e.Run(); end != 10 || quit != first {
+			t.Fatalf("Run = %v on goroutine %s, want 10 on the finished process's %s", end, quit, first)
+		}
+		after(t, e, "quitter")
+	})
+	t.Run("body started directly", func(t *testing.T) {
+		e := NewEngine()
+		var first, quit string
+		e.Spawn("first", func(p *Proc) { first = goid() })
+		quitter(e, &quit)
+		if end := e.Run(); end != 10 || quit != first {
+			t.Fatalf("Run = %v on goroutine %s, want 10 on the finished process's %s", end, quit, first)
+		}
+		after(t, e, "quitter")
+	})
+	t.Run("callback after a body returns", func(t *testing.T) {
+		e := NewEngine()
+		e.Spawn("short", func(p *Proc) {
+			p.Sleep(10)
+			e.At(10, func() { runtime.Goexit() }) // runs in this worker's next
+		})
+		if end := e.Run(); end != 10 {
+			t.Fatalf("Run = %v, want 10", end)
+		}
+		after(t, e)
+	})
 }

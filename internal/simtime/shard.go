@@ -170,10 +170,14 @@ func (se *ShardedEngine) Run() Time { return se.RunUntil(Time(1<<62 - 1)) }
 // RunUntil executes events with timestamps <= deadline and stops, leaving
 // later events queued and undelivered messages staged. Like
 // Engine.RunUntil it clears a previous Stop on entry and leaves every
-// shard clock at the returned time.
+// shard clock at the returned time, and a deadline before Now() runs
+// nothing and moves no clock.
 func (se *ShardedEngine) RunUntil(deadline Time) Time {
 	for _, e := range se.shards {
 		e.stopped = false
+	}
+	if now := se.Now(); deadline < now {
+		return now
 	}
 	se.startWorkers()
 	defer se.stopWorkers()
@@ -233,8 +237,8 @@ func (se *ShardedEngine) next() (Time, bool) {
 	var best Time
 	ok := false
 	for _, e := range se.shards {
-		if len(e.pq) > 0 && (!ok || e.pq[0].at < best) {
-			best = e.pq[0].at
+		if x, has := e.peek(); has && (!ok || x.at < best) {
+			best = x.at
 			ok = true
 		}
 	}
@@ -271,7 +275,7 @@ func (se *ShardedEngine) window(horizon Time) {
 	active := 0
 	for i := 1; i < len(se.shards); i++ {
 		e := se.shards[i]
-		if len(e.pq) > 0 && e.pq[0].at < horizon {
+		if x, ok := e.peek(); ok && x.at < horizon {
 			se.start[i] <- horizon
 			active++
 		}

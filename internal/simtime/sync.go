@@ -240,7 +240,7 @@ func (q *Queue[T]) Put(v T) {
 		return
 	}
 	q.pushItem(v)
-	if q.cb != nil && !q.svc.inHeap {
+	if q.cb != nil && !q.svc.queued {
 		q.eng.scheduleEvent(&q.svc, q.eng.now)
 	}
 }
@@ -305,7 +305,7 @@ func (q *Queue[T]) OnNext(fn func(T)) {
 		panic("simtime: Queue.OnNext: nil callback")
 	}
 	q.cb = fn
-	if q.Len() > 0 && !q.svc.inHeap {
+	if q.Len() > 0 && !q.svc.queued {
 		q.eng.scheduleEvent(&q.svc, q.eng.now)
 	}
 }
