@@ -257,8 +257,7 @@ func ablVirtioBatch() *Table {
 		Columns: []string{"strategy", "total (µs)", "per-command (µs)"},
 	}
 	eng := simtime.NewEngine()
-	ring := virtio.NewRing(eng, virtio.DefaultParams())
-	ring.Serve("batch-bench", func(p *simtime.Proc, cmd any) any {
+	ring := virtio.NewRing(eng, virtio.DefaultParams(), func(p *simtime.Proc, cmd any) any {
 		p.Sleep(simtime.Us(10))
 		return cmd
 	})

@@ -14,6 +14,7 @@ type chromeEv struct {
 	Ph   string  `json:"ph"`
 	Ts   float64 `json:"ts"`
 	Dur  float64 `json:"dur"`
+	Tid  int     `json:"tid"`
 	Args struct {
 		Layer string `json:"layer"`
 		Verb  string `json:"verb"`
@@ -24,7 +25,8 @@ type chromeEv struct {
 // TestChromeTraceCoversConnectionSetup is the export acceptance test: a
 // traced connection setup must produce valid Chrome trace JSON in which a
 // forwarded verb's span temporally nests the virtio transport, the MasQ
-// backend handler, and the RNIC execution underneath it.
+// backend handler, and the RNIC execution underneath it, all on the
+// guest's own thread.
 func TestChromeTraceCoversConnectionSetup(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Trace = true
@@ -68,8 +70,10 @@ func TestChromeTraceCoversConnectionSetup(t *testing.T) {
 		return nil
 	}
 	for _, cat := range []string{"virtio", "masq-frontend", "masq-backend", "rnic"} {
-		if contained(cat) == nil {
+		if e := contained(cat); e == nil {
 			t.Errorf("create_qp span nests no %s child", cat)
+		} else if e.Tid != root.Tid {
+			t.Errorf("create_qp's %s span is on thread %d, not the guest's %d", cat, e.Tid, root.Tid)
 		}
 	}
 	if root.Args.Actor == "" {

@@ -948,8 +948,7 @@ func (b *Backend) NewFrontend(vm *hyper.VM, vni uint32) (*Frontend, error) {
 		subs:   make(map[*Backend]bool),
 		events: simtime.NewQueue[rnic.AsyncEvent](b.Host.Eng)}
 	b.subscribeSession(sess)
-	ring := b.serveRing(vm.Name)
-	return &Frontend{b: b, sess: sess, ring: ring}, nil
+	return &Frontend{b: b, sess: sess, ring: b.serveRing()}, nil
 }
 
 // subscribeSession hooks a session's guest-visible async-event delivery to
@@ -973,14 +972,10 @@ func (b *Backend) subscribeSession(sess *session) {
 	})
 }
 
-// serveRing builds the frontend↔backend virtio ring and starts its service
-// loop on this backend.
-func (b *Backend) serveRing(vmName string) *virtio.Ring {
-	ring := virtio.NewRing(b.Host.Eng, b.VIO)
+// serveRing builds a frontend↔backend virtio ring served by this backend.
+func (b *Backend) serveRing() *virtio.Ring {
+	ring := virtio.NewRing(b.Host.Eng, b.VIO, b.handle)
 	ring.Rec = b.Rec
-	ring.Serve("masq-backend:"+vmName, func(p *simtime.Proc, cmd any) any {
-		return b.handle(p, cmd)
-	})
 	return ring
 }
 

@@ -445,7 +445,7 @@ func (cap *MigrCapture) Commit(p *simtime.Proc) {
 		}
 	}
 	if dst != cap.src {
-		cap.f.ring = dst.serveRing(sess.vm.Name)
+		cap.f.ring = dst.serveRing()
 		cap.f.b = dst
 	}
 	cap.resume()

@@ -320,6 +320,56 @@ func TestResourceCapacityTwo(t *testing.T) {
 	}
 }
 
+// TestResourceReleaseAfterHandsOverLater: ReleaseAfter(d) passes the unit
+// to the longest waiter, which resumes d later and learns it waited; with
+// no waiter it frees the unit at once. Release is ReleaseAfter(0).
+func TestResourceReleaseAfterHandsOverLater(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		release func(r *Resource)
+		delay   Duration
+	}{
+		{"ReleaseAfter(4µs)", func(r *Resource) { r.ReleaseAfter(4 * Microsecond) }, 4 * Microsecond},
+		{"ReleaseAfter(0)", func(r *Resource) { r.ReleaseAfter(0) }, 0},
+		{"Release", (*Resource).Release, 0},
+	} {
+		e := NewEngine()
+		r := NewResource(e, 1)
+		var resumed Time
+		var waited bool
+		e.Spawn("holder", func(p *Proc) {
+			if r.Acquire(p) {
+				t.Errorf("%s: holder's Acquire of a free unit reports a wait", tc.name)
+			}
+			p.Sleep(10 * Microsecond)
+			tc.release(r)
+		})
+		e.Spawn("waiter", func(p *Proc) {
+			p.Sleep(Microsecond)
+			waited = r.Acquire(p)
+			resumed = p.Now()
+			r.Release()
+		})
+		e.Run()
+		if want := Time(10 * Microsecond).Add(tc.delay); !waited || resumed != want {
+			t.Errorf("%s with a waiter: resumed at %v (waited %v), want %v (true)", tc.name, resumed, waited, want)
+		}
+
+		e = NewEngine()
+		r = NewResource(e, 1)
+		e.Spawn("alone", func(p *Proc) {
+			r.Acquire(p)
+			tc.release(r)
+			at, events := p.Now(), e.Events()
+			if r.Acquire(p) || p.Now() != at || e.Events() != events {
+				t.Errorf("%s without a waiter: the unit is not free at once", tc.name)
+			}
+			r.Release()
+		})
+		e.Run()
+	}
+}
+
 func TestSpawnFromProcess(t *testing.T) {
 	e := NewEngine()
 	var childAt Time

@@ -344,18 +344,26 @@ func NewResource(e *Engine, capacity int) *Resource {
 }
 
 // Acquire blocks p until a unit of capacity is available and claims it.
-func (r *Resource) Acquire(p *Proc) {
+// It reports whether p had to wait for a release.
+func (r *Resource) Acquire(p *Proc) (waited bool) {
 	if r.inUse < r.capacity {
 		r.inUse++
-		return
+		return false
 	}
 	r.waiters = append(r.waiters, p)
 	p.block()
 	// Whoever released on our behalf already counted us in.
+	return true
 }
 
 // Release returns a unit of capacity, waking the longest waiter if any.
-func (r *Resource) Release() {
+// It is ReleaseAfter(0).
+func (r *Resource) Release() { r.ReleaseAfter(0) }
+
+// ReleaseAfter returns a unit of capacity. If a process is waiting, the
+// unit passes straight to the longest waiter, which resumes d from now;
+// otherwise the unit is freed at once.
+func (r *Resource) ReleaseAfter(d Duration) {
 	if r.whead < len(r.waiters) {
 		p := r.waiters[r.whead]
 		r.waiters[r.whead] = nil
@@ -365,7 +373,7 @@ func (r *Resource) Release() {
 			r.whead = 0
 		}
 		// Capacity transfers directly to the waiter; inUse is unchanged.
-		r.eng.wake(p, r.eng.now)
+		r.eng.wake(p, r.eng.now.Add(d))
 		return
 	}
 	r.inUse--

@@ -9,12 +9,10 @@
 //
 //   - Verb invocations. The verbs-layer wrapper (verbs.Instrument) opens an
 //     invocation per control-verb call and binds it to the calling Proc;
-//     spans recorded on that Proc are tagged with it. When the control path
-//     hops Procs — the guest posts a command and the host-side virtio ring
-//     process handles it — the transport carries the invocation across
-//     (CurrentInv on the posting side, AdoptInv/ReleaseInv on the serving
-//     side), which is what lets a guest-side kick, the host-side backend
-//     handler, and the deferred IRQ all roll up under one "create_qp" even
+//     spans recorded on that Proc are tagged with it. The whole control
+//     path of a verb runs on the caller's Proc — the virtio ring runs the
+//     host-side backend handler there too — so the guest-side kick, the
+//     backend handler and the IRQ all roll up under one "create_qp" even
 //     when several connections are being set up concurrently.
 //
 //   - Layers. Every span carries a Layer from a fixed taxonomy mirroring
@@ -83,7 +81,7 @@ type Recorder struct {
 	enabled bool
 	spans   []spanRec
 	invs    []Invocation
-	cur     map[string]int // proc name -> invocation bound to it
+	cur     map[*simtime.Proc]int // invocation bound to each proc
 }
 
 // New returns an enabled Recorder.
@@ -106,17 +104,17 @@ func (r *Recorder) Events() int {
 	return len(r.spans)
 }
 
-// bind marks inv as the active invocation on the named proc.
-func (r *Recorder) bind(proc string, inv int) {
+// bind marks inv as the active invocation on p.
+func (r *Recorder) bind(p *simtime.Proc, inv int) {
 	if r.cur == nil {
-		r.cur = make(map[string]int)
+		r.cur = make(map[*simtime.Proc]int)
 	}
-	r.cur[proc] = inv
+	r.cur[p] = inv
 }
 
-// currentOf returns the invocation bound to the named proc, or -1.
-func (r *Recorder) currentOf(proc string) int {
-	if inv, ok := r.cur[proc]; ok {
+// currentOf returns the invocation bound to p, or -1.
+func (r *Recorder) currentOf(p *simtime.Proc) int {
+	if inv, ok := r.cur[p]; ok {
 		return inv
 	}
 	return -1
@@ -127,7 +125,7 @@ type VerbCall struct {
 	r    *Recorder
 	inv  int
 	prev int // invocation previously bound to proc, -1 if none
-	proc string
+	proc *simtime.Proc
 	span Span
 }
 
@@ -139,10 +137,9 @@ func (r *Recorder) BeginVerb(p *simtime.Proc, verb, actor string) VerbCall {
 	}
 	id := len(r.invs)
 	r.invs = append(r.invs, Invocation{ID: id, Verb: verb, Actor: actor, Start: p.Now(), End: -1})
-	name := p.Name()
-	prev := r.currentOf(name)
-	r.bind(name, id)
-	return VerbCall{r: r, inv: id, prev: prev, proc: name, span: r.Begin(p, LayerVerbs, verb)}
+	prev := r.currentOf(p)
+	r.bind(p, id)
+	return VerbCall{r: r, inv: id, prev: prev, proc: p, span: r.Begin(p, LayerVerbs, verb)}
 }
 
 // End closes the invocation and its root span, restoring whatever
@@ -160,37 +157,6 @@ func (vc VerbCall) End(p *simtime.Proc) {
 	}
 }
 
-// CurrentInv returns the invocation bound to p, or -1. The virtio transport
-// captures it on the guest side so the host-side ring process can adopt it.
-func (r *Recorder) CurrentInv(p *simtime.Proc) int {
-	if r == nil || !r.enabled {
-		return -1
-	}
-	return r.currentOf(p.Name())
-}
-
-// AdoptInv binds p to an invocation opened on another Proc, so host-side
-// spans roll up under the guest's verb call. Undo with ReleaseInv.
-// Adopting -1 (no active invocation) just releases.
-func (r *Recorder) AdoptInv(p *simtime.Proc, inv int) {
-	if r == nil || !r.enabled {
-		return
-	}
-	if inv < 0 {
-		r.ReleaseInv(p)
-		return
-	}
-	r.bind(p.Name(), inv)
-}
-
-// ReleaseInv removes p's invocation binding.
-func (r *Recorder) ReleaseInv(p *simtime.Proc) {
-	if r == nil {
-		return
-	}
-	delete(r.cur, p.Name())
-}
-
 // Span is an open span handle; close it with End. The zero value (from a
 // disabled recorder) is a no-op.
 type Span struct {
@@ -206,7 +172,7 @@ func (r *Recorder) Begin(p *simtime.Proc, layer Layer, name string) Span {
 	}
 	r.spans = append(r.spans, spanRec{
 		layer: layer, name: name, proc: p.Name(),
-		start: p.Now(), end: -1, inv: r.currentOf(p.Name()), open: true,
+		start: p.Now(), end: -1, inv: r.currentOf(p), open: true,
 	})
 	return Span{r: r, idx: len(r.spans)}
 }
@@ -221,17 +187,18 @@ func (s Span) End(p *simtime.Proc) {
 	rec.open = false
 }
 
-// Interval records an already-delimited span, for regions that do not run
-// inside a Proc at their own virtual time — e.g. the virtio IRQ leg, which
-// is scheduled with Engine.After. start/end must come from p.Now() plus
-// model constants, never from the wall clock.
+// Interval records an already-delimited span, for a leg that did not run
+// as one stretch on p — e.g. the virtio ring-service leg of a call that
+// waited for the backend, whose HostProc ran out while p was parked.
+// start/end must come from p.Now() plus model constants, never from the
+// wall clock.
 func (r *Recorder) Interval(p *simtime.Proc, layer Layer, name string, start, end simtime.Time) {
 	if r == nil || !r.enabled {
 		return
 	}
 	r.spans = append(r.spans, spanRec{
 		layer: layer, name: name, proc: p.Name(),
-		start: start, end: end, inv: r.currentOf(p.Name()),
+		start: start, end: end, inv: r.currentOf(p),
 	})
 }
 

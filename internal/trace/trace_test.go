@@ -58,9 +58,8 @@ func buildTrace(r *Recorder) {
 		kick := r.Begin(p, LayerVirtio, "kick")          // [0, 8] self 8
 		p.Sleep(simtime.Us(8))
 		kick.End(p)
-		ring := r.Begin(p, LayerVirtio, "ring-service") // [8, 12] self 4
-		p.Sleep(simtime.Us(4))
-		ring.End(p)
+		p.Sleep(simtime.Us(4)) // ring-service [8, 12] self 4
+		r.Interval(p, LayerVirtio, "ring-service", p.Now().Add(-simtime.Us(4)), p.Now())
 		be := r.Begin(p, LayerMasqBackend, "create_qp") // [12, 27] self 5
 		p.Sleep(simtime.Us(3))
 		hw := r.Begin(p, LayerRNIC, "create_qp") // [15, 25] self 10
@@ -68,8 +67,9 @@ func buildTrace(r *Recorder) {
 		hw.End(p)
 		p.Sleep(simtime.Us(2))
 		be.End(p)
-		r.Interval(p, LayerVirtio, "irq", p.Now(), p.Now().Add(simtime.Us(8))) // [27, 35] self 8
+		irq := r.Begin(p, LayerVirtio, "irq") // [27, 35] self 8
 		p.Sleep(simtime.Us(8))
+		irq.End(p)
 		vc.End(p)
 	})
 	eng.Run()
@@ -118,6 +118,36 @@ func TestAttributionSelfTimes(t *testing.T) {
 	for _, row := range agg {
 		if row.Actor != "vni7/client" || row.Verb != "create_qp" || row.Count != 1 {
 			t.Errorf("agg row = %+v", row)
+		}
+	}
+}
+
+// TestSameNamedProcsKeepTheirInvocations: two procs with the same name
+// open overlapping invocations, and each span is tagged with the
+// invocation of the proc that recorded it.
+func TestSameNamedProcsKeepTheirInvocations(t *testing.T) {
+	r := New()
+	eng := simtime.NewEngine()
+	for i, actor := range []string{"a", "b"} {
+		eng.Spawn("guest", func(p *simtime.Proc) {
+			p.Sleep(simtime.Duration(i) * simtime.Microsecond)
+			vc := r.BeginVerb(p, "create_qp", actor)
+			p.Sleep(simtime.Us(2))
+			sp := r.Begin(p, LayerRNIC, "create_qp")
+			p.Sleep(simtime.Us(10))
+			sp.End(p)
+			vc.End(p)
+		})
+	}
+	eng.Run()
+	atts := r.Attribute()
+	if len(atts) != 2 {
+		t.Fatalf("got %d invocations, want 2", len(atts))
+	}
+	for _, b := range atts {
+		if b.Layer[LayerRNIC] != simtime.Us(10) || b.Layer[LayerVerbs] != simtime.Us(2) {
+			t.Errorf("%s: rnic %v, verbs %v; want 10µs and 2µs",
+				b.Actor, b.Layer[LayerRNIC], b.Layer[LayerVerbs])
 		}
 	}
 }

@@ -29,16 +29,10 @@ func DefaultParams() Params {
 	}
 }
 
-// call is one in-flight batch of commands on the ring. inv carries the
-// guest's active trace invocation across the proc hop so the host-side
-// spans attribute to the right verb call under concurrent setups.
-type call struct {
-	cmds []any
-	done *simtime.Event[[]any]
-	inv  int
-}
-
-// Ring is an RPC-style virtqueue pair (request + response).
+// Ring is an RPC-style virtqueue pair (request + response) served by one
+// backend thread. The guest's proc runs the backend's part of each round
+// trip itself, holding the ring's backend unit while it does, so commands
+// from all guests of a ring are served one at a time in arrival order.
 type Ring struct {
 	P Params
 
@@ -46,54 +40,64 @@ type Ring struct {
 	// as virtio-layer spans ("kick", "ring-service", "irq"). Nil is free.
 	Rec *trace.Recorder
 
-	eng  *simtime.Engine
-	reqs *simtime.Queue[*call]
+	handler func(p *simtime.Proc, cmd any) any
+	backend *simtime.Resource
 }
 
-// NewRing creates a ring; call Serve on the host side before issuing Calls.
-func NewRing(eng *simtime.Engine, p Params) *Ring {
-	return &Ring{P: p, eng: eng, reqs: simtime.NewQueue[*call](eng)}
+// NewRing creates a ring whose backend answers each command with handler.
+// handler runs on the calling guest's proc and may block: it sleeps and
+// acquires resources as the host-side driver would.
+func NewRing(eng *simtime.Engine, p Params, handler func(p *simtime.Proc, cmd any) any) *Ring {
+	return &Ring{P: p, handler: handler, backend: simtime.NewResource(eng, 1)}
 }
 
 // Call issues one command from the guest and blocks until the backend's
 // response arrives, paying the full virtqueue round trip.
-func (r *Ring) Call(p *simtime.Proc, cmd any) any {
-	return r.CallBatch(p, []any{cmd})[0]
+func (r *Ring) Call(p *simtime.Proc, cmd any) (resp any) {
+	r.roundTrip(p, func() { resp = r.handler(p, cmd) })
+	return resp
 }
 
 // CallBatch issues several commands under a single kick and a single
 // interrupt (the virtio batching ablation). The backend handler still runs
 // once per command.
 func (r *Ring) CallBatch(p *simtime.Proc, cmds []any) []any {
+	resp := make([]any, len(cmds))
+	r.roundTrip(p, func() {
+		for i, cmd := range cmds {
+			resp[i] = r.handler(p, cmd)
+		}
+	})
+	return resp
+}
+
+// roundTrip runs one kick, the backend's service of serve, and the IRQ
+// back to the guest. It schedules the events of a ring whose backend is a
+// proc parked on a request queue, answering through an Event that an
+// After(IRQCost) callback triggers, at the same instants and at the same
+// points in the dispatch order, so Events() and the dispatch order equal
+// that ring's (DESIGN §2.1):
+//   - the idle path's Sleep(0) is the wake a queue Put gave the backend,
+//     and its Sleep(HostProc) is the backend's own;
+//   - a busy backend took its next request as soon as it had scheduled the
+//     previous IRQ, and slept HostProc: ReleaseAfter(HostProc) wakes the
+//     next waiter when that sleep would have ended;
+//   - the Sleep(0) after the IRQ is the Trigger's wake of the guest.
+func (r *Ring) roundTrip(p *simtime.Proc, serve func()) {
 	sp := r.Rec.Begin(p, trace.LayerVirtio, "kick")
 	p.Sleep(r.P.KickCost)
 	sp.End(p)
-	c := &call{cmds: cmds, done: simtime.NewEvent[[]any](r.eng), inv: r.Rec.CurrentInv(p)}
-	r.reqs.Put(c)
-	return c.done.Wait(p)
-}
-
-// Serve runs the backend loop: for each batch, handler is invoked per
-// command in order (it may sleep — it runs in the backend process), then
-// the responses are returned to the guest behind one interrupt.
-func (r *Ring) Serve(name string, handler func(p *simtime.Proc, cmd any) any) {
-	r.eng.Spawn(name, func(p *simtime.Proc) {
-		for {
-			c := r.reqs.Get(p)
-			r.Rec.AdoptInv(p, c.inv)
-			sp := r.Rec.Begin(p, trace.LayerVirtio, "ring-service")
-			p.Sleep(r.P.HostProc)
-			sp.End(p)
-			resp := make([]any, len(c.cmds))
-			for i, cmd := range c.cmds {
-				resp[i] = handler(p, cmd)
-			}
-			done := c.done
-			// The IRQ leg runs as a scheduled callback, not a Proc, so it
-			// is recorded as a pre-delimited interval.
-			r.Rec.Interval(p, trace.LayerVirtio, "irq", p.Now(), p.Now().Add(r.P.IRQCost))
-			r.Rec.ReleaseInv(p)
-			r.eng.After(r.P.IRQCost, func() { done.Trigger(resp) })
-		}
-	})
+	if !r.backend.Acquire(p) {
+		p.Sleep(0)
+		p.Sleep(r.P.HostProc)
+	}
+	// An interval, because a caller that waited spent it parked.
+	now := p.Now()
+	r.Rec.Interval(p, trace.LayerVirtio, "ring-service", now.Add(-r.P.HostProc), now)
+	serve()
+	r.backend.ReleaseAfter(r.P.HostProc)
+	sp = r.Rec.Begin(p, trace.LayerVirtio, "irq")
+	p.Sleep(r.P.IRQCost)
+	sp.End(p)
+	p.Sleep(0)
 }

@@ -1,6 +1,7 @@
 package virtio
 
 import (
+	"fmt"
 	"testing"
 
 	"masq/internal/simtime"
@@ -8,8 +9,7 @@ import (
 
 func TestCallRoundTripCost(t *testing.T) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, DefaultParams())
-	ring.Serve("backend", func(p *simtime.Proc, cmd any) any {
+	ring := NewRing(eng, DefaultParams(), func(p *simtime.Proc, cmd any) any {
 		return cmd.(int) * 2
 	})
 	var elapsed simtime.Duration
@@ -30,8 +30,7 @@ func TestCallRoundTripCost(t *testing.T) {
 
 func TestHandlerWorkAddsToRTT(t *testing.T) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, DefaultParams())
-	ring.Serve("backend", func(p *simtime.Proc, cmd any) any {
+	ring := NewRing(eng, DefaultParams(), func(p *simtime.Proc, cmd any) any {
 		p.Sleep(simtime.Us(100)) // device work
 		return nil
 	})
@@ -49,9 +48,8 @@ func TestHandlerWorkAddsToRTT(t *testing.T) {
 
 func TestCallsAreSerializedFIFO(t *testing.T) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, DefaultParams())
 	var order []int
-	ring.Serve("backend", func(p *simtime.Proc, cmd any) any {
+	ring := NewRing(eng, DefaultParams(), func(p *simtime.Proc, cmd any) any {
 		order = append(order, cmd.(int))
 		return nil
 	})
@@ -76,8 +74,7 @@ func TestCallsAreSerializedFIFO(t *testing.T) {
 func TestBatchSharesKickAndIRQ(t *testing.T) {
 	eng := simtime.NewEngine()
 	pr := DefaultParams()
-	ring := NewRing(eng, pr)
-	ring.Serve("backend", func(p *simtime.Proc, cmd any) any {
+	ring := NewRing(eng, pr, func(p *simtime.Proc, cmd any) any {
 		p.Sleep(simtime.Us(10))
 		return cmd
 	})
@@ -106,6 +103,27 @@ func TestBatchSharesKickAndIRQ(t *testing.T) {
 	}
 }
 
+// TestCallAllocatesNothing: a steady-state round trip allocates nothing.
+func TestCallAllocatesNothing(t *testing.T) {
+	eng := simtime.NewEngine()
+	ring := NewRing(eng, DefaultParams(), func(p *simtime.Proc, cmd any) any { return cmd })
+	ping := simtime.NewQueue[struct{}](eng)
+	eng.Spawn("guest", func(p *simtime.Proc) {
+		for {
+			ping.Get(p)
+			ring.Call(p, nil)
+		}
+	})
+	step := func() {
+		ping.Put(struct{}{})
+		eng.RunUntil(eng.Now().Add(simtime.Us(100)))
+	}
+	step() // warm the queue and the engine's pools
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("Call allocates %.1f per round trip, want 0", allocs)
+	}
+}
+
 // TestRTTHelper: the default ring round trip, excluding handler work, is
 // calibrated to 20 µs.
 func TestRTTHelper(t *testing.T) {
@@ -116,20 +134,39 @@ func TestRTTHelper(t *testing.T) {
 }
 
 // BenchmarkRingCall measures one guest Call to a no-op handler: the kick,
-// the ring-service leg and the IRQ, each a proc hand-off or callback. It
-// makes 8 allocs/op: the command slice, the call, its Event, the Event's
-// waiter list, the waiter, the waiter pool's slice, the response slice
-// and the IRQ closure.
+// the ring-service leg and the IRQ. The guest's proc runs every leg and
+// each wake is its own, so there is no goroutine hand-off, and a call
+// makes no allocation.
 func BenchmarkRingCall(b *testing.B) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, DefaultParams())
-	ring.Serve("backend", func(p *simtime.Proc, cmd any) any { return nil })
+	ring := NewRing(eng, DefaultParams(), func(p *simtime.Proc, cmd any) any { return nil })
 	n := b.N
 	eng.Spawn("guest", func(p *simtime.Proc) {
 		for i := 0; i < n; i++ {
 			ring.Call(p, nil)
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+}
+
+// BenchmarkRingCallContended runs two guests on one ring, with a handler
+// that sleeps 1 µs, so their round trips interleave and every call hands
+// the baton between the guests' goroutines. One op is one Call.
+func BenchmarkRingCallContended(b *testing.B) {
+	eng := simtime.NewEngine()
+	ring := NewRing(eng, DefaultParams(), func(p *simtime.Proc, cmd any) any {
+		p.Sleep(simtime.Microsecond)
+		return nil
+	})
+	for g, n := range [2]int{b.N - b.N/2, b.N / 2} {
+		eng.Spawn(fmt.Sprintf("guest%d", g), func(p *simtime.Proc) {
+			for i := 0; i < n; i++ {
+				ring.Call(p, nil)
+			}
+		})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	eng.Run()
