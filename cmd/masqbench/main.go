@@ -7,7 +7,6 @@
 //	masqbench -run fig8a       # run one experiment
 //	masqbench -run fig8a,fig10 # run several
 //	masqbench -all             # run everything (slow)
-//	masqbench -shards 4        # sharded-engine determinism fingerprint
 package main
 
 import (
@@ -28,7 +27,6 @@ func main() {
 	all := flag.Bool("all", false, "run every experiment")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to `file` at exit")
-	shards := flag.Int("shards", 0, "run the sharded-engine determinism workload on `N` shards and print its fingerprint (byte-identical for every N)")
 	flag.Parse()
 
 	if *cpuprofile != "" {
@@ -62,12 +60,6 @@ func main() {
 	}
 
 	switch {
-	case *shards > 0:
-		// The fingerprint intentionally excludes the shard count and wall
-		// time, so `masqbench -shards 1` and `masqbench -shards 4` emit
-		// byte-identical output iff the parallel engine replays the
-		// single-shard oracle exactly. CI diffs the two.
-		fmt.Println(bench.ShardDeterminismRun(*shards))
 	case *list:
 		for _, e := range bench.All() {
 			fmt.Printf("  %-16s %s\n", e.ID, e.Paper)

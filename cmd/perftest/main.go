@@ -34,26 +34,34 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the control path to this file")
 	flag.Parse()
 
+	minSize := 0
+	if *op == "write_lat" {
+		minSize = 1 // the peer polls the last byte of each WRITE
+	}
+	switch {
+	case *iters < 1:
+		fail(2, "-iters must be at least 1, got %d", *iters)
+	case *size < minSize:
+		fail(2, "-size must be at least %d for %s, got %d", minSize, *op, *size)
+	case *window < 1:
+		fail(2, "-window must be at least 1, got %d", *window)
+	}
 	mode, ok := modes[*modeName]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "perftest: unknown mode %q\n", *modeName)
-		os.Exit(1)
+		fail(1, "unknown mode %q", *modeName)
 	}
 	cfg := masq.DefaultConfig()
 	cfg.Trace = *traceOut != ""
 	pair, err := masq.NewConnectedPair(cfg, mode)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "perftest: %v\n", err)
-		os.Exit(1)
+		fail(1, "%v", err)
 	}
 	if *rate > 0 {
 		if mode != masq.ModeMasQ {
-			fmt.Fprintln(os.Stderr, "perftest: -rate applies to masq mode only")
-			os.Exit(1)
+			fail(1, "-rate applies to masq mode only")
 		}
 		if err := pair.TB.Backend(0).SetTenantRateLimit(100, *rate*1e9); err != nil {
-			fmt.Fprintf(os.Stderr, "perftest: %v\n", err)
-			os.Exit(1)
+			fail(1, "%v", err)
 		}
 	}
 	eng := pair.TB.Eng
@@ -68,53 +76,63 @@ func main() {
 
 	switch *op {
 	case "send_lat", "write_lat":
-		var ev = masq.StartSendLat(eng, pair.Client, pair.Server, *size, *iters)
+		start := masq.StartSendLat
 		if *op == "write_lat" {
-			ev = masq.StartWriteLat(eng, pair.Client, pair.Server, *size, *iters)
+			start = masq.StartWriteLat
 		}
+		ev := start(eng, pair.Client, pair.Server, *size, *iters)
 		eng.Run()
+		if !ev.Triggered() {
+			fail(1, "run did not complete")
+		}
 		r := ev.Value()
 		fmt.Printf("%-10s %-8s %-8s %-8s %-8s\n", "iters", "min", "avg", "p99", "max")
 		fmt.Printf("%-10d %-8v %-8v %-8v %-8v\n", r.Iters, r.Min, r.Avg, r.P99, r.Max)
 	case "send_bw", "write_bw":
-		var ev = masq.StartSendBW(eng, pair.Client, pair.Server, *size, *iters, *window)
+		start := masq.StartSendBW
 		if *op == "write_bw" {
-			ev = masq.StartWriteBW(eng, pair.Client, pair.Server, *size, *iters, *window)
+			start = masq.StartWriteBW
 		}
+		ev := start(eng, pair.Client, pair.Server, *size, *iters, *window)
 		eng.Run()
+		if !ev.Triggered() {
+			fail(1, "run did not complete")
+		}
 		r := ev.Value()
 		fmt.Printf("%-10s %-12s %-12s %-10s\n", "msgs", "bytes", "Gbps", "Mops")
 		fmt.Printf("%-10d %-12d %-12.2f %-10.3f\n", r.Msgs, r.Bytes, r.Gbps(), r.Mops())
 	default:
-		fmt.Fprintf(os.Stderr, "perftest: unknown op %q\n", *op)
-		os.Exit(1)
+		fail(1, "unknown op %q", *op)
 	}
 
 	if tap != nil {
 		f, err := os.Create(*pcap)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "perftest: %v\n", err)
-			os.Exit(1)
+			fail(1, "%v", err)
 		}
 		defer f.Close()
 		if err := masq.WriteTapPcap(f, tap); err != nil {
-			fmt.Fprintf(os.Stderr, "perftest: %v\n", err)
-			os.Exit(1)
+			fail(1, "%v", err)
 		}
 		fmt.Printf("# captured %d frames to %s (wireshark-readable)\n", len(tap.Frames()), *pcap)
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "perftest: %v\n", err)
-			os.Exit(1)
+			fail(1, "%v", err)
 		}
 		defer f.Close()
 		if err := pair.TB.Trace.WriteChromeTrace(f); err != nil {
-			fmt.Fprintf(os.Stderr, "perftest: %v\n", err)
-			os.Exit(1)
+			fail(1, "%v", err)
 		}
 		fmt.Printf("# wrote %d trace events to %s (load in chrome://tracing or ui.perfetto.dev)\n",
 			pair.TB.Trace.Events(), *traceOut)
 	}
+}
+
+// fail prints a perftest error and exits with status: 2 for a bad flag
+// value, as the flag package does, and 1 for anything else.
+func fail(status int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "perftest: "+format+"\n", args...)
+	os.Exit(status)
 }

@@ -6,6 +6,7 @@
 package perftest
 
 import (
+	"fmt"
 	"sort"
 
 	"masq/internal/cluster"
@@ -100,29 +101,32 @@ func StartSendLat(eng *simtime.Engine, client, server *cluster.Endpoint, size, i
 
 // StartWriteLat runs ib_write_lat: an RDMA WRITE ping-pong where each side
 // detects the other's write by polling the last byte of the target buffer,
-// as the real tool does.
+// as the real tool does. A WRITE that completes in error ends both sides,
+// and the returned event never triggers. size must be at least 1.
 func StartWriteLat(eng *simtime.Engine, client, server *cluster.Endpoint, size, iters int) *simtime.Event[LatencyResult] {
+	if size < 1 {
+		panic(fmt.Sprintf("perftest: write_lat needs a size of at least 1 byte, got %d", size))
+	}
 	done := simtime.NewEvent[LatencyResult](eng)
 	const pollInterval = 25 * simtime.Nanosecond
 
 	// Each iteration writes a distinct flag value so duplicates are
-	// harmless. The flag lives at offset size-1 (or 0 for size 1).
+	// harmless. The flag lives at offset size-1.
 	flagOff := uint64(size - 1)
-	if size < 1 {
-		flagOff = 0
-	}
+	failed := false // a WRITE completed in error: both sides stop
 
-	waitFlag := func(p *simtime.Proc, ep *cluster.Endpoint, want byte) {
+	waitFlag := func(p *simtime.Proc, ep *cluster.Endpoint, want byte) bool {
 		b := make([]byte, 1)
-		for {
+		for !failed {
 			ep.Node.Read(ep.Buf+flagOff, b)
 			if b[0] == want {
-				return
+				return true
 			}
 			p.Sleep(pollInterval)
 		}
+		return false
 	}
-	writePeer := func(p *simtime.Proc, ep *cluster.Endpoint, peer verbs.ConnInfo, val byte) {
+	writePeer := func(p *simtime.Proc, ep *cluster.Endpoint, peer verbs.ConnInfo, val byte) bool {
 		buf := make([]byte, size)
 		buf[flagOff] = val
 		ep.Node.Write(ep.Buf+uint64(size), buf) // staging area
@@ -131,15 +135,19 @@ func StartWriteLat(eng *simtime.Engine, client, server *cluster.Endpoint, size, 
 			LocalAddr: ep.Buf + uint64(size), LKey: ep.MR.LKey(), Len: size,
 			RemoteAddr: peer.Addr, RKey: peer.RKey,
 		})
-		ep.SCQ.Wait(p)
+		if wc := ep.SCQ.Wait(p); wc.Status != verbs.WCSuccess {
+			failed = true
+		}
+		return !failed
 	}
 
 	eng.Spawn("write_lat.server", func(p *simtime.Proc) {
 		cpeer := client.Info()
 		for i := 0; i < iters; i++ {
 			val := byte(i%200 + 1)
-			waitFlag(p, server, val)
-			writePeer(p, server, cpeer, val)
+			if !waitFlag(p, server, val) || !writePeer(p, server, cpeer, val) {
+				return
+			}
 		}
 	})
 	eng.Spawn("write_lat.client", func(p *simtime.Proc) {
@@ -148,8 +156,9 @@ func StartWriteLat(eng *simtime.Engine, client, server *cluster.Endpoint, size, 
 		for i := 0; i < iters; i++ {
 			val := byte(i%200 + 1)
 			start := p.Now()
-			writePeer(p, client, speer, val)
-			waitFlag(p, client, val)
+			if !writePeer(p, client, speer, val) || !waitFlag(p, client, val) {
+				return
+			}
 			samples = append(samples, p.Now().Sub(start)/2)
 		}
 		done.Trigger(summarize(samples))

@@ -1,6 +1,7 @@
 package perftest
 
 import (
+	"strings"
 	"testing"
 
 	"masq/internal/cluster"
@@ -66,6 +67,25 @@ func TestWriteLatBelowSendLat(t *testing.T) {
 	}
 	if write < simtime.Us(0.5) || write > simtime.Us(0.9) {
 		t.Fatalf("write latency = %v, want ≈0.7µs", write)
+	}
+}
+
+// TestWriteLatFailedWriteEndsRun: at 40000 bytes the WRITE's staging area
+// at Buf+size runs past the 64 KiB registered region, so the client's first
+// WRITE completes in error. Both sides stop polling, and the result never
+// triggers.
+func TestWriteLatFailedWriteEndsRun(t *testing.T) {
+	cp := pair(t, cluster.ModeMasQ)
+	eng := cp.TB.Eng
+	ev := StartWriteLat(eng, cp.Client, cp.Server, 40000, 10)
+	eng.RunUntil(eng.Now().Add(simtime.Ms(1)))
+	if ev.Triggered() {
+		t.Fatalf("a run whose WRITE failed reported %+v", ev.Value())
+	}
+	for _, name := range eng.PendingProcs() {
+		if strings.HasPrefix(name, "write_lat.") {
+			t.Fatalf("%s still pending after the failed WRITE; pending: %v", name, eng.PendingProcs())
+		}
 	}
 }
 

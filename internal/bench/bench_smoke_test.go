@@ -14,7 +14,7 @@ func TestRegistryComplete(t *testing.T) {
 		"abl-rename", "abl-cache", "abl-conntrack", "abl-qos",
 		"abl-virtio-batch", "abl-nic-cache", "abl-mtu", "abl-transport",
 		"abl-ctrl-faults", "abl-trace-overhead", "abl-chaos",
-		"abl-ctrl-crash", "abl-rule-scale", "abl-setup-rate", "abl-shard-scale",
+		"abl-ctrl-crash", "abl-rule-scale", "abl-setup-rate",
 		"abl-migrate", "abl-ctrl-scale",
 	}
 	for _, id := range want {

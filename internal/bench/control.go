@@ -253,7 +253,7 @@ func fig15With(traceOn bool) *Table {
 			})
 			meas(3, func() error { _, e := dev.QueryGID(p); return e })
 			_ = mr
-			// Exchange out of band (not a verb; excluded from breakdown).
+			// Swap ConnInfo out of band (not a verb; excluded from breakdown).
 			ep := &cluster.Endpoint{Node: cNode, Dev: dev, PD: pd, SCQ: cq, RCQ: cq, QP: qp, MR: mr, Buf: va, Len: 1024}
 			gid, _ := dev.QueryGID(p)
 			ep.GID = gid

@@ -6,15 +6,14 @@
 // short processes needs only as many goroutines as ever run at once.
 //
 // Control moves as a baton, and whichever goroutine holds it runs the
-// event loop: the caller of Run or RunUntil (in a ShardedEngine, the
-// goroutine running the shard's window), or a process that has just
+// event loop: the caller of Run or RunUntil, or a process that has just
 // blocked in Sleep, SleepUntil, Wait, Queue.Get or Resource.Acquire. The
 // holder dispatches events in time order, running callbacks inline on its
 // own goroutine, until one wakes a process. If that is the holder itself,
 // its blocking call returns with no goroutine switch; otherwise one
 // channel send hands the baton straight to the woken process. The baton
-// returns to the run's caller only when the run ends: at its deadline or
-// window horizon, on Stop, or when the queue drains.
+// returns to the run's caller only when the run ends: at its deadline, on
+// Stop, or when the queue drains.
 //
 // So a callback may run on any process's goroutine and must not depend on
 // which one. A process goroutine that exits without returning — through
@@ -104,43 +103,32 @@ type event struct {
 }
 
 // entry is one pending event with its ordering key inline, so ordering
-// entries never dereferences an event. Entries run in (at, key) order. key
-// is the schedule seq for a local event, and 1<<63 | the exchange key for
-// a cross-shard delivery (scheduleEx). Because every key is unique, the
+// entries never dereferences an event. Entries run in (at, seq) order,
+// where seq numbers schedule calls. Because every seq is unique, the
 // ordering is a strict total order, so the dispatch sequence — and
 // therefore the simulation — does not depend on how the queue stores its
 // entries.
-//
-// The exchange key packs (exchange ID, per-exchange send sequence). Its
-// high bit runs every cross-shard delivery at an instant after the
-// instant's local events, and the rest of the key orders simultaneous
-// deliveries by wiring order rather than by the window that happened to
-// carry them. Both rules depend only on values that are invariant across
-// shard counts, which is what lets an N-shard run replay the 1-shard
-// oracle byte for byte.
 type entry struct {
 	at  Time
-	key uint64
+	seq uint64
 	ev  *event
 }
 
 // before reports whether a orders strictly before b.
 func (a entry) before(b entry) bool {
-	return a.at < b.at || a.at == b.at && a.key < b.key
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// The event queue has two parts. Local events scheduled for the current
-// instant go to the lane, a FIFO (Engine.lane from lhead on); all others go
-// to the heap (Engine.pq), a 4-ary min-heap whose hand-rolled sift loops
+// The event queue has two parts. Events scheduled for the current instant
+// go to the lane, a FIFO (Engine.lane from lhead on); all others go to the
+// heap (Engine.pq), a 4-ary min-heap whose hand-rolled sift loops
 // (hole-based, no interface dispatch, no swaps) halve the depth of a
 // binary heap. The head of the queue is the earlier of the two heads under
 // before, and that merge gives exactly the order of a heap-only queue:
 //   - every lane entry is at Now(), in seq order, so the lane head is the
 //     lane's minimum;
 //   - a heap entry at Now() was scheduled before the clock reached it, so
-//     its seq is smaller than any lane entry's;
-//   - exchange deliveries always go to the heap and order after local
-//     events.
+//     its seq is smaller than any lane entry's.
 //
 // The lane relies on the clock never moving while it holds entries: they
 // all order before any later heap entry, so they run before the clock
@@ -217,8 +205,8 @@ func (e *Engine) peek() (entry, bool) {
 type Engine struct {
 	now     Time
 	seq     uint64
-	pq      []entry  // heap: later events and exchange deliveries
-	lane    []entry  // local events scheduled at Now(), from lhead on
+	pq      []entry  // heap: events scheduled for a later instant
+	lane    []entry  // events scheduled at Now(), from lhead on
 	lhead   int      // index of the lane's head
 	free    []*event // recycled pooled events
 	nevents uint64   // events dispatched (perf accounting)
@@ -282,21 +270,6 @@ func (e *Engine) scheduleEvent(ev *event, at Time) {
 		return
 	}
 	e.push(entry{at, e.seq, ev})
-}
-
-// scheduleEx enqueues an exchange delivery with its shard-count-invariant
-// ordering key: exchange exID's send number exSeq, firing at time at. The
-// key is 1<<63 | exID<<40 | exSeq, so every delivery sorts after the
-// instant's local events, with 40 bits of sequence per exchange (≈10^12
-// sends, far beyond any simulated run). Deliveries always go to the heap.
-func (e *Engine) scheduleEx(at Time, exID int, exSeq uint64, fn func()) {
-	ev := e.pooledEvent(fn)
-	ev.queued = true
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	e.push(entry{at, 1<<63 | uint64(exID)<<40 | exSeq, ev})
 }
 
 // At schedules fn to run inline at virtual time at. fn must not block; to
@@ -499,32 +472,24 @@ func (e *Engine) Run() Time { return e.RunUntil(Time(1<<62 - 1)) }
 // Entering RunUntil (or Run) clears a previous Stop: Stop halts the
 // current run, and the next Run/RunUntil call resumes from the queued
 // events.
+//
+// The calling goroutine holds the baton until an event wakes a process; it
+// then passes the baton on and waits for it to come back when the run
+// ends.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
 	if deadline < e.now {
 		return e.now
 	}
-	e.runWindow(deadline + 1)
-	if _, ok := e.peek(); ok && !e.stopped {
-		e.now = deadline // the run was cut short by the deadline
-	}
-	return e.now
-}
-
-// runWindow executes events with timestamps strictly below horizon,
-// leaving the clock at the last executed event. It is RunUntil's loop and
-// the per-shard inner loop of ShardedEngine: unlike RunUntil it neither
-// clears a pending Stop nor advances the clock to the horizon, so a
-// shard's Now never outruns its own event stream between barriers. The
-// calling goroutine holds the baton until an event wakes a process; it
-// then passes the baton on and waits for it to come back when the run
-// ends.
-func (e *Engine) runWindow(horizon Time) {
-	e.limit = horizon
+	e.limit = deadline + 1
 	if p := e.next(); p != nil {
 		e.pass(p)
 		<-e.turn
 	}
+	if _, ok := e.peek(); ok && !e.stopped {
+		e.now = deadline // the run was cut short by the deadline
+	}
+	return e.now
 }
 
 // dispatch removes the head of the queue and runs it, unless nothing is

@@ -139,6 +139,67 @@ func TestStopHaltsRun(t *testing.T) {
 	}
 }
 
+// TestRunAfterStopResumes is the regression test for the Run-after-Stop
+// bug: RunUntil never cleared `stopped`, so a stopped engine could never
+// run again. The contract is now: Stop halts the current run; the next
+// Run/RunUntil clears the flag and resumes from the still-queued events.
+func TestRunAfterStopResumes(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	e.At(10, func() { fired = append(fired, 10); e.Stop() })
+	e.At(20, func() { fired = append(fired, 20) })
+	if end := e.RunUntil(100); end != 10 {
+		t.Fatalf("first run ended at %v, want 10 (Stop)", end)
+	}
+	if !e.stopped {
+		t.Fatal("engine not stopped after Stop")
+	}
+	if end := e.RunUntil(100); end != 20 {
+		t.Fatalf("resumed run ended at %v, want 20 (queue drained)", end)
+	}
+	if e.stopped {
+		t.Fatal("resumed run left the engine stopped")
+	}
+	if len(fired) != 2 || fired[1] != 20 {
+		t.Fatalf("events fired = %v, want [10 20]", fired)
+	}
+}
+
+// TestTimerRearmWhilePendingPanics pins the double-schedule contract:
+// arming a Timer that is already Pending panics (the intrusive event is
+// single-slot; silent re-arm would drop one of the two deadlines).
+func TestTimerRearmWhilePendingPanics(t *testing.T) {
+	e := NewEngine()
+	tm := e.NewTimer(func() {})
+	tm.ScheduleAt(100)
+	if !tm.Pending() {
+		t.Fatal("timer not pending after ScheduleAt")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("re-arming a pending timer did not panic")
+		}
+	}()
+	tm.ScheduleAt(200)
+}
+
+// TestTimerScheduleAtPastClampsToNow: arming a timer in the virtual past
+// fires it at the current instant rather than rewinding the clock.
+func TestTimerScheduleAtPastClampsToNow(t *testing.T) {
+	e := NewEngine()
+	var firedAt Time
+	var tm *Timer
+	tm = e.NewTimer(func() { firedAt = e.Now() })
+	e.At(500, func() { tm.ScheduleAt(100) })
+	e.Run()
+	if firedAt != 500 {
+		t.Fatalf("past-scheduled timer fired at %v, want clamp to 500", firedAt)
+	}
+	if e.Now() != 500 {
+		t.Fatalf("clock at %v after run, want 500", e.Now())
+	}
+}
+
 func TestEventTriggerWakesAllWaiters(t *testing.T) {
 	e := NewEngine()
 	ev := NewEvent[int](e)
@@ -537,22 +598,33 @@ func sleepLoop(e *Engine, d Duration, wakes *[]Time) {
 
 // TestRunUntilResumesSleepingProc: a process whose next wake lies past the
 // deadline hands the baton back at the deadline, and the next RunUntil
-// resumes it where it left off.
+// resumes it where it left off. In the second case the process's own wake
+// lands exactly on the run's exclusive limit, deadline+1.
 func TestRunUntilResumesSleepingProc(t *testing.T) {
-	e := NewEngine()
-	var wakes []Time
-	sleepLoop(e, 10, &wakes)
-	if end := e.RunUntil(25); end != 25 {
-		t.Fatalf("RunUntil(25) = %v, want 25", end)
+	type step struct {
+		deadline Time
+		wakes    []Time
 	}
-	if want := []Time{10, 20}; !slices.Equal(wakes, want) {
-		t.Fatalf("wakes after RunUntil(25) = %v, want %v", wakes, want)
-	}
-	if end := e.RunUntil(40); end != 40 {
-		t.Fatalf("RunUntil(40) = %v, want 40", end)
-	}
-	if want := []Time{10, 20, 30, 40}; !slices.Equal(wakes, want) {
-		t.Fatalf("wakes after RunUntil(40) = %v, want %v", wakes, want)
+	for _, tc := range []struct {
+		name  string
+		steps []step
+	}{
+		{"wake_past_deadline", []step{{25, []Time{10, 20}}, {40, []Time{10, 20, 30, 40}}}},
+		{"wake_on_exclusive_limit", []step{{19, []Time{10}}, {20, []Time{10, 20}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			var wakes []Time
+			sleepLoop(e, 10, &wakes)
+			for _, s := range tc.steps {
+				if end := e.RunUntil(s.deadline); end != s.deadline {
+					t.Fatalf("RunUntil(%v) = %v, want %v", s.deadline, end, s.deadline)
+				}
+				if !slices.Equal(wakes, s.wakes) {
+					t.Fatalf("wakes after RunUntil(%v) = %v, want %v", s.deadline, wakes, s.wakes)
+				}
+			}
+		})
 	}
 }
 
@@ -734,9 +806,8 @@ func TestSleepUntilPastDeadline(t *testing.T) {
 }
 
 // TestRunUntilPastDeadlineKeepsClock: RunUntil with a deadline before Now()
-// runs nothing and leaves the clock alone, on both engines, so work
-// scheduled afterwards never runs before an instant the clock has already
-// reached.
+// runs nothing and leaves the clock alone, so work scheduled afterwards
+// never runs before an instant the clock has already reached.
 func TestRunUntilPastDeadlineKeepsClock(t *testing.T) {
 	e := NewEngine()
 	e.At(200, func() {})
@@ -751,27 +822,6 @@ func TestRunUntilPastDeadlineKeepsClock(t *testing.T) {
 	e.Run()
 	if ran != 110 {
 		t.Fatalf("After(10) scheduled at 100 ran at %v, want 110", ran)
-	}
-
-	se := NewSharded(2)
-	se.NewExchange(0, 1, 10)
-	se.Shard(0).At(200, func() {})
-	if end := se.RunUntil(100); end != 100 {
-		t.Fatalf("sharded RunUntil(100) = %v, want 100", end)
-	}
-	if end := se.RunUntil(50); end != 100 {
-		t.Fatalf("sharded RunUntil(50) at 100 = %v, want 100", end)
-	}
-	for i := 0; i < 2; i++ {
-		if now := se.Shard(i).Now(); now != 100 {
-			t.Fatalf("shard %d clock = %v after RunUntil(50), want 100", i, now)
-		}
-	}
-	s1 := se.Shard(1)
-	s1.After(10, func() { ran = s1.Now() })
-	se.Run()
-	if ran != 110 {
-		t.Fatalf("shard 1 After(10) scheduled at 100 ran at %v, want 110", ran)
 	}
 }
 

@@ -7,91 +7,65 @@ import (
 	"testing"
 )
 
-// orderLookahead is the latency of both exchanges in the order workload.
-const orderLookahead = Duration(5)
-
-// orderRig runs a seeded random workload on a 2-shard ShardedEngine, one
-// event at a time from the test goroutine, and logs every entry it
-// dispatches.
+// orderRig runs a seeded random workload on an Engine, one event at a time
+// from the test goroutine, and logs every entry it dispatches.
 type orderRig struct {
 	t      *testing.T
 	rng    *rand.Rand
-	se     *ShardedEngine
-	sh     [2]orderShard
-	budget int // actions left; the workload winds down at zero
+	e      *Engine
+	q      *Queue[int] // Get/Put
+	cq     *Queue[int] // OnNext/Put
+	ev     *Event[int]
+	res    *Resource
+	busy   Time // SleepUntil deadline
+	budget int  // actions left; the workload winds down at zero
 	log    strings.Builder
-	last   [2]entry // last entry dispatched on each shard
-	ran    [2]bool
+	last   entry // last entry dispatched
+	ran    bool
 
-	// What the run exercised: entries taken from the lane, heap entries
-	// taken while the lane waited, and exchange deliveries.
-	lane, heapFirst, exch int
+	// What the run exercised: entries taken from the lane, and heap
+	// entries taken while the lane waited.
+	lane, heapFirst int
 }
 
-type orderShard struct {
-	e    *Engine
-	x    *Exchange   // to the other shard
-	q    *Queue[int] // Get/Put
-	cq   *Queue[int] // OnNext/Put
-	ev   *Event[int]
-	res  *Resource
-	busy Time // SleepUntil deadline
-}
-
-// act does one random non-blocking thing on shard i.
-func (r *orderRig) act(i int) {
+// act does one random non-blocking thing.
+func (r *orderRig) act() {
 	if r.budget <= 0 {
 		return
 	}
 	r.budget--
-	s := &r.sh[i]
-	e := s.e
-	switch r.rng.Intn(10) {
+	e := r.e
+	switch r.rng.Intn(9) {
 	case 0:
-		e.At(e.Now(), func() { r.act(i) })
+		e.At(e.Now(), r.act)
 	case 1:
-		e.After(Duration(1+r.rng.Intn(20)), func() { r.act(i) })
+		e.After(Duration(1+r.rng.Intn(20)), r.act)
 	case 2:
-		s.q.Put(r.rng.Intn(100))
+		r.q.Put(r.rng.Intn(100))
 	case 3:
-		s.cq.Put(r.rng.Intn(100))
+		r.cq.Put(r.rng.Intn(100))
 	case 4:
-		s.ev.Trigger(1)
-		s.ev = NewEvent[int](e)
+		r.ev.Trigger(1)
+		r.ev = NewEvent[int](e)
 	case 5:
-		r.spawn(i)
+		r.spawn()
 	case 6:
-		s.busy = e.Now().Add(Duration(r.rng.Intn(30)))
+		r.busy = e.Now().Add(Duration(r.rng.Intn(30)))
 	case 7:
-		r.send(i)
-	case 8:
 		if r.rng.Intn(3) == 0 {
 			e.Stop()
 		}
 	default:
-		r.act(i)
-		r.act(i)
+		r.act()
+		r.act()
 	}
 }
 
-// send stages a delivery from shard i to the other shard. The delivery
-// schedules only later work: an event it scheduled at its own instant
-// would order before it, since local keys sort first, and run after it.
-// That is so in a heap-only queue too, and it would break the strict
-// increase this workload checks.
-func (r *orderRig) send(i int) {
-	j := 1 - i
-	r.sh[i].x.Send(r.sh[i].e.Now().Add(orderLookahead+Duration(r.rng.Intn(20))), func() {
-		r.sh[j].e.After(Duration(1+r.rng.Intn(10)), func() { r.act(j) })
-	})
-}
-
-// spawn starts a process on shard i that takes a few random steps, most
-// of which block.
-func (r *orderRig) spawn(i int) {
-	s := &r.sh[i]
+// spawn starts a process that takes a few random steps, most of which
+// block.
+func (r *orderRig) spawn() {
 	steps := 1 + r.rng.Intn(6)
-	s.e.Spawn("w", func(p *Proc) {
+	r.e.Spawn("w", func(p *Proc) {
 		for k := 0; k < steps; k++ {
 			switch r.rng.Intn(8) {
 			case 0:
@@ -99,53 +73,54 @@ func (r *orderRig) spawn(i int) {
 			case 1:
 				p.Sleep(Duration(1 + r.rng.Intn(15)))
 			case 2:
-				p.SleepUntil(&s.busy)
+				p.SleepUntil(&r.busy)
 			case 3:
-				s.q.GetTimeout(p, Duration(1+r.rng.Intn(30)))
+				r.q.GetTimeout(p, Duration(1+r.rng.Intn(30)))
 			case 4:
-				s.ev.WaitTimeout(p, Duration(1+r.rng.Intn(30)))
+				r.ev.WaitTimeout(p, Duration(1+r.rng.Intn(30)))
 			case 5:
-				s.res.Acquire(p)
+				r.res.Acquire(p)
 				p.Sleep(Duration(r.rng.Intn(5)))
-				s.res.Release()
+				r.res.Release()
 			case 6:
-				s.q.Get(p)
+				r.q.Get(p)
 			default:
-				r.act(i)
+				r.act()
 			}
 		}
 	})
 }
 
-// window runs shard i's events below horizon as runWindow does, but one
+// runUntil runs the events up to deadline as RunUntil does, but one
 // dispatch at a time, and checks that each entry peek reports follows the
-// last one dispatched on the shard. A dispatch that removed any other
-// entry would leave the reported one queued to be reported again. A woken
-// process gets the baton with the limit at Now(), so it runs until it
-// blocks or ends and hands the baton straight back.
-func (r *orderRig) window(i int, horizon Time) {
-	e := r.sh[i].e
+// last one dispatched. A dispatch that removed any other entry would leave
+// the reported one queued to be reported again. A woken process gets the
+// baton with the limit at Now(), so it runs until it blocks or ends and
+// hands the baton straight back. A run that no Stop ended finishes with
+// the real RunUntil, which has nothing left to run and settles the clock
+// on the deadline.
+func (r *orderRig) runUntil(deadline Time) {
+	e := r.e
+	e.stopped = false
 	for !e.stopped {
 		x, ok := e.peek()
-		if !ok || x.at >= horizon {
-			return
+		if !ok || x.at > deadline {
+			break
 		}
-		if r.ran[i] && !r.last[i].before(x) {
-			r.t.Fatalf("shard %d dispatches (%d, %#x) after (%d, %#x)", i, x.at, x.key, r.last[i].at, r.last[i].key)
+		if r.ran && !r.last.before(x) {
+			r.t.Fatalf("dispatches (%d, %d) after (%d, %d)", x.at, x.seq, r.last.at, r.last.seq)
 		}
-		r.last[i], r.ran[i] = x, true
+		r.last, r.ran = x, true
 		switch {
-		case x.key>>63 == 1:
-			r.exch++
 		case e.lhead < len(e.lane) && e.lane[e.lhead] == x:
 			r.lane++
 		case e.lhead < len(e.lane):
 			r.heapFirst++
 		}
-		fmt.Fprintf(&r.log, "%d %d %#x\n", i, x.at, x.key)
-		e.limit = horizon
+		fmt.Fprintf(&r.log, "%d %d\n", x.at, x.seq)
+		e.limit = deadline + 1
 		if !e.dispatch() {
-			r.t.Fatalf("shard %d: peek reports (%d, %#x) below the horizon, dispatch runs nothing", i, x.at, x.key)
+			r.t.Fatalf("peek reports (%d, %d) by the deadline, dispatch runs nothing", x.at, x.seq)
 		}
 		if p := e.ready; p != nil {
 			e.ready = nil
@@ -154,77 +129,48 @@ func (r *orderRig) window(i int, horizon Time) {
 			<-e.turn
 		}
 	}
-}
-
-// runUntil is ShardedEngine.RunUntil with each shard's windows run by
-// window. A run that no Stop ended finishes with the real RunUntil, which
-// has nothing left to run and settles the clocks on the deadline.
-func (r *orderRig) runUntil(deadline Time) {
-	se := r.se
-	for _, e := range se.shards {
-		e.stopped = false
-	}
-	se.collect()
-	for !se.anyStopped() {
-		next, ok := se.next()
-		if !ok || next > deadline {
-			break
-		}
-		horizon := min(next.Add(se.lookahead), deadline+1)
-		se.deliver(horizon)
-		for i := range se.shards {
-			r.window(i, horizon)
-		}
-		se.collect()
-	}
-	if !se.anyStopped() {
-		se.RunUntil(deadline)
+	if !e.stopped {
+		e.RunUntil(deadline)
 	}
 }
 
 // orderRun runs the workload for seed in random RunUntil slices until
 // nothing is left, and returns the rig.
 func orderRun(t *testing.T, seed int64) *orderRig {
-	r := &orderRig{t: t, rng: rand.New(rand.NewSource(seed)), se: NewSharded(2), budget: 2000}
-	for i := range r.sh {
-		r.sh[i].x = r.se.NewExchange(i, 1-i, orderLookahead)
+	e := NewEngine()
+	r := &orderRig{
+		t: t, rng: rand.New(rand.NewSource(seed)), e: e, budget: 2000,
+		q: NewQueue[int](e), cq: NewQueue[int](e), ev: NewEvent[int](e), res: NewResource(e, 1),
 	}
-	for i := range r.sh {
-		s := &r.sh[i]
-		e := r.se.Shard(i)
-		s.e, s.q, s.cq, s.ev, s.res = e, NewQueue[int](e), NewQueue[int](e), NewEvent[int](e), NewResource(e, 1)
-		var consume func(int)
-		consume = func(int) {
-			r.act(i)
-			s.cq.OnNext(consume)
-		}
-		s.cq.OnNext(consume)
-		for k := 0; k < 30; k++ {
-			e.At(Time(r.rng.Intn(200)), func() { r.act(i) })
-			r.spawn(i)
-			r.send(i)
-		}
+	var consume func(int)
+	consume = func(int) {
+		r.act()
+		r.cq.OnNext(consume)
+	}
+	r.cq.OnNext(consume)
+	for k := 0; k < 60; k++ {
+		e.At(Time(r.rng.Intn(200)), r.act)
+		r.spawn()
 	}
 	for end := Time(0); ; {
-		r.se.collect()
-		if _, ok := r.se.next(); !ok {
+		if _, ok := e.peek(); !ok {
 			break
 		}
 		end += Time(r.rng.Intn(60))
 		r.runUntil(end)
 	}
-	fmt.Fprintf(&r.log, "events %d at %d\n", r.se.Events(), r.se.Now())
+	fmt.Fprintf(&r.log, "events %d at %d\n", e.Events(), e.Now())
 	return r
 }
 
 // TestEventOrderStrictlyIncreasing: over seeded random mixes of callbacks
 // at the current instant and later, Sleep(0), queues in both styles,
-// events, a resource, Spawn, SleepUntil, RunUntil cuts, Stop and resume,
-// and exchange deliveries, each shard dispatches its entries in strictly
-// increasing (at, key) order, which is the order of a heap-only queue.
-// Each seed's log is the same on a rerun.
+// events, a resource, Spawn, SleepUntil, RunUntil cuts, and Stop and
+// resume, the engine dispatches its entries in strictly increasing
+// (at, seq) order, which is the order of a heap-only queue. Each seed's log
+// is the same on a rerun.
 func TestEventOrderStrictlyIncreasing(t *testing.T) {
-	var lane, heapFirst, exch int
+	var lane, heapFirst int
 	for seed := int64(1); seed <= 10; seed++ {
 		r := orderRun(t, seed)
 		if again := orderRun(t, seed); again.log.String() != r.log.String() {
@@ -232,10 +178,9 @@ func TestEventOrderStrictlyIncreasing(t *testing.T) {
 		}
 		lane += r.lane
 		heapFirst += r.heapFirst
-		exch += r.exch
 	}
-	t.Logf("dispatched %d from the lane, %d from the heap ahead of it, %d exchange deliveries", lane, heapFirst, exch)
-	if lane == 0 || heapFirst == 0 || exch == 0 {
-		t.Fatal("the workload does not exercise both parts of the queue and the exchange keys")
+	t.Logf("dispatched %d from the lane, %d from the heap ahead of it", lane, heapFirst)
+	if lane == 0 || heapFirst == 0 {
+		t.Fatal("the workload does not exercise both parts of the queue")
 	}
 }
