@@ -27,12 +27,12 @@ type bed struct {
 func newBed(t *testing.T) *bed {
 	t.Helper()
 	eng := simtime.NewEngine()
-	fab := overlay.NewFabric(overlay.DefaultParams())
+	fab := overlay.NewFabric()
 	fab.AddTenant(1, "t")
 	mk := func(name string, ip packet.IP, mac packet.MAC) *hyper.Host {
 		return hyper.NewHost(eng, hyper.HostConfig{
 			Name: name, IP: ip, MAC: mac, MemBytes: 32 << 30,
-			RNIC: rnic.DefaultParams(), Hyper: hyper.DefaultParams(),
+			RNIC:   rnic.DefaultParams(),
 			Fabric: fab,
 			ResolveHost: func(dst packet.IP) (packet.MAC, bool) {
 				switch dst {
@@ -256,8 +256,8 @@ func TestFreeFlowProvider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0 := freeflow.NewRouter(b.h0, freeflow.DefaultParams())
-	r1 := freeflow.NewRouter(b.h1, freeflow.DefaultParams())
+	r0 := freeflow.NewRouter(b.h0)
+	r1 := freeflow.NewRouter(b.h1)
 	resolve := func(gid packet.GID) (packet.IP, packet.MAC, bool) {
 		ip, ok := gid.IP()
 		if !ok {

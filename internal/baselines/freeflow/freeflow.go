@@ -18,37 +18,21 @@ import (
 	"masq/internal/verbs"
 )
 
-// Params model FFR costs.
-type Params struct {
-	IPCCost    simtime.Duration // container ↔ FFR shared-memory signal
-	FwdCost    simtime.Duration // FFR CPU per relayed data operation
-	RelayCost  simtime.Duration // FFR CPU per relayed completion
-	CtrlIPC    simtime.Duration // control-verb relay overhead
-	RegMRExtra simtime.Duration // shadow-buffer allocation + mapping
-	CQExtra    simtime.Duration // CQ virtualization
-	QPExtra    simtime.Duration // QP virtualization
-	Cores      int              // FFR forwarding threads
-}
-
-// DefaultParams is calibrated to the paper: ≈1 Mops FFR ceiling, ≈2.1 µs
-// 2 B send latency, ≈3.9 ms connection setup.
-func DefaultParams() Params {
-	return Params{
-		IPCCost:    simtime.Us(0.3),
-		FwdCost:    simtime.Us(0.5),
-		RelayCost:  simtime.Us(0.45),
-		CtrlIPC:    simtime.Us(20),
-		RegMRExtra: simtime.Us(1000),
-		CQExtra:    simtime.Us(1030),
-		QPExtra:    simtime.Us(830),
-		Cores:      1,
-	}
-}
+// FFR costs, calibrated to the paper: ≈1 Mops FFR ceiling, ≈2.1 µs 2 B
+// send latency, ≈3.9 ms connection setup.
+const (
+	ipcCost    = 300 * simtime.Nanosecond   // container ↔ FFR shared-memory signal
+	fwdCost    = 500 * simtime.Nanosecond   // FFR CPU per relayed data operation
+	relayCost  = 450 * simtime.Nanosecond   // FFR CPU per relayed completion
+	ctrlIPC    = 20 * simtime.Microsecond   // control-verb relay overhead
+	regMRExtra = 1000 * simtime.Microsecond // shadow-buffer allocation + mapping
+	cqExtra    = 1030 * simtime.Microsecond // CQ virtualization
+	qpExtra    = 830 * simtime.Microsecond  // QP virtualization
+	cores      = 1                          // FFR forwarding threads
+)
 
 // Router is the per-host FFR process.
 type Router struct {
-	P Params
-
 	host  *hyper.Host
 	cpu   *simtime.Resource // forwarding threads
 	Stats struct {
@@ -57,11 +41,8 @@ type Router struct {
 }
 
 // NewRouter starts the FFR on a host.
-func NewRouter(host *hyper.Host, p Params) *Router {
-	if p.Cores < 1 {
-		p.Cores = 1
-	}
-	return &Router{P: p, host: host, cpu: simtime.NewResource(host.Eng, p.Cores)}
+func NewRouter(host *hyper.Host) *Router {
+	return &Router{host: host, cpu: simtime.NewResource(host.Eng, cores)}
 }
 
 // forward charges one FFR data-path operation (serialized on FFR cores).
@@ -90,9 +71,9 @@ func (pr *Provider) Name() string { return "freeflow" }
 // Open relays device discovery through the FFR.
 func (pr *Provider) Open(p *simtime.Proc) (verbs.Device, error) {
 	dev := pr.r.host.Dev
-	p.Sleep(pr.r.P.CtrlIPC)
+	p.Sleep(ctrlIPC)
 	dev.GetDeviceList(p)
-	p.Sleep(pr.r.P.CtrlIPC)
+	p.Sleep(ctrlIPC)
 	dev.Open(p)
 	return &device{pr: pr}, nil
 }
@@ -109,7 +90,7 @@ type pd struct{ pd *rnic.PD }
 func (x pd) Handle() uint32 { return x.pd.Num }
 
 func (d *device) AllocPD(p *simtime.Proc) (verbs.PD, error) {
-	p.Sleep(d.pr.r.P.CtrlIPC)
+	p.Sleep(ctrlIPC)
 	return pd{d.dev().AllocPD(p, d.pf())}, nil
 }
 
@@ -126,7 +107,7 @@ func (m mr) Addr() uint64 { return m.va }
 func (m mr) Len() int     { return m.ln }
 
 func (m mr) Dereg(p *simtime.Proc) error {
-	p.Sleep(m.d.pr.r.P.CtrlIPC)
+	p.Sleep(ctrlIPC)
 	m.d.dev().DeregMR(p, m.d.pf(), m.mr)
 	return m.d.pr.c.GVA.UnpinToPhys(m.va, m.ln)
 }
@@ -138,7 +119,7 @@ func (d *device) RegMR(p *simtime.Proc, vpd verbs.PD, va uint64, length int, acc
 	if !ok {
 		return nil, fmt.Errorf("freeflow: foreign PD handle")
 	}
-	p.Sleep(d.pr.r.P.CtrlIPC + d.pr.r.P.RegMRExtra)
+	p.Sleep(ctrlIPC + regMRExtra)
 	ext, err := d.pr.c.GVA.PinToPhys(va, length)
 	if err != nil {
 		return nil, err
@@ -158,7 +139,7 @@ func (c cq) TryPoll(p *simtime.Proc) (verbs.WC, bool) {
 	if ok {
 		c.relay(p)
 	} else {
-		p.Sleep(c.d.pr.r.P.IPCCost) // polling the FFR's shadow CQ
+		p.Sleep(ipcCost) // polling the FFR's shadow CQ
 	}
 	return wc, ok
 }
@@ -179,18 +160,18 @@ func (c cq) WaitTimeout(p *simtime.Proc, d simtime.Duration) (verbs.WC, bool) {
 
 func (c cq) relay(p *simtime.Proc) {
 	c.d.pr.r.Stats.Relays++
-	c.d.pr.r.forward(p, c.d.pr.r.P.RelayCost)
-	p.Sleep(c.d.pr.r.P.IPCCost)
+	c.d.pr.r.forward(p, relayCost)
+	p.Sleep(ipcCost)
 }
 
 func (c cq) Destroy(p *simtime.Proc) error {
-	p.Sleep(c.d.pr.r.P.CtrlIPC)
+	p.Sleep(ctrlIPC)
 	c.d.dev().DestroyCQ(p, c.d.pf(), c.cq)
 	return nil
 }
 
 func (d *device) CreateCQ(p *simtime.Proc, cqe int) (verbs.CQ, error) {
-	p.Sleep(d.pr.r.P.CtrlIPC + d.pr.r.P.CQExtra)
+	p.Sleep(ctrlIPC + cqExtra)
 	return cq{d: d, cq: d.dev().CreateCQ(p, d.pf(), cqe)}, nil
 }
 
@@ -203,7 +184,7 @@ func (q qp) Num() uint32        { return q.qp.Num }
 func (q qp) State() verbs.State { return q.qp.State() }
 
 func (q qp) Modify(p *simtime.Proc, a verbs.Attr) error {
-	p.Sleep(q.d.pr.r.P.CtrlIPC)
+	p.Sleep(ctrlIPC)
 	attr := rnic.Attr{ToState: a.ToState, QKey: a.QKey}
 	if a.ToState == rnic.StateRTR && a.DQPN != 0 {
 		ip, mac, ok := q.d.pr.resolve(a.DGID)
@@ -218,22 +199,22 @@ func (q qp) Modify(p *simtime.Proc, a verbs.Attr) error {
 // PostSend relays the work request through the FFR: shared-memory signal,
 // FFR forwarding CPU, then the real post.
 func (q qp) PostSend(p *simtime.Proc, wr verbs.SendWR) error {
-	p.Sleep(q.d.pr.r.P.IPCCost)
+	p.Sleep(ipcCost)
 	q.d.pr.r.Stats.Forwards++
-	q.d.pr.r.forward(p, q.d.pr.r.P.FwdCost)
+	q.d.pr.r.forward(p, fwdCost)
 	return q.qp.PostSend(p, wr)
 }
 
 // PostRecv is also relayed (FreeFlow virtualizes the receive queue too).
 func (q qp) PostRecv(p *simtime.Proc, wr verbs.RecvWR) error {
-	p.Sleep(q.d.pr.r.P.IPCCost)
+	p.Sleep(ipcCost)
 	q.d.pr.r.Stats.Forwards++
-	q.d.pr.r.forward(p, q.d.pr.r.P.FwdCost)
+	q.d.pr.r.forward(p, fwdCost)
 	return q.qp.PostRecv(p, wr)
 }
 
 func (q qp) Destroy(p *simtime.Proc) error {
-	p.Sleep(q.d.pr.r.P.CtrlIPC)
+	p.Sleep(ctrlIPC)
 	q.d.dev().DestroyQP(p, q.qp)
 	return nil
 }
@@ -248,7 +229,7 @@ func (d *device) CreateQP(p *simtime.Proc, vpd verbs.PD, send, recv verbs.CQ, ty
 	if !ok1 || !ok2 {
 		return nil, fmt.Errorf("freeflow: foreign CQ handle")
 	}
-	p.Sleep(d.pr.r.P.CtrlIPC + d.pr.r.P.QPExtra)
+	p.Sleep(ctrlIPC + qpExtra)
 	return qp{d: d, qp: d.dev().CreateQP(p, d.pf(), rpd.pd, scq.cq, rcq.cq, typ, caps)}, nil
 }
 
@@ -259,28 +240,28 @@ type srq struct {
 
 // SRQ receive posts are relayed through the FFR like any data-path verb.
 func (x srq) PostRecv(p *simtime.Proc, wr verbs.RecvWR) error {
-	p.Sleep(x.d.pr.r.P.IPCCost)
+	p.Sleep(ipcCost)
 	x.d.pr.r.Stats.Forwards++
-	x.d.pr.r.forward(p, x.d.pr.r.P.FwdCost)
+	x.d.pr.r.forward(p, fwdCost)
 	return x.s.PostRecv(p, wr)
 }
 func (x srq) Len() int       { return x.s.Len() }
 func (x srq) Raw() *rnic.SRQ { return x.s }
 func (x srq) Destroy(p *simtime.Proc) error {
-	p.Sleep(x.d.pr.r.P.CtrlIPC)
+	p.Sleep(ctrlIPC)
 	x.d.dev().DestroySRQ(p, x.d.pf(), x.s)
 	return nil
 }
 
 func (d *device) CreateSRQ(p *simtime.Proc, maxWR int) (verbs.SRQ, error) {
-	p.Sleep(d.pr.r.P.CtrlIPC)
+	p.Sleep(ctrlIPC)
 	return srq{d: d, s: d.dev().CreateSRQ(p, d.pf(), maxWR)}, nil
 }
 
 // QueryGID returns the container's *virtual* GID: FreeFlow presents the
 // overlay IP to applications, as MasQ does.
 func (d *device) QueryGID(p *simtime.Proc) (packet.GID, error) {
-	p.Sleep(d.pr.r.P.CtrlIPC)
+	p.Sleep(ctrlIPC)
 	d.dev().QueryGID(p, d.pf(), 0)
 	if d.pr.c.VNIC == nil {
 		return packet.GID{}, fmt.Errorf("freeflow: container has no overlay interface")
@@ -289,7 +270,7 @@ func (d *device) QueryGID(p *simtime.Proc) (packet.GID, error) {
 }
 
 func (d *device) Close(p *simtime.Proc) error {
-	p.Sleep(d.pr.r.P.CtrlIPC)
+	p.Sleep(ctrlIPC)
 	d.dev().Close(p)
 	return nil
 }

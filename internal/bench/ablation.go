@@ -6,6 +6,7 @@ import (
 
 	"masq/internal/apps/perftest"
 	"masq/internal/cluster"
+	"masq/internal/masq"
 	"masq/internal/overlay"
 	"masq/internal/packet"
 	"masq/internal/simtime"
@@ -152,15 +153,13 @@ func ablConntrack() *Table {
 	}
 	pol := overlay.NewPolicy()
 	all, _ := packet.ParseCIDR("0.0.0.0/0")
-	perRule := overlay.DefaultParams().RulePerScan
-	cfgM := cluster.DefaultConfig().Masq
 	for _, rules := range []int{10, 100, 1000} {
 		for pol.RuleCount() < rules {
 			pol.AddRule(overlay.Rule{Priority: 1, Proto: overlay.ProtoTCP, Src: all, Dst: all, Action: overlay.Allow})
 		}
-		scan := simtime.Duration(rules) * perRule
+		scan := simtime.Duration(rules) * overlay.RulePerScan
 		// RConntrack: one validation + one insert at RTR; packets free.
-		setup := cfgM.ValidConnCost + cfgM.InsertConnCost
+		setup := masq.ValidConnCost + masq.InsertConnCost
 		t.AddRow("rconntrack (per-connection)", rules, us(setup), "0",
 			fmt.Sprintf("%.3f", setup.Millis()))
 		// Per-packet chain scan.
@@ -257,7 +256,7 @@ func ablVirtioBatch() *Table {
 		Columns: []string{"strategy", "total (µs)", "per-command (µs)"},
 	}
 	eng := simtime.NewEngine()
-	ring := virtio.NewRing(eng, virtio.DefaultParams(), func(p *simtime.Proc, cmd any) any {
+	ring := virtio.NewRing(eng, func(p *simtime.Proc, cmd any) any {
 		p.Sleep(simtime.Us(10))
 		return cmd
 	})
@@ -546,7 +545,7 @@ func ablCtrlFaults() *Table {
 			us(pctile(lats, 0.50)), us(pctile(lats, 0.95)), us(pctile(lats, 1.0)),
 			tb.Backend(0).Stats.StaleRenames, tb.Ctrl.Stats.NotifyDropped)
 	}
-	t.Note("stale reconnects pay stale detection (%v) + invalidate + controller re-query on top of the warm-cache RTR", cluster.DefaultConfig().Masq.StaleDetectCost)
+	t.Note("stale reconnects pay stale detection (%v) + invalidate + controller re-query on top of the warm-cache RTR", masq.StaleDetectCost)
 	t.Note("prompt pushes (delay 0, no loss) refresh the cache before the reconnect: no stale renames, flat latency")
 	return t
 }

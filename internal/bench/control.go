@@ -354,11 +354,10 @@ func fig16Data() []fig16Row {
 	// The cross-check reconstruction the bench used before the trace spine:
 	// driver share = Table 1 cost × the VF control multiplier (query_gid is
 	// answered in-guest at PF cost). The calibration constant comes from
-	// the testbed's device parameters — its single home.
-	vf := tb.Cfg.RNIC.VFControlFactor
+	// the device model — its single home.
 	dev := tb.Hosts[0].Dev
 	base := func(v rnic.Verb) simtime.Duration {
-		return simtime.Duration(float64(dev.VerbCost(v)) * vf)
+		return simtime.Duration(float64(dev.VerbCost(v)) * rnic.VFControlFactor)
 	}
 	param := map[string]simtime.Duration{
 		rnic.VerbRegMR.String():        base(rnic.VerbRegMR),

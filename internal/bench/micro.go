@@ -46,7 +46,7 @@ func table1() *Table {
 	node := cp.ClientNode
 
 	// Measure the virtio round trip on a scratch ring.
-	ring := virtio.NewRing(eng, virtio.DefaultParams(), func(p *simtime.Proc, cmd any) any { return cmd })
+	ring := virtio.NewRing(eng, func(p *simtime.Proc, cmd any) any { return cmd })
 	var rtt simtime.Duration
 	eng.Spawn("t1-rtt", func(p *simtime.Proc) {
 		s := p.Now()

@@ -79,12 +79,12 @@ func ruleScaleChain(n int) []overlay.Rule {
 // re-scanning the whole chain per entry per revoke.
 func runRuleScale(n int, linear, withStorm bool) RuleScalePoint {
 	eng := simtime.NewEngine()
-	fab := overlay.NewFabric(overlay.DefaultParams())
+	fab := overlay.NewFabric()
 	tenant := fab.AddTenant(ruleScaleVNI, "tenant")
 	tenant.SetLinear(linear)
 	host := hyper.NewHost(eng, hyper.HostConfig{
 		Name: "h0", IP: packet.NewIP(172, 16, 0, 1), MAC: packet.MAC{2, 0, 0, 0, 0, 1},
-		MemBytes: 32 << 30, RNIC: rnic.DefaultParams(), Hyper: hyper.DefaultParams(),
+		MemBytes: 32 << 30, RNIC: rnic.DefaultParams(),
 		Fabric:      fab,
 		ResolveHost: func(packet.IP) (packet.MAC, bool) { return packet.MAC{}, false },
 	})

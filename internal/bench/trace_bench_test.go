@@ -16,7 +16,7 @@ func TestFig16MeasuredAttribution(t *testing.T) {
 	if len(rows) != 7 {
 		t.Fatalf("fig16Data returned %d rows, want 7", len(rows))
 	}
-	transport := float64(virtio.DefaultParams().KickCost + virtio.DefaultParams().IRQCost)
+	transport := float64(virtio.KickCost + virtio.IRQCost)
 	for _, r := range rows {
 		if r.name == "query_gid" {
 			// Answered in-guest by vBond: never crosses virtio.
@@ -26,7 +26,7 @@ func TestFig16MeasuredAttribution(t *testing.T) {
 			continue
 		}
 		if got := float64(r.vio); got < transport*0.95 || got > transport*1.05 {
-			t.Errorf("%s: measured virtio %v outside 5%% of kick+irq %v", r.name, r.vio, virtio.DefaultParams().KickCost+virtio.DefaultParams().IRQCost)
+			t.Errorf("%s: measured virtio %v outside 5%% of kick+irq %v", r.name, r.vio, virtio.KickCost+virtio.IRQCost)
 		}
 		if sum := r.lib + r.vio + r.masqd + r.rnicd; sum != r.total {
 			t.Errorf("%s: layer shares sum to %v, measured total %v", r.name, sum, r.total)

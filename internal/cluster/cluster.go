@@ -52,15 +52,12 @@ func (m Mode) String() string {
 
 // Config parameterizes a testbed. Zero fields take the paper's defaults.
 type Config struct {
-	Hosts    int
-	HostMem  uint64
-	VMMem    uint64
-	RNIC     rnic.Params
-	Hyper    hyper.Params
-	Overlay  overlay.Params
-	Masq     masq.Params
-	FreeFlow freeflow.Params
-	Ctrl     controller.Params
+	Hosts   int
+	HostMem uint64
+	VMMem   uint64
+	RNIC    rnic.Params
+	Masq    masq.Params
+	Ctrl    controller.Params
 	// CtrlFault arms the controller's fault-injection plan (unavailability
 	// windows, dropped replies) for the whole testbed run.
 	CtrlFault controller.FaultPlan
@@ -93,10 +90,7 @@ func DefaultConfig() Config {
 		HostMem:   96 << 30,
 		VMMem:     4 << 30,
 		RNIC:      rnic.DefaultParams(),
-		Hyper:     hyper.DefaultParams(),
-		Overlay:   overlay.DefaultParams(),
 		Masq:      masq.DefaultParams(),
-		FreeFlow:  freeflow.DefaultParams(),
 		Ctrl:      controller.DefaultParams(),
 		PropDelay: simtime.Us(0.1),
 		SwitchFwd: simtime.Us(0.3),
@@ -133,7 +127,6 @@ type Testbed struct {
 	// Trace is the cross-layer span recorder, non-nil iff Cfg.Trace.
 	Trace *trace.Recorder
 
-	masqMode   masq.Mode
 	routers    []*freeflow.Router // per host, lazy
 	neighbors  map[packet.IP]packet.MAC
 	nodes      []*Node // in creation order; chaos NodeCrash indexes this
@@ -153,12 +146,11 @@ func New(cfg Config) *Testbed {
 		Eng:       eng,
 		Cfg:       cfg,
 		neighbors: make(map[packet.IP]packet.MAC),
-		masqMode:  masq.ModeVF,
 	}
 	tb.CtrlSharded = controller.NewSharded([]*simtime.Engine{eng}, cfg.Ctrl, max(cfg.CtrlShards, 1))
 	tb.CtrlSharded.SetFaultPlan(cfg.CtrlFault)
 	tb.Ctrl = tb.CtrlSharded.Primary(0)
-	tb.Fab = overlay.NewFabric(cfg.Overlay)
+	tb.Fab = overlay.NewFabric()
 	if cfg.Trace {
 		tb.Trace = trace.New()
 		tb.CtrlSharded.SetRecorder(tb.Trace)
@@ -178,7 +170,7 @@ func New(cfg Config) *Testbed {
 		rn.KeyBase = uint32(i) << 20
 		h := hyper.NewHost(eng, hyper.HostConfig{
 			Name: fmt.Sprintf("host%d", i), IP: ip, MAC: mac,
-			MemBytes: cfg.HostMem, RNIC: rn, Hyper: cfg.Hyper,
+			MemBytes: cfg.HostMem, RNIC: rn,
 			Fabric: tb.Fab, ResolveHost: resolveHost,
 		})
 		tb.neighbors[ip] = mac
@@ -245,10 +237,6 @@ func (tb *Testbed) HostLink(i int) *simnet.Link {
 	return tb.Links[i]
 }
 
-// SetMasqMode selects VF (default) or PF placement for MasQ nodes created
-// afterwards. It must be called before the first MasQ node on a host.
-func (tb *Testbed) SetMasqMode(m masq.Mode) { tb.masqMode = m }
-
 // AddTenant creates a VPC.
 func (tb *Testbed) AddTenant(vni uint32, name string) *overlay.Tenant {
 	return tb.Fab.AddTenant(vni, name)
@@ -263,16 +251,42 @@ func (tb *Testbed) AllowAll(vni uint32) int {
 	})
 }
 
-// Backend returns (creating on demand) the MasQ backend of a host.
-func (tb *Testbed) Backend(hostIdx int) *masq.Backend {
+// Backend returns the MasQ backend of a host, creating one with VF
+// placement if the host has none yet.
+func (tb *Testbed) Backend(hostIdx int) *masq.Backend { return tb.backendFor(hostIdx, ModeMasQ) }
+
+// backendFor returns the host's MasQ backend, creating it with the
+// placement of MasQ node mode if the host has none yet.
+func (tb *Testbed) backendFor(hostIdx int, mode Mode) *masq.Backend {
 	if tb.Backends[hostIdx] == nil {
-		tb.Backends[hostIdx] = masq.NewBackend(tb.Hosts[hostIdx], tb.CtrlSharded, tb.Fab, tb.Cfg.Masq, tb.masqMode)
-		tb.Backends[hostIdx].SetRecorder(tb.Trace)
+		b := masq.NewBackend(tb.Hosts[hostIdx], tb.CtrlSharded, tb.Fab, tb.Cfg.Masq, masqPlacement(mode))
+		b.SetRecorder(tb.Trace)
 		if tb.leaseUntil != 0 {
-			tb.Backends[hostIdx].StartLeaseRenewal(tb.leaseUntil)
+			b.StartLeaseRenewal(tb.leaseUntil)
 		}
+		tb.Backends[hostIdx] = b
 	}
 	return tb.Backends[hostIdx]
+}
+
+// checkPlacement refuses a MasQ node of the given mode on a host whose
+// backend already runs another placement: a host has one backend.
+func (tb *Testbed) checkPlacement(hostIdx int, mode Mode) error {
+	if b := tb.Backends[hostIdx]; b != nil && b.Mode != masqPlacement(mode) {
+		return fmt.Errorf("cluster: host %d runs a %v backend, which cannot serve a %v node", hostIdx, b.Mode, mode)
+	}
+	return nil
+}
+
+// masqPlacement maps a MasQ node mode to its backend placement.
+func masqPlacement(mode Mode) masq.Mode {
+	switch mode {
+	case ModeMasQPF:
+		return masq.ModePF
+	case ModeMasQShared:
+		return masq.ModeVFShared
+	}
+	return masq.ModeVF
 }
 
 // StartLeases starts every backend's lease-renewal process, running until
@@ -303,7 +317,7 @@ func (tb *Testbed) CrashController(at, restart simtime.Time) {
 // Router returns (creating on demand) the FreeFlow router of a host.
 func (tb *Testbed) Router(hostIdx int) *freeflow.Router {
 	if tb.routers[hostIdx] == nil {
-		tb.routers[hostIdx] = freeflow.NewRouter(tb.Hosts[hostIdx], tb.Cfg.FreeFlow)
+		tb.routers[hostIdx] = freeflow.NewRouter(tb.Hosts[hostIdx])
 	}
 	return tb.routers[hostIdx]
 }
@@ -385,17 +399,14 @@ func (tb *Testbed) NewNode(mode Mode, hostIdx int, vni uint32, vip packet.IP) (*
 		n.compute = vm.Compute
 		n.OOB = newOOB(tb, h, vni, vm.VNIC)
 	case ModeMasQ, ModeMasQPF, ModeMasQShared:
-		if mode == ModeMasQPF {
-			tb.SetMasqMode(masq.ModePF)
-		}
-		if mode == ModeMasQShared {
-			tb.SetMasqMode(masq.ModeVFShared)
+		if err := tb.checkPlacement(hostIdx, mode); err != nil {
+			return nil, err
 		}
 		vm, err := h.NewVM(name, tb.Cfg.VMMem, vni, vip)
 		if err != nil {
 			return nil, err
 		}
-		fe, err := tb.Backend(hostIdx).NewFrontend(vm, vni)
+		fe, err := tb.backendFor(hostIdx, mode).NewFrontend(vm, vni)
 		if err != nil {
 			vm.Shutdown()
 			return nil, err
@@ -493,7 +504,8 @@ func (n *Node) Read(va uint64, b []byte) error { return n.Mem.Read(va, b) }
 // plugs in a fresh MasQ frontend whose vBond re-registers the (VNI, vGID)
 // mapping with the new host's physical identity; peers that reconnect
 // resolve the new location through the controller (stale caches are
-// refreshed by the controller's push notifications).
+// refreshed by the controller's push notifications). A destination whose
+// MasQ backend runs another placement refuses the node.
 func (tb *Testbed) MigrateNode(n *Node, dstHost int) error {
 	if n.Mode != ModeMasQ && n.Mode != ModeMasQPF && n.Mode != ModeMasQShared {
 		return fmt.Errorf("cluster: live migration is implemented for MasQ nodes (got %v)", n.Mode)
@@ -504,10 +516,18 @@ func (tb *Testbed) MigrateNode(n *Node, dstHost int) error {
 		// re-register — the existing frontend and vBond stay authoritative.
 		return nil
 	}
-	srcIdx := hostIndex(tb, n.Host)
+	if err := tb.checkPlacement(dstHost, n.Mode); err != nil {
+		return err
+	}
 	// The memory move runs first: a refused migration (pinned, DMA-visible
 	// guest memory) must leave the source completely untouched — vBond
-	// registered, counters unchanged, controller state intact.
+	// registered, counters unchanged, controller state intact. The move
+	// itself would carry guest-virtual pins across, so this scheme
+	// refuses them here: the application deregisters its MRs first.
+	if n.VM.GVA.Pinned() || n.VM.GPA.Pinned() {
+		return fmt.Errorf("hyper: %s has pinned (RDMA-registered) memory; deregister MRs before migrating", n.VM.Name)
+	}
+	srcIdx := hostIndex(tb, n.Host)
 	if err := n.VM.MigrateTo(dst); err != nil {
 		return err
 	}
@@ -524,14 +544,12 @@ func (tb *Testbed) MigrateNode(n *Node, dstHost int) error {
 	if err := tb.Fab.MoveEndpoint(n.VM.VNIC, dst.VSwitch); err != nil {
 		return err
 	}
-	fe, err := tb.Backend(dstHost).NewFrontend(n.VM, n.vni)
+	fe, err := tb.backendFor(dstHost, n.Mode).NewFrontend(n.VM, n.vni)
 	if err != nil {
 		return err
 	}
 	n.Host = dst
 	n.Provider = fe
-	n.Mem = n.VM.GVA // the rebuilt guest address space
-	n.compute = n.VM.Compute
 	n.dev = nil // the guest re-opens its device after resuming
 	return nil
 }

@@ -935,6 +935,84 @@ func TestMigrationRefusedForNonMasQ(t *testing.T) {
 	}
 }
 
+// TestMasQPlacementFollowsNodeMode: each host's MasQ backend takes the
+// placement of the first MasQ node on it, whatever other hosts run, and a
+// node or migration that needs another placement on that host is refused
+// before anything boots or moves.
+func TestMasQPlacementFollowsNodeMode(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Hosts = 4
+	tb := New(cfg)
+	tb.AddTenant(vni, "t")
+	tb.AllowAll(vni)
+	nodes := make([]*Node, 3)
+	for i, mode := range []Mode{ModeMasQPF, ModeMasQ, ModeMasQShared} {
+		n, err := tb.NewNode(mode, i, vni, packet.NewIP(10, 0, 0, byte(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = n
+	}
+	for i, want := range []string{"masq-pf", "masq-vf", "masq-vf-shared"} {
+		if got := nodes[i].Provider.Name(); got != want {
+			t.Errorf("%v node on host %d: provider %q, want %q", nodes[i].Mode, i, got, want)
+		}
+		if got := tb.Backends[i].Mode.String(); got != want {
+			t.Errorf("host %d backend placement %q, want %q", i, got, want)
+		}
+	}
+
+	if _, err := tb.NewNode(ModeMasQ, 0, vni, packet.NewIP(10, 0, 0, 9)); err == nil {
+		t.Error("a VF node on the PF host was accepted")
+	}
+	if vms := tb.Hosts[0].VMs(); vms != 1 {
+		t.Errorf("host 0 runs %d VMs after the refused node, want 1", vms)
+	}
+	if err := tb.MigrateNode(nodes[1], 0); err == nil {
+		t.Error("migrating a VF node onto the PF host was accepted")
+	}
+	var liveErr error
+	tb.Eng.Spawn("live", func(p *simtime.Proc) {
+		_, liveErr = tb.LiveMigrateNode(p, nodes[1], 0, MigrateOpts{})
+	})
+	tb.Eng.Run()
+	if liveErr == nil {
+		t.Error("live-migrating a VF node onto the PF host was accepted")
+	}
+	if nodes[1].Host != tb.Hosts[1] || tb.Hosts[1].VMs() != 1 {
+		t.Error("a refused migration moved the node")
+	}
+
+	// A migration to a host without a backend brings the node's own
+	// placement along.
+	if err := tb.MigrateNode(nodes[0], 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.Backends[3].Mode.String(); got != "masq-pf" {
+		t.Errorf("destination backend placement %q, want masq-pf", got)
+	}
+}
+
+// TestConnectExtraQPReportsStalledSetup: an extra QP toward a crashed
+// server never reaches RTS; the fixture must say so instead of returning
+// half-built endpoints.
+func TestConnectExtraQPReportsStalledSetup(t *testing.T) {
+	cp, err := NewConnectedPair(DefaultConfig(), ModeMasQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.TB.CrashNode(cp.ServerNode); err != nil {
+		t.Fatal(err)
+	}
+	c, s, err := cp.ConnectExtraQP(DefaultEndpointOpts(), 7100)
+	if err == nil {
+		t.Fatalf("setup toward a crashed server returned endpoints (client %v, server %v) and no error", c != nil, s != nil)
+	}
+	if !strings.Contains(err.Error(), "stalled") {
+		t.Fatalf("error %q does not report the stall", err)
+	}
+}
+
 // TestWireInfoDiagnosis: the Sec. 5 feature — map the QPN seen on the
 // underlay back to tenant and virtual IP.
 func TestWireInfoDiagnosis(t *testing.T) {

@@ -40,29 +40,7 @@ func NewConnectedPairOpts(cfg Config, mode Mode, opts EndpointOpts) (*ConnectedP
 		return nil, err
 	}
 	cp := &ConnectedPair{TB: tb, ClientNode: cNode, ServerNode: sNode}
-	done := simtime.NewEvent[error](tb.Eng)
-	tb.Eng.Spawn("pair-setup", func(p *simtime.Proc) {
-		var err error
-		if cp.Client, err = cNode.Setup(p, opts); err != nil {
-			done.Trigger(err)
-			return
-		}
-		if cp.Server, err = sNode.Setup(p, opts); err != nil {
-			done.Trigger(err)
-			return
-		}
-		se, ce := Pair(tb.Eng, cp.Server, cp.Client, 7000)
-		if err := se.Wait(p); err != nil {
-			done.Trigger(err)
-			return
-		}
-		done.Trigger(ce.Wait(p))
-	})
-	tb.Eng.Run()
-	if !done.Triggered() {
-		return nil, fmt.Errorf("cluster: pair setup stalled (pending: %v)", tb.Eng.PendingProcs())
-	}
-	if err := done.Value(); err != nil {
+	if err := tb.connectPairs("pair-setup", opts, 7000, cp); err != nil {
 		return nil, err
 	}
 	return cp, nil
@@ -71,31 +49,11 @@ func NewConnectedPairOpts(cfg Config, mode Mode, opts EndpointOpts) (*ConnectedP
 // ConnectExtraQP adds another connected RC QP between the pair's two nodes
 // (Fig. 11's multi-QP scaling). port must be unique per call.
 func (cp *ConnectedPair) ConnectExtraQP(opts EndpointOpts, port uint16) (client, server *Endpoint, err error) {
-	tb := cp.TB
-	done := simtime.NewEvent[error](tb.Eng)
-	var cep, sep *Endpoint
-	tb.Eng.Spawn("extra-qp", func(p *simtime.Proc) {
-		var err error
-		if cep, err = cp.ClientNode.Setup(p, opts); err != nil {
-			done.Trigger(err)
-			return
-		}
-		if sep, err = cp.ServerNode.Setup(p, opts); err != nil {
-			done.Trigger(err)
-			return
-		}
-		se, ce := Pair(tb.Eng, sep, cep, port)
-		if err := se.Wait(p); err != nil {
-			done.Trigger(err)
-			return
-		}
-		done.Trigger(ce.Wait(p))
-	})
-	tb.Eng.Run()
-	if err := done.Value(); err != nil {
+	extra := &ConnectedPair{TB: cp.TB, ClientNode: cp.ClientNode, ServerNode: cp.ServerNode}
+	if err := cp.TB.connectPairs("extra-qp", opts, port, extra); err != nil {
 		return nil, nil, err
 	}
-	return cep, sep, nil
+	return extra.Client, extra.Server, nil
 }
 
 // NewConnectedPairs builds n independent node pairs (client on host 0,
@@ -119,36 +77,41 @@ func NewConnectedPairs(cfg Config, mode Mode, n int) (*Testbed, []*ConnectedPair
 		}
 		pairs[i] = &ConnectedPair{TB: tb, ClientNode: cNode, ServerNode: sNode}
 	}
-	done := simtime.NewEvent[error](tb.Eng)
-	tb.Eng.Spawn("pairs-setup", func(p *simtime.Proc) {
-		for i, cp := range pairs {
-			var err error
-			if cp.Client, err = cp.ClientNode.Setup(p, DefaultEndpointOpts()); err != nil {
-				done.Trigger(err)
-				return
-			}
-			if cp.Server, err = cp.ServerNode.Setup(p, DefaultEndpointOpts()); err != nil {
-				done.Trigger(err)
-				return
-			}
-			se, ce := Pair(tb.Eng, cp.Server, cp.Client, uint16(7000+i))
-			if err := se.Wait(p); err != nil {
-				done.Trigger(err)
-				return
-			}
-			if err := ce.Wait(p); err != nil {
-				done.Trigger(err)
-				return
-			}
-		}
-		done.Trigger(nil)
-	})
-	tb.Eng.Run()
-	if !done.Triggered() {
-		return nil, nil, fmt.Errorf("cluster: pairs setup stalled")
-	}
-	if err := done.Value(); err != nil {
+	if err := tb.connectPairs("pairs-setup", DefaultEndpointOpts(), 7000, pairs...); err != nil {
 		return nil, nil, err
 	}
 	return tb, pairs, nil
+}
+
+// connectPairs brings up one RC connection per pair, in order, on a proc
+// named name: client Setup, server Setup, then the out-of-band exchange on
+// port+i that takes both QPs to RTS. It fills in each pair's endpoints and
+// drains the engine. It fails when a step fails, or when the proc never
+// finishes: a crashed peer or a dark controller can park it for good.
+func (tb *Testbed) connectPairs(name string, opts EndpointOpts, port uint16, pairs ...*ConnectedPair) error {
+	var err error
+	finished := false
+	tb.Eng.Spawn(name, func(p *simtime.Proc) {
+		defer func() { finished = true }()
+		for i, cp := range pairs {
+			if cp.Client, err = cp.ClientNode.Setup(p, opts); err != nil {
+				return
+			}
+			if cp.Server, err = cp.ServerNode.Setup(p, opts); err != nil {
+				return
+			}
+			se, ce := Pair(tb.Eng, cp.Server, cp.Client, port+uint16(i))
+			if err = se.Wait(p); err != nil {
+				return
+			}
+			if err = ce.Wait(p); err != nil {
+				return
+			}
+		}
+	})
+	tb.Eng.Run()
+	if !finished {
+		return fmt.Errorf("cluster: %s stalled (pending: %v)", name, tb.Eng.PendingProcs())
+	}
+	return err
 }

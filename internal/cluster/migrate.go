@@ -104,7 +104,10 @@ func (tb *Testbed) LiveMigrateNode(p *simtime.Proc, n *Node, dstHost int, opts M
 	if src == dst {
 		return rep, nil // same-host: nothing to copy, nothing to re-register
 	}
-	srcB, dstB := tb.Backend(hostIndex(tb, src)), tb.Backend(dstHost)
+	if err := tb.checkPlacement(dstHost, n.Mode); err != nil {
+		return rep, err
+	}
+	srcB, dstB := tb.Backend(hostIndex(tb, src)), tb.backendFor(dstHost, n.Mode)
 
 	bw := opts.CopyBandwidth
 	if bw <= 0 {
@@ -163,7 +166,7 @@ func (tb *Testbed) LiveMigrateNode(p *simtime.Proc, n *Node, dstHost int, opts M
 	// memory re-homes into the destination's address space.
 	scStart := p.Now()
 	p.Sleep(copyTime(w, bw))
-	if err := n.VM.LiveMigrateTo(dst); err != nil {
+	if err := n.VM.MigrateTo(dst); err != nil {
 		return tb.rollbackLive(p, n, rep, cap, key, srcB, nil, err)
 	}
 	rep.StopCopyTime = p.Now().Sub(scStart)
@@ -173,7 +176,7 @@ func (tb *Testbed) LiveMigrateNode(p *simtime.Proc, n *Node, dstHost int, opts M
 	if err := dstB.MigrateIn(p, cap, false); err != nil {
 		// MigrateIn fails only before mutating (no VF budget, unknown
 		// tenant): move the memory back and re-adopt at the source.
-		if rbErr := n.VM.LiveMigrateTo(src); rbErr != nil {
+		if rbErr := n.VM.MigrateTo(src); rbErr != nil {
 			return rep, fmt.Errorf("cluster: live migration of %s failed (%v) and memory rollback failed: %w", n.Name, err, rbErr)
 		}
 		return tb.rollbackLive(p, n, rep, cap, key, srcB, nil, err)
@@ -211,7 +214,7 @@ func (tb *Testbed) rollbackLive(p *simtime.Proc, n *Node, rep *MigrateReport, ca
 	key controller.Key, srcB, dstB *masq.Backend, cause error) (*MigrateReport, error) {
 	if dstB != nil {
 		dstB.Evict(p, cap)
-		if err := n.VM.LiveMigrateTo(n.Host); err != nil {
+		if err := n.VM.MigrateTo(n.Host); err != nil {
 			return rep, fmt.Errorf("cluster: live migration of %s failed (%v) and memory rollback failed: %w", n.Name, cause, err)
 		}
 	}

@@ -38,15 +38,23 @@ import (
 // off and retry.
 var ErrUnavailable = errors.New("controller: query timed out")
 
-// Params model controller access costs and notification-channel behaviour.
-type Params struct {
-	QueryRTT   simtime.Duration // remote query round trip (paper: ~100 µs)
-	UpdateCost simtime.Duration // applying a registration
+// Controller access costs.
+const (
+	// queryRTT is the remote query round trip (paper: ~100 µs).
+	queryRTT = 100 * simtime.Microsecond
 
 	// QueryTimeout is how long a querier waits for a reply before
 	// declaring the query lost (and, in the backend, backing off).
-	QueryTimeout simtime.Duration
+	QueryTimeout = simtime.Millisecond
 
+	// dumpEntryCost is the per-entry serialization cost of FetchDump, the
+	// charged push-down seeding RPC: a whole-tenant dump costs
+	// queryRTT + entries × dumpEntryCost.
+	dumpEntryCost = simtime.Microsecond
+)
+
+// Params model the notification channel, leases and replication.
+type Params struct {
 	// NotifyDelay is the controller→backend push latency: every
 	// invalidation or push-down entry spends this long in the
 	// subscriber's delivery queue before the backend applies it.
@@ -61,11 +69,6 @@ type Params struct {
 	// (Register/Renew) within the TTL expires and stops resolving. Zero
 	// keeps the historical immortal-registration behaviour.
 	LeaseTTL simtime.Duration
-
-	// DumpEntryCost is the per-entry serialization cost of FetchDump, the
-	// charged push-down seeding RPC: a whole-tenant dump costs
-	// QueryRTT + entries × DumpEntryCost.
-	DumpEntryCost simtime.Duration
 
 	// Replicate gives every shard of a Sharded controller a standby
 	// replica fed by a push-replicated mutation log; a crashed or
@@ -89,25 +92,10 @@ type Params struct {
 	Seed int64
 }
 
-// DefaultParams returns the paper's stated costs with a reliable,
-// same-instant notification channel (the historical behaviour).
+// DefaultParams returns a reliable, same-instant notification channel
+// (the historical behaviour).
 func DefaultParams() Params {
-	return Params{
-		QueryRTT:      simtime.Us(100),
-		UpdateCost:    simtime.Us(5),
-		QueryTimeout:  simtime.Ms(1),
-		DumpEntryCost: simtime.Us(1),
-		Seed:          1,
-	}
-}
-
-// Timeout returns the effective query timeout: QueryTimeout, defaulting
-// to 10× the RTT so a zero-valued Params still terminates.
-func (p Params) Timeout() simtime.Duration {
-	if p.QueryTimeout > 0 {
-		return p.QueryTimeout
-	}
-	return 10 * p.QueryRTT
+	return Params{Seed: 1}
 }
 
 // failoverDetect returns the configured promotion delay, defaulting to two
@@ -116,7 +104,7 @@ func (p Params) failoverDetect() simtime.Duration {
 	if p.FailoverDetect > 0 {
 		return p.FailoverDetect
 	}
-	return 2 * p.Timeout()
+	return 2 * QueryTimeout
 }
 
 // Window is a half-open interval [Start, End) of virtual time during which
@@ -491,25 +479,25 @@ func (c *Controller) logMutation(k Key, e entry, removed bool) {
 }
 
 // rpc models one control RPC round trip under the fault plan. The
-// controller must be reachable for the whole [send, send+QueryRTT]
+// controller must be reachable for the whole [send, send+queryRTT]
 // interval — a window opening (or a crash landing) anywhere mid-RTT eats
 // the reply, and the caller waits out the full QueryTimeout exactly like
-// any lost answer. On success the caller has paid QueryRTT.
+// any lost answer. On success the caller has paid queryRTT.
 func (c *Controller) rpc(p *simtime.Proc) error {
 	send := p.Now()
-	if c.down || c.windowOverlaps(send, send.Add(c.P.QueryRTT)) {
+	if c.down || c.windowOverlaps(send, send.Add(queryRTT)) {
 		c.Stats.Timeouts++
-		p.Sleep(c.P.Timeout())
+		p.Sleep(QueryTimeout)
 		return ErrUnavailable
 	}
 	if c.fault.DropReplies > 0 {
 		c.fault.DropReplies--
 		c.Stats.Timeouts++
 		c.Stats.DroppedReplies++
-		p.Sleep(c.P.Timeout())
+		p.Sleep(QueryTimeout)
 		return ErrUnavailable
 	}
-	p.Sleep(c.P.QueryRTT)
+	p.Sleep(queryRTT)
 	if c.replyLost(p, send) {
 		return ErrUnavailable
 	}
@@ -525,14 +513,14 @@ func (c *Controller) replyLost(p *simtime.Proc, send simtime.Time) bool {
 		return false
 	}
 	c.Stats.Timeouts++
-	if rest := send.Add(c.P.Timeout()).Sub(p.Now()); rest > 0 {
+	if rest := send.Add(QueryTimeout).Sub(p.Now()); rest > 0 {
 		p.Sleep(rest)
 	}
 	return true
 }
 
 // Lookup performs one remote lookup attempt, modelling the RPC. On
-// success the caller pays QueryRTT and gets the table's answer (expired
+// success the caller pays queryRTT and gets the table's answer (expired
 // leases are purged here, lazily). Under an active fault the caller waits
 // the full QueryTimeout and gets ErrUnavailable; retrying is the caller's
 // job. The reply is from epoch Epoch() — read it at the same instant.
@@ -638,10 +626,10 @@ type BatchResult struct {
 
 // BatchLookup resolves many keys in ONE query round trip and applies the
 // piggybacked renewals in the same request — the connection-setup fast
-// path's amortization of the per-RPC QueryRTT. The wire shape is a single
+// path's amortization of the per-RPC queryRTT. The wire shape is a single
 // request frame carrying all keys and renewal records; serialization is
-// charged at DumpEntryCost per record beyond the first (the first rides the
-// QueryRTT like a plain Lookup). The reply carries one BatchResult per key,
+// charged at dumpEntryCost per record beyond the first (the first rides the
+// queryRTT like a plain Lookup). The reply carries one BatchResult per key,
 // in request order, plus the controller epoch. Under a fault the whole
 // batch times out as one RPC: the caller waits one QueryTimeout, not one
 // per key.
@@ -653,12 +641,10 @@ func (c *Controller) BatchLookup(p *simtime.Proc, keys []Key, renew []RenewReq) 
 	if err := c.rpc(p); err != nil {
 		return nil, 0, err
 	}
-	if d := c.P.DumpEntryCost; d > 0 {
-		if extra := len(keys) + len(renew) - 1; extra > 0 {
-			c.serialize(p, simtime.Duration(extra)*d)
-			if c.replyLost(p, send) {
-				return nil, 0, ErrUnavailable
-			}
+	if extra := len(keys) + len(renew) - 1; extra > 0 {
+		c.serialize(p, simtime.Duration(extra)*dumpEntryCost)
+		if c.replyLost(p, send) {
+			return nil, 0, ErrUnavailable
 		}
 	}
 	now := p.Now()
@@ -709,18 +695,16 @@ func (c *Controller) FetchDump(p *simtime.Proc, vni uint32) (map[Key]Mapping, ui
 	if err := c.rpc(p); err != nil {
 		return nil, 0, err
 	}
-	if d := c.P.DumpEntryCost; d > 0 {
-		n := 0
-		for k, e := range c.table {
-			if k.VNI == vni && e.live(p.Now()) {
-				n++
-			}
+	n := 0
+	for k, e := range c.table {
+		if k.VNI == vni && e.live(p.Now()) {
+			n++
 		}
-		if n > 0 {
-			c.serialize(p, simtime.Duration(n)*d)
-			if c.replyLost(p, send) {
-				return nil, 0, ErrUnavailable
-			}
+	}
+	if n > 0 {
+		c.serialize(p, simtime.Duration(n)*dumpEntryCost)
+		if c.replyLost(p, send) {
+			return nil, 0, ErrUnavailable
 		}
 	}
 	now := p.Now()

@@ -266,14 +266,14 @@ func TestDumpFiltersByVNI(t *testing.T) {
 
 // TestLookupTimesOutOnMidRTTWindow is the fault-window regression test:
 // the old implementation sampled the plan only at the send and reply
-// instants, so a window strictly inside (send, send+QueryRTT) was invisible
+// instants, so a window strictly inside (send, send+queryRTT) was invisible
 // and the lookup "succeeded" through a dead controller. The RPC must be
 // lost if any part of its flight overlaps a window, while the boundary
 // semantics stay as before: a window that ends exactly at the send instant
 // does not hurt, one that opens exactly at the reply instant eats the reply.
 func TestLookupTimesOutOnMidRTTWindow(t *testing.T) {
 	eng := simtime.NewEngine()
-	c := New(eng, DefaultParams()) // QueryRTT 100µs, QueryTimeout 1ms
+	c := New(eng, DefaultParams()) // queryRTT 100µs, QueryTimeout 1ms
 	k := Key{VNI: 1, VGID: packet.GIDFromIP(packet.NewIP(10, 0, 0, 1))}
 	c.Register(k, mapping(packet.NewIP(172, 16, 0, 1)))
 	c.SetFaultPlan(FaultPlan{Unavailable: []Window{
@@ -315,7 +315,7 @@ func TestLookupTimesOutOnMidRTTWindow(t *testing.T) {
 }
 
 // TestBatchLookupResolvesManyKeysInOneRTT: a batch of N keys pays one
-// QueryRTT plus per-record serialization, not N round trips, and returns
+// queryRTT plus per-record serialization, not N round trips, and returns
 // the results in request order.
 func TestBatchLookupResolvesManyKeysInOneRTT(t *testing.T) {
 	eng := simtime.NewEngine()
@@ -338,7 +338,7 @@ func TestBatchLookupResolvesManyKeysInOneRTT(t *testing.T) {
 		elapsed = p.Now().Sub(s)
 	})
 	eng.Run()
-	// 5 keys: QueryRTT + 4 extra records × DumpEntryCost (1µs).
+	// 5 keys: queryRTT + 4 extra records × dumpEntryCost (1µs).
 	if want := simtime.Us(104); elapsed != want {
 		t.Fatalf("batch of 5 took %v, want %v", elapsed, want)
 	}

@@ -162,9 +162,6 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 // Owner returns the shard owning k (pure consistent-hash routing).
 func (s *Sharded) Owner(k Key) int { return s.sm.Owner(k) }
 
-// RPCParams returns the shared control-RPC cost model.
-func (s *Sharded) RPCParams() Params { return s.p }
-
 // Register routes a fire-and-forget registration to the owning shard.
 func (s *Sharded) Register(k Key, m Mapping) {
 	s.shards[s.sm.Owner(k)].pri.Register(k, m)

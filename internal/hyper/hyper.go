@@ -17,31 +17,22 @@ import (
 	"masq/internal/simtime"
 )
 
-// Params hold hypervisor-level constants.
-type Params struct {
-	// VMMemOverhead is the per-VM hypervisor memory tax (QEMU, page
+// Hypervisor-level constants.
+const (
+	// vmMemOverhead is the per-VM hypervisor memory tax (QEMU, page
 	// tables, virtio rings). Calibrated so a 96 GB host fits ~160 VMs of
 	// 512 MB each, matching Table 5.
-	VMMemOverhead uint64
-	// VMComputeFactor scales CPU-bound work inside a VM (>1 = slower).
+	vmMemOverhead = 100 << 20 // 100 MiB
+	// vmComputeFactor scales CPU-bound work inside a VM (>1 = slower).
 	// Containers run at native speed. Drives the Fig. 23 FlatMap gap.
-	VMComputeFactor float64
-}
-
-// DefaultParams returns the calibrated defaults.
-func DefaultParams() Params {
-	return Params{
-		VMMemOverhead:   100 << 20, // 100 MiB
-		VMComputeFactor: 1.17,
-	}
-}
+	vmComputeFactor = 1.17
+)
 
 // Host is one physical server.
 type Host struct {
 	Name string
 	IP   packet.IP
 	MAC  packet.MAC
-	P    Params
 
 	Eng     *simtime.Engine
 	Phys    *mem.Phys
@@ -61,7 +52,6 @@ type HostConfig struct {
 	MAC      packet.MAC
 	MemBytes uint64
 	RNIC     rnic.Params
-	Hyper    Params
 	// Fabric, when non-nil, gives the host a vswitch/VTEP.
 	Fabric *overlay.Fabric
 	// ResolveHost maps peer host IPs to MACs (underlay neighbor table).
@@ -79,7 +69,7 @@ func NewHost(eng *simtime.Engine, cfg HostConfig) *Host {
 	dev.AttachPort(port)
 
 	h := &Host{
-		Name: cfg.Name, IP: cfg.IP, MAC: cfg.MAC, P: cfg.Hyper,
+		Name: cfg.Name, IP: cfg.IP, MAC: cfg.MAC,
 		Eng: eng, Phys: phys, HVA: hva, Dev: dev, Port: port,
 	}
 	if cfg.Fabric != nil {
@@ -134,24 +124,22 @@ type VM struct {
 	GPA  *mem.AddrSpace // guest-physical, carved from QEMU's HVA
 	GVA  *mem.AddrSpace // the guest application's address space
 	VNIC *overlay.VMPort
-
-	factor float64
 }
 
 // NewVM boots a VM with the given RAM on tenant vni at virtual IP vip,
 // reserving RAM + hypervisor overhead from host memory. It fails with
 // mem.ErrOutOfMemory when the host is full — the Table 5 limiting factor.
 func (h *Host) NewVM(name string, memBytes uint64, vni uint32, vip packet.IP) (*VM, error) {
-	if err := h.Phys.Reserve(memBytes + h.P.VMMemOverhead); err != nil {
+	if err := h.Phys.Reserve(memBytes + vmMemOverhead); err != nil {
 		return nil, fmt.Errorf("hyper: boot %s: %w", name, err)
 	}
 	gpa := mem.NewAddrSpace(name+".gpa", h.HVA, h.HVA.AllocBacking)
 	gva := mem.NewAddrSpace(name+".gva", gpa, gpa.AllocBacking)
-	vm := &VM{Name: name, Host: h, Mem: memBytes, GPA: gpa, GVA: gva, factor: h.P.VMComputeFactor}
+	vm := &VM{Name: name, Host: h, Mem: memBytes, GPA: gpa, GVA: gva}
 	if h.VSwitch != nil {
 		vp, err := h.VSwitch.AttachVM(vni, vip)
 		if err != nil {
-			h.Phys.Release(memBytes + h.P.VMMemOverhead)
+			h.Phys.Release(memBytes + vmMemOverhead)
 			return nil, err
 		}
 		vm.VNIC = vp
@@ -160,69 +148,31 @@ func (h *Host) NewVM(name string, memBytes uint64, vni uint32, vip packet.IP) (*
 	return vm, nil
 }
 
-// MigrateTo moves the VM's memory image to another host: capacity is
-// reserved on the destination, every guest page is copied into fresh
-// backing there (virtual addresses preserved), and the source reservation
-// is released. It refuses while any guest page is pinned — DMA-registered
-// memory cannot move, which is exactly why RDMA live migration needs the
-// application-assisted scheme of Sec. 5 (tear down QPs and MRs first).
-// The caller re-homes the vNIC and re-plugs the paravirtual device.
-func (vm *VM) MigrateTo(dst *Host) error {
-	if vm.Host == dst {
-		return nil
-	}
-	if vm.GVA.Pinned() || vm.GPA.Pinned() {
-		return fmt.Errorf("hyper: %s has pinned (RDMA-registered) memory; deregister MRs before migrating", vm.Name)
-	}
-	if err := dst.Phys.Reserve(vm.Mem + dst.P.VMMemOverhead); err != nil {
-		return fmt.Errorf("hyper: migrate %s: %w", vm.Name, err)
-	}
-	gpa := mem.NewAddrSpace(vm.Name+".gpa", dst.HVA, dst.HVA.AllocBacking)
-	gva := mem.NewAddrSpace(vm.Name+".gva", gpa, gpa.AllocBacking)
-	if err := vm.GVA.MigrateTo(gva); err != nil {
-		dst.Phys.Release(vm.Mem + dst.P.VMMemOverhead)
-		return err
-	}
-	src := vm.Host
-	src.Phys.Release(vm.Mem + src.P.VMMemOverhead)
-	for i, v := range src.vms {
-		if v == vm {
-			src.vms = append(src.vms[:i], src.vms[i+1:]...)
-			break
-		}
-	}
-	vm.Host = dst
-	vm.GPA, vm.GVA = gpa, gva
-	vm.factor = dst.P.VMComputeFactor
-	dst.vms = append(dst.vms, vm)
-	return nil
-}
-
-// LiveMigrateTo re-homes the VM onto dst *in place*: capacity is reserved
-// on the destination, the guest-physical space is rehomed into dst's
+// MigrateTo re-homes the VM onto dst *in place*: capacity is reserved on
+// the destination, the guest-physical space is rehomed into dst's
 // userspace (mem.AddrSpace.Rehome — same GPA/GVA objects, same virtual
 // addresses, fresh backing), and the source reservation is released. The
-// GPA must be unpinned (the migration engine deregisters MRs around the
+// GPA must be unpinned (a live migration deregisters MRs around the
 // stop-copy); pins held at the GVA level survive untouched, which is what
 // lets applications keep their buffers across a transparent migration.
 // On error nothing has moved. The caller re-homes the vNIC, re-plugs the
 // paravirtual device, and re-registers MRs on the destination.
-func (vm *VM) LiveMigrateTo(dst *Host) error {
+func (vm *VM) MigrateTo(dst *Host) error {
 	if vm.Host == dst {
 		return nil
 	}
 	if vm.GPA.Pinned() {
 		return fmt.Errorf("hyper: %s has pinned (DMA-visible) guest memory; unpin MRs before the stop-copy", vm.Name)
 	}
-	if err := dst.Phys.Reserve(vm.Mem + dst.P.VMMemOverhead); err != nil {
+	if err := dst.Phys.Reserve(vm.Mem + vmMemOverhead); err != nil {
 		return fmt.Errorf("hyper: migrate %s: %w", vm.Name, err)
 	}
 	if err := vm.GPA.Rehome(dst.HVA); err != nil {
-		dst.Phys.Release(vm.Mem + dst.P.VMMemOverhead)
+		dst.Phys.Release(vm.Mem + vmMemOverhead)
 		return err
 	}
 	src := vm.Host
-	src.Phys.Release(vm.Mem + src.P.VMMemOverhead)
+	src.Phys.Release(vm.Mem + vmMemOverhead)
 	for i, v := range src.vms {
 		if v == vm {
 			src.vms = append(src.vms[:i], src.vms[i+1:]...)
@@ -230,14 +180,13 @@ func (vm *VM) LiveMigrateTo(dst *Host) error {
 		}
 	}
 	vm.Host = dst
-	vm.factor = dst.P.VMComputeFactor
 	dst.vms = append(dst.vms, vm)
 	return nil
 }
 
 // Shutdown releases the VM's memory reservation.
 func (vm *VM) Shutdown() {
-	vm.Host.Phys.Release(vm.Mem + vm.Host.P.VMMemOverhead)
+	vm.Host.Phys.Release(vm.Mem + vmMemOverhead)
 	for i, v := range vm.Host.vms {
 		if v == vm {
 			vm.Host.vms = append(vm.Host.vms[:i], vm.Host.vms[i+1:]...)
@@ -251,7 +200,7 @@ func (h *Host) VMs() int { return len(h.vms) }
 
 // Compute burns d of CPU time scaled by the VM's virtualization overhead.
 func (vm *VM) Compute(p *simtime.Proc, d simtime.Duration) {
-	p.Sleep(simtime.Duration(float64(d) * vm.factor))
+	p.Sleep(simtime.Duration(float64(d) * vmComputeFactor))
 }
 
 // Container is a lightweight environment (FreeFlow's deployment target):

@@ -14,11 +14,11 @@ import (
 
 func newHost(t *testing.T, eng *simtime.Engine, memBytes uint64) *Host {
 	t.Helper()
-	fab := overlay.NewFabric(overlay.DefaultParams())
+	fab := overlay.NewFabric()
 	fab.AddTenant(100, "t")
 	h := NewHost(eng, HostConfig{
 		Name: "h0", IP: packet.NewIP(172, 16, 0, 1), MAC: packet.MAC{2, 0, 0, 0, 0, 1},
-		MemBytes: memBytes, RNIC: rnic.DefaultParams(), Hyper: DefaultParams(),
+		MemBytes: memBytes, RNIC: rnic.DefaultParams(),
 		Fabric:      fab,
 		ResolveHost: func(packet.IP) (packet.MAC, bool) { return packet.MAC{}, false },
 	})
@@ -32,7 +32,7 @@ func TestVMMemoryAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := uint64(1<<30) + DefaultParams().VMMemOverhead
+	want := uint64(1<<30) + vmMemOverhead
 	if h.Phys.Reserved() != want {
 		t.Fatalf("reserved = %d, want %d", h.Phys.Reserved(), want)
 	}

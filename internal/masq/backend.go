@@ -28,8 +28,6 @@ type Backend struct {
 	Fab  *overlay.Fabric
 	CT   *RConntrack
 
-	VIO virtio.Params
-
 	// Rec, when set, records backend command handling, RConnrename and
 	// RConntrack work as trace spans. Nil is valid and free.
 	Rec *trace.Recorder
@@ -161,7 +159,6 @@ func NewBackend(host *hyper.Host, ctrl *controller.Sharded, fab *overlay.Fabric,
 		Ctrl:      ctrl,
 		Fab:       fab,
 		CT:        NewRConntrack(p, host.Dev),
-		VIO:       virtio.DefaultParams(),
 		cache:     make(map[controller.Key]cacheEntry),
 		tenants:   make(map[uint32]*rnic.Func),
 		qpOwner:   make(map[uint32]*session),
@@ -347,7 +344,7 @@ func (b *Backend) WireInfo(qpn uint32) (vni uint32, vip packet.IP, ok bool) {
 func (b *Backend) resolveGID(p *simtime.Proc, vni uint32, vgid packet.GID) (controller.Mapping, bool, error) {
 	k := controller.Key{VNI: vni, VGID: vgid}
 	sp := b.Rec.Begin(p, trace.LayerRConnrename, "cache_lookup")
-	p.Sleep(b.P.CacheLookupCost)
+	p.Sleep(cacheLookupCost)
 	e, ok := b.cache[k]
 	sp.End(p)
 	if ok {
@@ -380,14 +377,13 @@ func (b *Backend) resolveGID(p *simtime.Proc, vni uint32, vgid packet.GID) (cont
 // the same timeout — and doubling is clamped at RetryBackoffMax so a large
 // QueryRetries cannot overflow simtime.Duration.
 func (b *Backend) retryPlan() (backoff, limit simtime.Duration) {
-	timeout := b.Ctrl.RPCParams().Timeout()
 	backoff = b.P.RetryBackoff
 	if backoff <= 0 {
-		backoff = timeout
+		backoff = controller.QueryTimeout
 	}
 	limit = b.P.RetryBackoffMax
 	if limit <= 0 {
-		limit = 10 * timeout
+		limit = 10 * controller.QueryTimeout
 	}
 	if backoff > limit {
 		backoff = limit
@@ -968,13 +964,13 @@ func (b *Backend) subscribeSession(sess *session) {
 		if ev.Type == rnic.EventQPFatal && b.qpOwner[ev.QPN] != sess {
 			return
 		}
-		b.Host.Eng.After(b.VIO.IRQCost, func() { sess.events.Put(ev) })
+		b.Host.Eng.After(virtio.IRQCost, func() { sess.events.Put(ev) })
 	})
 }
 
 // serveRing builds a frontend↔backend virtio ring served by this backend.
 func (b *Backend) serveRing() *virtio.Ring {
-	ring := virtio.NewRing(b.Host.Eng, b.VIO, b.handle)
+	ring := virtio.NewRing(b.Host.Eng, b.handle)
 	ring.Rec = b.Rec
 	return ring
 }
@@ -1067,7 +1063,7 @@ func (b *Backend) handle(p *simtime.Proc, cmd any) any {
 	case cmdCreateCQ:
 		if pool := b.pools[c.sess.vni]; pool != nil {
 			if cq := pool.takeCQ(c.cqe); cq != nil {
-				p.Sleep(b.P.PoolReuseCost)
+				p.Sleep(poolReuseCost)
 				b.Stats.PoolHits++
 				pool.noteTake(p.Now())
 				return resp{v: cq}
@@ -1086,7 +1082,7 @@ func (b *Backend) handle(p *simtime.Proc, cmd any) any {
 	case cmdCreateQP:
 		if pool := b.pools[c.sess.vni]; pool != nil && c.typ == rnic.RC {
 			if qp := pool.takeQP(); qp != nil {
-				p.Sleep(b.P.PoolReuseCost)
+				p.Sleep(poolReuseCost)
 				if err := qp.Rebind(c.pd, c.scq, c.rcq, c.caps); err != nil {
 					return resp{err: err}
 				}
@@ -1152,14 +1148,14 @@ func (b *Backend) modifyQP(p *simtime.Proc, c cmdModifyQP) error {
 		// Pooled QP: the refiller pre-applied INIT on the same function, so
 		// the guest's verb is satisfied by bookkeeping instead of firmware.
 		delete(b.pooledInit, c.qp.Num)
-		p.Sleep(b.P.PoolReuseCost)
+		p.Sleep(poolReuseCost)
 		return nil
 	}
 	if a.ToState == rnic.StateRTS {
 		if fl, ok := b.sharedFlows[c.qp.Num]; ok && fl.attached {
 			// Attached flow of a shared connection: the carrier already paid
 			// the firmware RTS; this flow's QPC flips in host memory.
-			return b.Host.Dev.SoftModify(p, c.qp, attr, b.P.SharedAttachCost)
+			return b.Host.Dev.SoftModify(p, c.qp, attr, sharedAttachCost)
 		}
 	}
 	return b.Host.Dev.ModifyQP(p, c.qp, attr)
@@ -1181,7 +1177,7 @@ func (b *Backend) renameRTR(p *simtime.Proc, c cmdModifyQP, a verbs.Attr, attr r
 		// once — this is what makes live migration + reconnect
 		// correct under delayed invalidation.
 		b.Stats.StaleRenames++
-		p.Sleep(b.P.StaleDetectCost)
+		p.Sleep(StaleDetectCost)
 		b.invalidate(k)
 		if m, err = b.lookupWithRetry(p, k); err != nil {
 			return err

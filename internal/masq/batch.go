@@ -9,7 +9,7 @@ import (
 
 // Batched controller queries (setup fast path, part a): during a connection
 // storm, every concurrent rename miss pays its own Lookup RPC — N misses,
-// N QueryRTTs, serialized through the same controller. With BatchLookups
+// N round trips, serialized through the same controller. With BatchLookups
 // enabled the first miss becomes a batch leader; misses arriving within the
 // batch window join its queue (and misses for a key already in flight just
 // wait on that key's event — single-flight), so the whole storm resolves in
@@ -47,12 +47,8 @@ func (b *Backend) batchResolve(p *simtime.Proc, k controller.Key) (controller.Ma
 // stragglers pile in, resolve everything queued with one RPC, and repeat
 // until no new misses arrived while the RPC was in flight.
 func (b *Backend) batchLeader(p *simtime.Proc) {
-	window := b.P.BatchWindow
-	if window < simtime.Us(20) {
-		window = simtime.Us(20)
-	}
 	for {
-		p.Sleep(window)
+		p.Sleep(batchWindow)
 		keys := b.batchQ
 		b.batchQ = nil
 		if len(keys) == 0 {

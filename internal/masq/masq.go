@@ -34,36 +34,94 @@ import (
 	"masq/internal/simtime"
 )
 
-// Params hold MasQ's control-path cost constants (Table 4) and cache
-// behaviour.
-type Params struct {
-	// RConntrack basic operation costs (Table 4).
-	ValidConnCost  simtime.Duration // valid_conn(): policy check at RTR
-	InsertConnCost simtime.Duration // insert_conn(): RCT table insert
-	DeleteConnCost simtime.Duration // delete_conn(): RCT table remove
-	InsertRuleCost simtime.Duration // insert_rule(): rule-chain update
+// RConntrack's basic operation costs (Table 4).
+const (
+	ValidConnCost  = 2500 * simtime.Nanosecond // valid_conn(): policy check at RTR
+	InsertConnCost = 1500 * simtime.Nanosecond // insert_conn(): RCT table insert
+	deleteConnCost = 1500 * simtime.Nanosecond // delete_conn(): RCT table remove
 
-	// RuleEvalCost is charged per rule-evaluation work unit beyond the
+	// ruleEvalCost is charged per rule-evaluation work unit beyond the
 	// first during valid_conn and enforcement re-validation: chain entries
 	// scanned by the linear oracle, or index buckets probed by the
 	// decision index. The first unit is folded into ValidConnCost /
-	// EnforceScanCost, so the canonical single-allow-all policy costs
+	// enforceScanCost, so the canonical single-allow-all policy costs
 	// exactly its Table 4 value.
-	RuleEvalCost simtime.Duration
+	ruleEvalCost = 300 * simtime.Nanosecond
 
-	// EnforceScanCost is the base cost of re-validating one RCT entry
+	// enforceScanCost is the base cost of re-validating one RCT entry
 	// during rule-change enforcement (entry fetch + verdict application);
-	// the policy evaluation on top scales via RuleEvalCost.
-	EnforceScanCost simtime.Duration
+	// the policy evaluation on top scales via ruleEvalCost.
+	enforceScanCost = 500 * simtime.Nanosecond
 
-	// VerdictCacheCost is a valid_conn verdict-cache hit: the same
+	// verdictCacheCost is a valid_conn verdict-cache hit: the same
 	// connection re-validated while the tenant's rule version is
 	// unchanged skips the policy walk entirely.
-	VerdictCacheCost simtime.Duration
+	verdictCacheCost = 500 * simtime.Nanosecond
+)
 
-	// CacheLookupCost is a local mapping-cache hit ("completed within a
+// RConnrename and connection-setup fast-path costs.
+const (
+	// cacheLookupCost is a local mapping-cache hit ("completed within a
 	// few microseconds").
-	CacheLookupCost simtime.Duration
+	cacheLookupCost = 2 * simtime.Microsecond
+
+	// StaleDetectCost is the time to discover that connection
+	// establishment toward a stale mapping failed (the probe/retransmit
+	// timeout before the backend invalidates the entry and re-queries).
+	StaleDetectCost = simtime.Millisecond
+
+	// batchWindow is how long the batch leader waits for stragglers
+	// before issuing the coalesced RPC (Params.BatchLookups).
+	batchWindow = 20 * simtime.Microsecond
+
+	// poolReuseCost is the host-software cost of handing out one pooled
+	// resource (table lookup + handle rebind) in place of the firmware
+	// verb it replaces.
+	poolReuseCost = 2 * simtime.Microsecond
+
+	// poolRefillIdle is how long the pool refiller waits after the last
+	// pooled take before creating replacements, keeping the RNIC
+	// firmware free for foreground verbs during a setup storm.
+	poolRefillIdle = simtime.Millisecond
+
+	// sharedAttachCost is the host-software cost of attaching one guest
+	// flow to an already-established shared host connection
+	// (ModeVFShared): allocate a flow tag, rewrite the QP context in
+	// host memory — no firmware verb.
+	sharedAttachCost = 5 * simtime.Microsecond
+)
+
+// Live-migration costs.
+const (
+	// migrSuspendTTL bounds how long a peer QP stays quiesced after a
+	// migration Suspend push: if neither the Moved (commit) nor the
+	// rollback-resume push arrives within the TTL — both were lost, or
+	// the controller died mid-migration — the QP auto-resumes toward
+	// whatever address it has programmed and lives or dies by the normal
+	// transport retry budget.
+	migrSuspendTTL = 50 * simtime.Millisecond
+
+	// migrRenameCost is the host-software cost of renaming one peer
+	// connection in place when a Moved push lands: rewrite the QP
+	// context's address vector (new physical GID/IP/MAC, translated
+	// destination QPN) in host memory.
+	migrRenameCost = simtime.Microsecond
+
+	// migrQPCost is the per-QP host cost of capturing or restoring
+	// transport state during a live migration's freeze/restore (detach or
+	// adopt plus the conntrack rewrite bookkeeping).
+	migrQPCost = 3 * simtime.Microsecond
+
+	// migrMRCost is the per-MR host cost of moving a registration across
+	// hosts beyond the page-table work itself: MTT capture on the source,
+	// adoption under preserved keys on the destination.
+	migrMRCost = 2 * simtime.Microsecond
+)
+
+// Params hold the MasQ settings that callers vary: rule-update cost,
+// controller retry policy, cache behaviour and the setup fast path.
+type Params struct {
+	InsertRuleCost simtime.Duration // insert_rule(): rule-chain update (Table 4)
 
 	// PushDown pre-populates each backend's cache from the controller and
 	// keeps it updated, avoiding even first-query misses (Sec. 3.3.1).
@@ -88,15 +146,10 @@ type Params struct {
 
 	// BatchLookups enables the connection-setup fast path's batched
 	// controller queries: concurrent cache misses coalesce into one
-	// BatchLookup RPC resolving every pending key in a single QueryRTT
-	// (and piggybacking the host's lease renewals). Off by default —
+	// BatchLookup RPC resolving every pending key in a single query round
+	// trip (and piggybacking the host's lease renewals). Off by default —
 	// each miss pays its own Lookup RPC, the historical behaviour.
 	BatchLookups bool
-
-	// BatchWindow is how long the batch leader waits for stragglers
-	// before issuing the coalesced RPC. Floored at 20 µs when batching
-	// is enabled.
-	BatchWindow simtime.Duration
 
 	// QPPoolSize, when positive, arms the warm QP pool: the backend
 	// pre-creates up to this many RC QPs (already in INIT) and CQs per
@@ -104,27 +157,6 @@ type Params struct {
 	// RTR rewrite instead of the full create/modify firmware chain.
 	// Zero disables pooling.
 	QPPoolSize int
-
-	// PoolReuseCost is the host-software cost of handing out one pooled
-	// resource (table lookup + handle rebind) in place of the firmware
-	// verb it replaces.
-	PoolReuseCost simtime.Duration
-
-	// PoolRefillIdle is how long the pool refiller waits after the last
-	// pooled take before creating replacements, keeping the RNIC
-	// firmware free for foreground verbs during a setup storm.
-	PoolRefillIdle simtime.Duration
-
-	// SharedAttachCost is the host-software cost of attaching one guest
-	// flow to an already-established shared host connection
-	// (ModeVFShared): allocate a flow tag, rewrite the QP context in
-	// host memory — no firmware verb.
-	SharedAttachCost simtime.Duration
-
-	// StaleDetectCost is the time to discover that connection
-	// establishment toward a stale mapping failed (the probe/retransmit
-	// timeout before the backend invalidates the entry and re-queries).
-	StaleDetectCost simtime.Duration
 
 	// GraceTTL lets RConnrename keep serving renames while the controller
 	// is unreachable: a cache entry last confirmed within the TTL is
@@ -140,59 +172,17 @@ type Params struct {
 	// reveal controller outages, restarts (epoch bumps), and dropped push
 	// notifications.
 	LeaseRenewEvery simtime.Duration
-
-	// MigrSuspendTTL bounds how long a peer QP stays quiesced after a
-	// migration Suspend push: if neither the Moved (commit) nor the
-	// rollback-resume push arrives within the TTL — both were lost, or
-	// the controller died mid-migration — the QP auto-resumes toward
-	// whatever address it has programmed and lives or dies by the normal
-	// transport retry budget. Zero means 50 ms.
-	MigrSuspendTTL simtime.Duration
-
-	// MigrRenameCost is the host-software cost of renaming one peer
-	// connection in place when a Moved push lands: rewrite the QP
-	// context's address vector (new physical GID/IP/MAC, translated
-	// destination QPN) in host memory.
-	MigrRenameCost simtime.Duration
-
-	// MigrQPCost is the per-QP host cost of capturing or restoring
-	// transport state during a live migration's freeze/restore (detach or
-	// adopt plus the conntrack rewrite bookkeeping).
-	MigrQPCost simtime.Duration
-
-	// MigrMRCost is the per-MR host cost of moving a registration across
-	// hosts beyond the page-table work itself: MTT capture on the source,
-	// adoption under preserved keys on the destination.
-	MigrMRCost simtime.Duration
 }
 
-// DefaultParams returns the paper's measured costs.
+// DefaultParams returns the paper's measured costs and the default retry
+// policy, with the setup fast path off.
 func DefaultParams() Params {
 	return Params{
-		ValidConnCost:    simtime.Us(2.5),
-		InsertConnCost:   simtime.Us(1.5),
-		DeleteConnCost:   simtime.Us(1.5),
-		InsertRuleCost:   simtime.Us(1.5),
-		RuleEvalCost:     simtime.Us(0.3),
-		EnforceScanCost:  simtime.Us(0.5),
-		VerdictCacheCost: simtime.Us(0.5),
-		CacheLookupCost:  simtime.Us(2),
-		PushDown:         false,
-		QueryRetries:     4,
-		RetryBackoff:     simtime.Us(200),
-		RetryBackoffMax:  simtime.Ms(10),
-		StaleDetectCost:  simtime.Ms(1),
-		LeaseRenewEvery:  simtime.Ms(1),
-
-		MigrSuspendTTL: simtime.Ms(50),
-		MigrRenameCost: simtime.Us(1),
-		MigrQPCost:     simtime.Us(3),
-		MigrMRCost:     simtime.Us(2),
-
-		BatchWindow:      simtime.Us(20),
-		PoolReuseCost:    simtime.Us(2),
-		PoolRefillIdle:   simtime.Ms(1),
-		SharedAttachCost: simtime.Us(5),
+		InsertRuleCost:  simtime.Us(1.5),
+		QueryRetries:    4,
+		RetryBackoff:    simtime.Us(200),
+		RetryBackoffMax: simtime.Ms(10),
+		LeaseRenewEvery: simtime.Ms(1),
 	}
 }
 

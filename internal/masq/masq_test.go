@@ -29,12 +29,12 @@ type bed struct {
 func newBed(t *testing.T, mode Mode) *bed {
 	t.Helper()
 	eng := simtime.NewEngine()
-	fab := overlay.NewFabric(overlay.DefaultParams())
+	fab := overlay.NewFabric()
 	fab.AddTenant(100, "acme")
 	svc := controller.NewSharded([]*simtime.Engine{eng}, controller.DefaultParams(), 1)
 	host := hyper.NewHost(eng, hyper.HostConfig{
 		Name: "h0", IP: packet.NewIP(172, 16, 0, 1), MAC: packet.MAC{2, 0, 0, 0, 0, 1},
-		MemBytes: 32 << 30, RNIC: rnic.DefaultParams(), Hyper: hyper.DefaultParams(),
+		MemBytes: 32 << 30, RNIC: rnic.DefaultParams(),
 		Fabric:      fab,
 		ResolveHost: func(packet.IP) (packet.MAC, bool) { return packet.MAC{}, false },
 	})
@@ -563,9 +563,8 @@ func TestModeString(t *testing.T) {
 }
 
 func TestTable4Costs(t *testing.T) {
-	p := DefaultParams()
-	if p.ValidConnCost != simtime.Us(2.5) || p.InsertConnCost != simtime.Us(1.5) ||
-		p.DeleteConnCost != simtime.Us(1.5) || p.InsertRuleCost != simtime.Us(1.5) {
+	if ValidConnCost != simtime.Us(2.5) || InsertConnCost != simtime.Us(1.5) ||
+		deleteConnCost != simtime.Us(1.5) || DefaultParams().InsertRuleCost != simtime.Us(1.5) {
 		t.Fatal("Table 4 basic-op costs drifted from the paper")
 	}
 }

@@ -35,7 +35,7 @@ import (
 //     and nothing is completed twice (duplicates are absorbed by the
 //     responder's expected-PSN window). A rollback resume is the same
 //     push carrying the original mapping and no translations. If both
-//     pushes are lost, MigrSuspendTTL wakes the QPs anyway and the normal
+//     pushes are lost, migrSuspendTTL wakes the QPs anyway and the normal
 //     retry budget decides their fate.
 
 // suspendSet tracks the peer QPs quiesced by one Suspend push. The
@@ -87,11 +87,7 @@ func (b *Backend) migrSuspend(k controller.Key) {
 	}
 	b.Stats.MigrSuspends++
 	b.Stats.MigrSuspendedQPs += uint64(len(qps))
-	ttl := b.P.MigrSuspendTTL
-	if ttl <= 0 {
-		ttl = simtime.Ms(50)
-	}
-	b.Host.Eng.After(ttl, func() {
+	b.Host.Eng.After(migrSuspendTTL, func() {
 		cur := b.migrSusp[k]
 		if cur == nil || cur.gen != gen {
 			return // a Moved push or a newer Suspend superseded this set
@@ -144,7 +140,7 @@ func (b *Backend) migrMoved(n controller.Notify) {
 				// The in-place rename: rewrite the QP context's address
 				// vector in host memory — the RConnrename idea applied to
 				// an established connection.
-				p.Sleep(b.P.MigrRenameCost)
+				p.Sleep(migrRenameCost)
 				qp.AV = rnic.AddressVector{DGID: m.PGID, DIP: m.PIP, DMAC: m.PMAC, DQPN: newQPN}
 				b.Stats.MigrRenames++
 			}
@@ -235,7 +231,7 @@ func (b *Backend) MigrateOut(p *simtime.Proc, f *Frontend) (*MigrCapture, error)
 		qp.Suspend()
 	}
 	for _, qp := range sess.qps {
-		p.Sleep(b.P.MigrQPCost)
+		p.Sleep(migrQPCost)
 		cap.qps = append(cap.qps, capQP{qp: qp, oldQPN: qp.Num, pooled: b.pooledInit[qp.Num]})
 		ids := make([]ConnID, 0, len(b.CT.byQPN[qp.Num]))
 		for id := range b.CT.byQPN[qp.Num] {
@@ -259,7 +255,7 @@ func (b *Backend) MigrateOut(p *simtime.Proc, f *Frontend) (*MigrCapture, error)
 	}
 	cap.mrs = append(cap.mrs, sess.mrs...)
 	for _, r := range cap.mrs {
-		p.Sleep(b.P.MigrMRCost)
+		p.Sleep(migrMRCost)
 		dev.DetachMR(r.mr)
 		for _, e := range r.gpa {
 			if err := sess.vm.GPA.UnpinToPhys(e.Addr, e.Len); err != nil {
@@ -338,7 +334,7 @@ func (b *Backend) MigrateIn(p *simtime.Proc, cap *MigrCapture, rollback bool) er
 		dev.AdoptCQ(cq)
 	}
 	for _, r := range cap.mrs {
-		p.Sleep(b.P.MigrMRCost)
+		p.Sleep(migrMRCost)
 		var hpa []mem.Extent
 		for _, e := range r.gpa {
 			sub, err := sess.vm.GPA.PinToPhys(e.Addr, e.Len)
@@ -351,7 +347,7 @@ func (b *Backend) MigrateIn(p *simtime.Proc, cap *MigrCapture, rollback bool) er
 	}
 	qpnMap := make(map[uint32]uint32, len(cap.qps))
 	for _, c := range cap.qps {
-		p.Sleep(b.P.MigrQPCost)
+		p.Sleep(migrQPCost)
 		if rollback {
 			if err := dev.AdoptQPAt(c.qp, fn, c.oldQPN); err != nil {
 				return fmt.Errorf("masq: migrate %s: %w", sess.vm.Name, err)
@@ -401,14 +397,14 @@ func (b *Backend) Evict(p *simtime.Proc, cap *MigrCapture) {
 	sess := cap.f.sess
 	dev := b.Host.Dev
 	for _, c := range cap.qps {
-		p.Sleep(b.P.MigrQPCost)
+		p.Sleep(migrQPCost)
 		b.CT.Delete(p, c.qp.Num)
 		delete(b.qpOwner, c.qp.Num)
 		delete(b.pooledInit, c.qp.Num)
 		dev.DetachQP(c.qp)
 	}
 	for _, r := range cap.mrs {
-		p.Sleep(b.P.MigrMRCost)
+		p.Sleep(migrMRCost)
 		dev.DetachMR(r.mr)
 		for _, e := range r.gpa {
 			_ = sess.vm.GPA.UnpinToPhys(e.Addr, e.Len)

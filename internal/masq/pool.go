@@ -112,12 +112,12 @@ func (b *Backend) refillPool(p *simtime.Proc, pool *qpPool) {
 			continue
 		}
 		if pool.tookAny {
-			if idle := p.Now().Sub(pool.lastTake); idle < b.P.PoolRefillIdle {
+			if idle := p.Now().Sub(pool.lastTake); idle < poolRefillIdle {
 				// A take landed recently — the host is mid-storm. Creating
 				// now would serialize the storm's RTR/RTS verbs behind our
 				// create_qp on the firmware; back off until the pool has
 				// been quiet for the idle window.
-				p.Sleep(b.P.PoolRefillIdle - idle)
+				p.Sleep(poolRefillIdle - idle)
 				continue
 			}
 		}

@@ -123,22 +123,22 @@ func (ct *RConntrack) Watch(t *overlay.Tenant) {
 // The cost charged scales with the rule-evaluation work actually done:
 // ValidConnCost covers the call plus the first rule evaluation; each
 // further unit (chain entries scanned, or index buckets probed) adds
-// RuleEvalCost. A verdict-cache hit — same connection, unchanged policy —
-// pays only VerdictCacheCost.
+// ruleEvalCost. A verdict-cache hit — same connection, unchanged policy —
+// pays only verdictCacheCost.
 func (ct *RConntrack) Validate(p *simtime.Proc, id ConnID) error {
 	sp := ct.rec.Begin(p, trace.LayerRConntrack, "valid_conn")
 	defer sp.End(p)
 	ct.Stats.Validated++
 	t := ct.tenant[id.VNI]
 	if t == nil {
-		p.Sleep(ct.p.ValidConnCost)
+		p.Sleep(ValidConnCost)
 		ct.Stats.Denied++
 		return fmt.Errorf("masq: connection %v denied by security rules", id)
 	}
 	ver := t.RuleVersion()
 	if v, ok := ct.verdicts[id]; ok && v.version == ver {
 		ct.Stats.VerdictHits++
-		p.Sleep(ct.p.VerdictCacheCost)
+		p.Sleep(verdictCacheCost)
 		if !v.allow {
 			ct.Stats.Denied++
 			return fmt.Errorf("masq: connection %v denied by security rules", id)
@@ -147,7 +147,7 @@ func (ct *RConntrack) Validate(p *simtime.Proc, id ConnID) error {
 	}
 	ct.Stats.VerdictMisses++
 	allow, units := t.AllowsCost(overlay.ProtoRDMA, id.SrcVIP, id.DstVIP)
-	p.Sleep(ct.p.ValidConnCost + simtime.Duration(extraUnits(units))*ct.p.RuleEvalCost)
+	p.Sleep(ValidConnCost + simtime.Duration(extraUnits(units))*ruleEvalCost)
 	ct.verdicts[id] = verdict{version: ver, allow: allow}
 	if !allow {
 		ct.Stats.Denied++
@@ -171,7 +171,7 @@ func extraUnits(units int) int {
 func (ct *RConntrack) Insert(p *simtime.Proc, id ConnID, qp *rnic.QP) {
 	sp := ct.rec.Begin(p, trace.LayerRConntrack, "insert_conn")
 	defer sp.End(p)
-	p.Sleep(ct.p.InsertConnCost)
+	p.Sleep(InsertConnCost)
 	ct.Stats.Inserted++
 	c := &trackedConn{id: id, qp: qp}
 	ct.table[id] = c
@@ -229,7 +229,7 @@ func (ct *RConntrack) remove(id ConnID) {
 func (ct *RConntrack) Delete(p *simtime.Proc, qpn uint32) {
 	sp := ct.rec.Begin(p, trace.LayerRConntrack, "delete_conn")
 	defer sp.End(p)
-	p.Sleep(ct.p.DeleteConnCost)
+	p.Sleep(deleteConnCost)
 	for id := range ct.byQPN[qpn] {
 		ct.remove(id)
 	}
@@ -357,7 +357,7 @@ func (ct *RConntrack) enforce(p *simtime.Proc, job enforceJob) {
 			continue
 		}
 		allow, units := t.AllowsCost(overlay.ProtoRDMA, c.id.SrcVIP, c.id.DstVIP)
-		p.Sleep(ct.p.EnforceScanCost + simtime.Duration(extraUnits(units))*ct.p.RuleEvalCost)
+		p.Sleep(enforceScanCost + simtime.Duration(extraUnits(units))*ruleEvalCost)
 		ct.Stats.Revalidated++
 		if allow {
 			continue

@@ -108,7 +108,7 @@ func TestEnforcementSkipsNonRevokingChanges(t *testing.T) {
 }
 
 // TestVerdictCacheHitsAndInvalidation: repeat valid_conn on an unchanged
-// policy must hit the verdict cache (and pay only VerdictCacheCost); any
+// policy must hit the verdict cache (and pay only verdictCacheCost); any
 // rule change invalidates via the version key.
 func TestVerdictCacheHitsAndInvalidation(t *testing.T) {
 	b := newBed(t, ModeVF)
@@ -134,12 +134,11 @@ func TestVerdictCacheHitsAndInvalidation(t *testing.T) {
 	if ct.Stats.VerdictMisses != 2 || ct.Stats.VerdictHits != 1 {
 		t.Fatalf("misses=%d hits=%d, want 2/1", ct.Stats.VerdictMisses, ct.Stats.VerdictHits)
 	}
-	p := DefaultParams()
-	if missCost != p.ValidConnCost {
-		t.Errorf("miss cost = %v, want %v", missCost, p.ValidConnCost)
+	if missCost != ValidConnCost {
+		t.Errorf("miss cost = %v, want %v", missCost, ValidConnCost)
 	}
-	if hitCost != p.VerdictCacheCost {
-		t.Errorf("hit cost = %v, want %v", hitCost, p.VerdictCacheCost)
+	if hitCost != verdictCacheCost {
+		t.Errorf("hit cost = %v, want %v", hitCost, verdictCacheCost)
 	}
 }
 

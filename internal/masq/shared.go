@@ -12,7 +12,7 @@ import (
 // multiplex a single host-level connection. The first flow to a (VNI, peer
 // host) pair is the carrier — it pays the full firmware RTR/RTS chain and
 // establishes the host connection; subsequent flows attach to it, flipping
-// their QPC in host memory at SharedAttachCost instead of taking the
+// their QPC in host memory at sharedAttachCost instead of taking the
 // firmware path. Each flow keeps its own QP and BTH DestQP (so data-path
 // routing is untouched); the carrier relationship is visible on the wire as
 // a flow tag in a VXLAN shim (port 4790), letting the peer demux which of
@@ -46,7 +46,7 @@ func (b *Backend) sharedRTR(p *simtime.Proc, qp *rnic.QP, vni uint32, m controll
 	attr.FlowVNI = vni
 	if sc, ok := b.shared[key]; ok {
 		attr.FlowTag = sc.nextTag
-		if err := b.Host.Dev.SoftModify(p, qp, attr, b.P.SharedAttachCost); err != nil {
+		if err := b.Host.Dev.SoftModify(p, qp, attr, sharedAttachCost); err != nil {
 			return err
 		}
 		sc.nextTag++

@@ -360,35 +360,6 @@ func (s *AddrSpace) Rehome(parent *AddrSpace) error {
 	return nil
 }
 
-// MigrateTo re-creates every mapping of s inside dst — same virtual
-// addresses, freshly allocated backing — and copies the contents page by
-// page (the pre-copy of a VM migration). It fails if any page is pinned.
-func (s *AddrSpace) MigrateTo(dst *AddrSpace) error {
-	if s.Pinned() {
-		return fmt.Errorf("mem: %s: cannot migrate pinned (DMA-registered) memory", s.name)
-	}
-	buf := make([]byte, PageSize)
-	for _, vp := range s.MappedPages() {
-		base, err := dst.alloc(1)
-		if err != nil {
-			return err
-		}
-		if err := dst.Map(vp*PageSize, base, 1); err != nil {
-			return err
-		}
-		if err := s.Read(vp*PageSize, buf); err != nil {
-			return err
-		}
-		if err := dst.Write(vp*PageSize, buf); err != nil {
-			return err
-		}
-		if vp >= dst.next {
-			dst.next = vp + 1 // future Allocs must not collide
-		}
-	}
-	return nil
-}
-
 // Read implements Memory, walking the page table per page.
 func (s *AddrSpace) Read(addr uint64, b []byte) error {
 	for len(b) > 0 {

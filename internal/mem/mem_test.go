@@ -255,36 +255,48 @@ func TestAllocZeroSizeGetsOnePage(t *testing.T) {
 	}
 }
 
-func TestMigrateToCopiesPagesAndPreservesVAs(t *testing.T) {
+func TestRehomeCopiesPagesAndPreservesVAs(t *testing.T) {
 	phys := NewPhys(gb)
 	hva := NewAddrSpace("hva", phys, phys.AllocPages)
-	src := NewAddrSpace("src", hva, hva.AllocBacking)
-	va1, _ := src.Alloc(2 * PageSize)
-	va2, _ := src.Alloc(PageSize)
-	src.Write(va1+100, []byte("first region"))
-	src.Write(va2, []byte("second region"))
+	gpa := NewAddrSpace("gpa", hva, hva.AllocBacking)
+	gva := NewAddrSpace("gva", gpa, gpa.AllocBacking)
+	va1, _ := gva.Alloc(2 * PageSize)
+	va2, _ := gva.Alloc(PageSize)
+	gva.Write(va1+100, []byte("first region"))
+	gva.Write(va2, []byte("second region"))
 
 	phys2 := NewPhys(gb)
 	hva2 := NewAddrSpace("hva2", phys2, phys2.AllocPages)
-	dst := NewAddrSpace("dst", hva2, hva2.AllocBacking)
-	if err := src.MigrateTo(dst); err != nil {
+	if err := gpa.Rehome(hva2); err != nil {
 		t.Fatal(err)
 	}
+	// The contents now live in the new parent's physical memory: wiping
+	// the old host's pages must not disturb what the guest reads.
+	for _, vp := range hva.MappedPages() {
+		if err := hva.Write(vp*PageSize, make([]byte, PageSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	b := make([]byte, 12)
-	if err := dst.Read(va1+100, b); err != nil || string(b) != "first region" {
-		t.Fatalf("read after migrate: %q, %v", b, err)
+	if err := gva.Read(va1+100, b); err != nil || string(b) != "first region" {
+		t.Fatalf("read after rehome: %q, %v", b, err)
 	}
 	b = make([]byte, 13)
-	if err := dst.Read(va2, b); err != nil || string(b) != "second region" {
-		t.Fatalf("read after migrate: %q, %v", b, err)
+	if err := gva.Read(va2, b); err != nil || string(b) != "second region" {
+		t.Fatalf("read after rehome: %q, %v", b, err)
 	}
-	// New allocations in dst must not collide with migrated VAs.
-	va3, err := dst.Alloc(PageSize)
+	// New allocations take backing from the new parent and must not
+	// collide with the rehomed VAs.
+	before := len(hva2.MappedPages())
+	va3, err := gva.Alloc(PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if va3 == va1 || va3 == va2 {
-		t.Fatalf("post-migration alloc reused VA %#x", va3)
+		t.Fatalf("post-rehome alloc reused VA %#x", va3)
+	}
+	if got := len(hva2.MappedPages()); got != before+1 {
+		t.Fatalf("post-rehome alloc mapped %d new pages in the new parent, want 1", got-before)
 	}
 }
 
@@ -299,9 +311,13 @@ func TestMigrateRefusesPinnedMemory(t *testing.T) {
 	if !src.Pinned() {
 		t.Fatal("Pinned() false after pin")
 	}
-	dst := NewAddrSpace("dst", hva, hva.AllocBacking)
-	if err := src.MigrateTo(dst); err == nil {
-		t.Fatal("migration of pinned memory accepted")
+	phys2 := NewPhys(gb)
+	hva2 := NewAddrSpace("hva2", phys2, phys2.AllocPages)
+	if err := src.Rehome(hva2); err == nil {
+		t.Fatal("rehome of pinned memory accepted")
+	}
+	if len(hva2.MappedPages()) != 0 {
+		t.Fatal("refused rehome allocated backing in the new parent")
 	}
 	if err := src.UnpinToPhys(va, PageSize); err != nil {
 		t.Fatal(err)
@@ -309,8 +325,8 @@ func TestMigrateRefusesPinnedMemory(t *testing.T) {
 	if src.Pinned() {
 		t.Fatal("Pinned() true after UnpinToPhys")
 	}
-	if err := src.MigrateTo(dst); err != nil {
-		t.Fatalf("migration after unpin: %v", err)
+	if err := src.Rehome(hva2); err != nil {
+		t.Fatalf("rehome after unpin: %v", err)
 	}
 }
 

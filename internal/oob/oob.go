@@ -40,20 +40,15 @@ const (
 // it is zero on SYN/SYNACK/FIN.
 const hdrLen = 8
 
-// Params tunes the retransmission layer. The overlay may lose frames
-// (chaos loss windows, link cuts), so both the handshake and data segments
-// are retransmitted with exponential backoff up to a retry budget — a
+// The retransmission layer. The overlay may lose frames (chaos loss
+// windows, link cuts), so both the handshake and data segments are
+// retransmitted with exponential backoff up to a retry budget — a
 // transient loss window delays a connection instead of failing it.
-type Params struct {
-	SynRetries  int              // SYN transmissions per Dial (min 1)
-	DataRetries int              // DATA transmissions per message (min 1)
-	RetxTimeout simtime.Duration // initial retransmit timeout; doubles per retry
-}
-
-// DefaultParams returns the stack defaults.
-func DefaultParams() Params {
-	return Params{SynRetries: 6, DataRetries: 6, RetxTimeout: simtime.Ms(2)}
-}
+const (
+	synRetries  = 6                       // SYN transmissions per Dial
+	dataRetries = 6                       // DATA transmissions per message
+	retxTimeout = 2 * simtime.Millisecond // initial retransmit timeout; doubles per retry
+)
 
 // Stats counts retransmission-layer activity.
 type Stats struct {
@@ -75,8 +70,6 @@ type connKey struct {
 
 // Stack is a VM's out-of-band transport endpoint over its overlay port.
 type Stack struct {
-	// P may be tuned before the first Dial/Send.
-	P     Params
 	Stats Stats
 
 	eng       *simtime.Engine
@@ -91,7 +84,6 @@ type Stack struct {
 // NewStack creates the endpoint and starts its demultiplexer.
 func NewStack(eng *simtime.Engine, port *overlay.VMPort, resolve Resolver) *Stack {
 	s := &Stack{
-		P:         DefaultParams(),
 		eng:       eng,
 		port:      port,
 		resolve:   resolve,
@@ -171,14 +163,14 @@ func (s *Stack) Dial(p *simtime.Proc, ip packet.IP, port uint16, timeout simtime
 	s.dials[key] = ev
 	defer delete(s.dials, key)
 	deadline := p.Now().Add(timeout)
-	backoff := s.P.RetxTimeout
+	backoff := retxTimeout
 	for attempt := 1; ; attempt++ {
 		if attempt > 1 {
 			s.Stats.SynRetx++
 		}
 		s.send(mac, ip, key.localPort, port, flagSYN, 0, nil)
 		wait := backoff
-		if attempt >= s.P.SynRetries {
+		if attempt >= synRetries {
 			wait = deadline.Sub(p.Now()) // last attempt: wait out the budget
 		}
 		if rem := deadline.Sub(p.Now()); wait > rem {
@@ -210,7 +202,7 @@ func (c *Conn) Send(p *simtime.Proc, msg []byte) error {
 	if c.pend == nil {
 		c.pend = make(map[byte]*retxJob)
 	}
-	j := &retxJob{c: c, seq: seq, data: append([]byte(nil), msg...), tries: 1, backoff: c.stack.P.RetxTimeout}
+	j := &retxJob{c: c, seq: seq, data: append([]byte(nil), msg...), tries: 1, backoff: retxTimeout}
 	c.pend[seq] = j
 	c.stack.send(c.remoteMAC, c.key.remoteIP, c.key.localPort, c.key.remotePort, flagDATA, seq, msg)
 	c.stack.eng.After(j.backoff, j.fire)
@@ -223,7 +215,7 @@ func (j *retxJob) fire() {
 	if c.closed || c.pend[j.seq] != j {
 		return // acked (or conn torn down) before the timeout
 	}
-	if j.tries >= max(c.stack.P.DataRetries, 1) {
+	if j.tries >= dataRetries {
 		// The peer is gone (dead VM, partition outlasting the budget):
 		// reset the connection so readers unblock with ErrClosed.
 		c.stack.Stats.Resets++

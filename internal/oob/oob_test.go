@@ -30,7 +30,7 @@ var (
 func newTestbed(t *testing.T) *testbed {
 	t.Helper()
 	eng := simtime.NewEngine()
-	fab := overlay.NewFabric(overlay.DefaultParams())
+	fab := overlay.NewFabric()
 	portA := simnet.NewPort(eng, "hostA")
 	portB := simnet.NewPort(eng, "hostB")
 	simnet.Connect(eng, portA, portB, simnet.Gbps(40), simtime.Us(0.1))
@@ -331,7 +331,7 @@ func TestConnClose(t *testing.T) {
 // tenant's VNI and the hosts' underlay addresses.
 func TestUnderlayFramesAreVXLANEncapsulated(t *testing.T) {
 	eng := simtime.NewEngine()
-	fab := overlay.NewFabric(overlay.DefaultParams())
+	fab := overlay.NewFabric()
 	portA := simnet.NewPort(eng, "hostA")
 	portB := simnet.NewPort(eng, "hostB")
 	link := simnet.Connect(eng, portA, portB, simnet.Gbps(40), simtime.Us(0.1))

@@ -8,23 +8,14 @@ import (
 	"masq/internal/simtime"
 )
 
-// Params are the overlay data-path costs, set to typical software vswitch
-// + vhost-net numbers (the paper's virtual TCP network measured ~50 µs
-// scale latencies; precision here only affects the out-of-band phase).
-type Params struct {
-	VhostCost   simtime.Duration // VM ↔ vswitch per frame (vhost_net copy)
-	ForwardCost simtime.Duration // vswitch lookup + encap/decap per frame
-	RulePerScan simtime.Duration // per rule-evaluation work unit, on conntrack miss
-}
-
-// DefaultParams returns the calibrated defaults.
-func DefaultParams() Params {
-	return Params{
-		VhostCost:   simtime.Us(15),
-		ForwardCost: simtime.Us(3),
-		RulePerScan: simtime.Us(0.3),
-	}
-}
+// The overlay data-path costs, set to typical software vswitch + vhost-net
+// numbers (the paper's virtual TCP network measured ~50 µs scale
+// latencies; precision here only affects the out-of-band phase).
+const (
+	vhostCost   = 15 * simtime.Microsecond // VM ↔ vswitch per frame (vhost_net copy)
+	forwardCost = 3 * simtime.Microsecond  // vswitch lookup + encap/decap per frame
+	RulePerScan = 300 * simtime.Nanosecond // per rule-evaluation work unit, on conntrack miss
+)
 
 // Tenant is one VPC: a VXLAN segment and its security machinery. The
 // paper supports "the same two-level security mechanisms, FWaaS at the
@@ -134,8 +125,6 @@ type epKey struct {
 // Fabric is the overlay control plane: tenants, the endpoint registry, and
 // the per-host virtual switches.
 type Fabric struct {
-	P Params
-
 	tenants   map[uint32]*Tenant
 	endpoints map[epKey]*Endpoint
 	switches  map[packet.IP]*VSwitch
@@ -143,9 +132,8 @@ type Fabric struct {
 }
 
 // NewFabric returns an empty fabric.
-func NewFabric(p Params) *Fabric {
+func NewFabric() *Fabric {
 	return &Fabric{
-		P:         p,
 		tenants:   make(map[uint32]*Tenant),
 		endpoints: make(map[epKey]*Endpoint),
 		switches:  make(map[packet.IP]*VSwitch),
@@ -338,7 +326,7 @@ func (sw *VSwitch) allowed(p *simtime.Proc, vni uint32, src, dst packet.IP) bool
 		return true
 	}
 	ok, units := t.AllowsCost(ProtoTCP, src, dst)
-	p.Sleep(simtime.Duration(units) * sw.fab.P.RulePerScan)
+	p.Sleep(simtime.Duration(units) * RulePerScan)
 	if !ok {
 		delete(sw.conns, key)
 		return false
@@ -352,7 +340,7 @@ func (sw *VSwitch) allowed(p *simtime.Proc, vni uint32, src, dst packet.IP) bool
 func (sw *VSwitch) egressLoop(p *simtime.Proc) {
 	for {
 		job := sw.egress.Get(p)
-		p.Sleep(sw.fab.P.VhostCost + sw.fab.P.ForwardCost)
+		p.Sleep(vhostCost + forwardCost)
 		inner, err := packet.Decode(job.frame)
 		if err != nil || inner.IPv4() == nil {
 			job.from.dropped++
@@ -395,7 +383,7 @@ func (sw *VSwitch) egressLoop(p *simtime.Proc) {
 func (sw *VSwitch) ingressLoop(p *simtime.Proc) {
 	for {
 		pkt := sw.Ingress.Get(p)
-		p.Sleep(sw.fab.P.ForwardCost + sw.fab.P.VhostCost)
+		p.Sleep(forwardCost + vhostCost)
 		vx := pkt.VXLAN()
 		if vx == nil || pkt.Inner == nil || pkt.Inner.IPv4() == nil {
 			continue

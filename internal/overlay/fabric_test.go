@@ -11,7 +11,7 @@ import (
 func twoSwitchFabric(t *testing.T) (*simtime.Engine, *Fabric, *VSwitch, *VSwitch) {
 	t.Helper()
 	eng := simtime.NewEngine()
-	fab := NewFabric(DefaultParams())
+	fab := NewFabric()
 	pa := simnet.NewPort(eng, "a")
 	pb := simnet.NewPort(eng, "b")
 	simnet.Connect(eng, pa, pb, simnet.Gbps(40), simtime.Us(0.1))

@@ -23,7 +23,7 @@ type Stats struct {
 	TaggedRx             uint64 // flow-tagged packets received (shared-connection mode)
 }
 
-// Device is one RoCEv2 RNIC: a physical function, up to MaxVFs virtual
+// Device is one RoCEv2 RNIC: a physical function, up to maxVFs virtual
 // functions, and the shared transport pipelines behind them.
 type Device struct {
 	Name string
@@ -259,10 +259,10 @@ func (d *Device) Engine() *simtime.Engine { return d.eng }
 func (d *Device) PF() *Func { return d.funcs[0] }
 
 // AddVF creates a new virtual function. The device exposes at most
-// Params.MaxVFs of them (Table 5: 8 on non-ARI PCIe).
+// maxVFs of them (Table 5: 8 on non-ARI PCIe).
 func (d *Device) AddVF() (*Func, error) {
-	if len(d.funcs)-1 >= d.P.MaxVFs {
-		return nil, fmt.Errorf("%w: device %s supports %d VFs", ErrNoResources, d.Name, d.P.MaxVFs)
+	if len(d.funcs)-1 >= maxVFs {
+		return nil, fmt.Errorf("%w: device %s supports %d VFs", ErrNoResources, d.Name, maxVFs)
 	}
 	f := &Func{Index: len(d.funcs), dev: d, gids: make([]packet.GID, 1)}
 	d.funcs = append(d.funcs, f)
@@ -306,16 +306,16 @@ func (f *Func) RateLimit() float64 {
 	return f.limiter.rate
 }
 
-func (d *Device) pollCost() simtime.Duration { return d.P.VerbCost[VerbPollCQ] }
+func (d *Device) pollCost() simtime.Duration { return verbCost[VerbPollCQ] }
 
 // exec charges a control verb: firmware is serialized, VFs pay the control
 // multiplier, and extra (e.g. per-page pinning) is added on top.
 func (d *Device) exec(p *simtime.Proc, v Verb, f *Func, extra simtime.Duration) {
 	sp := d.rec.Begin(p, trace.LayerRNIC, v.String())
 	d.firmware.Acquire(p)
-	cost := d.P.VerbCost[v]
+	cost := verbCost[v]
 	if f != nil && f.IsVF() {
-		cost = simtime.Duration(float64(cost) * d.P.VFControlFactor)
+		cost = simtime.Duration(float64(cost) * VFControlFactor)
 	}
 	p.Sleep(cost + extra)
 	d.firmware.Release()
@@ -323,7 +323,7 @@ func (d *Device) exec(p *simtime.Proc, v Verb, f *Func, extra simtime.Duration) 
 }
 
 // VerbCost exposes the PF-side cost of a verb (for harness reporting).
-func (d *Device) VerbCost(v Verb) simtime.Duration { return d.P.VerbCost[v] }
+func (d *Device) VerbCost(v Verb) simtime.Duration { return verbCost[v] }
 
 // GetDeviceList models ibv_get_device_list.
 func (d *Device) GetDeviceList(p *simtime.Proc) { d.exec(p, VerbGetDeviceList, nil, 0) }
@@ -356,7 +356,7 @@ func (d *Device) DeallocPD(p *simtime.Proc, pd *PD) {
 func (d *Device) RegMR(p *simtime.Proc, f *Func, pd *PD, va uint64, length int, ext []mem.Extent, access Access) *MR {
 	pages := simtime.Duration(0)
 	if length > mem.PageSize {
-		pages = simtime.Duration(length/mem.PageSize) * d.P.RegMRPerPage
+		pages = simtime.Duration(length/mem.PageSize) * regMRPerPage
 	}
 	d.exec(p, VerbRegMR, f, pages)
 	mr := &MR{LKey: d.nextKey, RKey: d.nextKey, VA: va, Len: length, Access: access, PD: pd, ext: ext}
@@ -453,7 +453,7 @@ func (d *Device) DestroySRQ(p *simtime.Proc, f *Func, s *SRQ) {
 
 // PostRecv models ibv_post_srq_recv.
 func (s *SRQ) PostRecv(p *simtime.Proc, wr RecvWR) error {
-	p.Sleep(s.dev.P.VerbCost[VerbPostRecv])
+	p.Sleep(verbCost[VerbPostRecv])
 	if len(s.rq) >= s.MaxWR {
 		return ErrQueueFull
 	}
@@ -578,23 +578,23 @@ func (d *Device) SoftModify(p *simtime.Proc, qp *QP, a Attr, cost simtime.Durati
 // resetCost models Fig. 18: a kernel-routine share plus an RNIC share that
 // is larger on a VF and grows under traffic load.
 func (d *Device) resetCost(qp *QP) simtime.Duration {
-	rnicShare := d.P.ResetRNICPF
+	rnicShare := resetRNICPF
 	if qp.fn.IsVF() {
-		rnicShare = d.P.ResetRNICVF
+		rnicShare = resetRNICVF
 	}
 	if qp.busy() {
-		rnicShare += d.P.ResetTrafficExtra
+		rnicShare += resetTrafficExtra
 	}
 	// The verb table has no entry for modify_qp(ERR); the whole cost is
 	// kernel + RNIC shares.
-	return d.P.ResetKernel + rnicShare
+	return resetKernel + rnicShare
 }
 
 // ResetCostBreakdown reports the kernel and RNIC shares that a reset of qp
 // would be charged right now (harness support for Fig. 18).
 func (d *Device) ResetCostBreakdown(qp *QP) (kernel, rnicShare simtime.Duration) {
 	total := d.resetCost(qp)
-	return d.P.ResetKernel, total - d.P.ResetKernel
+	return resetKernel, total - resetKernel
 }
 
 // ctxLookup models the on-chip QP-context cache: a miss costs extra

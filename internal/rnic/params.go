@@ -60,52 +60,84 @@ func (v Verb) String() string {
 	return "verb(?)"
 }
 
-// Params holds every latency and capacity constant of the device model.
-// The defaults are calibrated against the paper's testbed (Mellanox CX-3
-// Pro 40 Gbps): Table 1 verb costs, ~0.8 µs host 2 B send latency (Fig. 8a),
-// ~9.7 Mops message rate (Fig. 21) and the Fig. 18 reset costs.
+// The device model's latency and capacity constants, calibrated against
+// the paper's testbed (Mellanox CX-3 Pro 40 Gbps): Table 1 verb costs,
+// ~0.8 µs host 2 B send latency (Fig. 8a), ~9.7 Mops message rate
+// (Fig. 21) and the Fig. 18 reset costs.
+const (
+	// Data-path latencies (per packet, one side) on the PF.
+	txLatencyPF = 250 * simtime.Nanosecond // doorbell→wire: WQE fetch, gather DMA
+	rxLatencyPF = 80 * simtime.Nanosecond  // wire→memory: validate, scatter DMA
+	rxCQE       = 20 * simtime.Nanosecond  // extra to deliver a CQE after scatter
+	ackProc     = 50 * simtime.Nanosecond  // processing an incoming ACK/NAK
+
+	// Data-path pipeline occupancies (message-rate limits).
+	txOccupancy  = 90 * simtime.Nanosecond // TX pipeline hold per packet: ≈9.7 M messages/s small-message ceiling
+	rxOccupancy  = 85 * simtime.Nanosecond // RX pipeline hold per packet
+	ackOccupancy = 18 * simtime.Nanosecond // RX pipeline hold for a pure ACK/NAK: ACKs take a fast hardware path
+
+	// vfDataPenalty is added to txLatencyPF and rxLatencyPF when the QP lives
+	// on a virtual function.
+	vfDataPenalty = 150 * simtime.Nanosecond
+
+	// iommuOccupancy is the IOMMU cost per packet on both pipelines when
+	// the function's traffic passes a DMA-remapping unit (SR-IOV
+	// passthrough; MasQ avoids it).
+	iommuOccupancy = 12 * simtime.Nanosecond
+
+	// Control path.
+	VFControlFactor   = 2.35                      // multiplier for control verbs on a VF: 0.8 ms → 1.9 ms connection setup (Fig. 15a)
+	regMRPerPage      = 400 * simtime.Nanosecond  // pinning cost per 4 KiB page past the first
+	resetKernel       = 100 * simtime.Microsecond // Fig. 18: kernel routine share of modify_qp(ERR)
+	resetRNICPF       = 153 * simtime.Microsecond // Fig. 18: RNIC share on PF, idle
+	resetRNICVF       = 418 * simtime.Microsecond // Fig. 18: RNIC share on VF, idle
+	resetTrafficExtra = 320 * simtime.Microsecond // Fig. 18: additional RNIC share under heavy traffic
+
+	// maxInline bounds IBV_SEND_INLINE payloads (CX-3: ~912 bytes).
+	maxInline = 912
+
+	// maxInflight is the RC transport's per-QP window, in packets.
+	maxInflight = 128
+
+	// maxVFs is the VF limit: non-ARI PCIe exposes 8 VFs (Table 5).
+	maxVFs = 8
+)
+
+// verbCost is the host (PF) cost of each verb (Table 1). Nothing writes
+// it; Device.VerbCost reads it.
+var verbCost = [numVerbs]simtime.Duration{
+	VerbGetDeviceList: 396 * simtime.Microsecond,
+	VerbOpenDevice:    1115 * simtime.Microsecond,
+	VerbAllocPD:       3 * simtime.Microsecond,
+	VerbRegMR:         78 * simtime.Microsecond,
+	VerbCreateCQ:      266 * simtime.Microsecond,
+	VerbCreateQP:      76 * simtime.Microsecond,
+	VerbQueryGID:      22 * simtime.Microsecond,
+	VerbModifyQPInit:  231 * simtime.Microsecond,
+	VerbModifyQPRTR:   62 * simtime.Microsecond,
+	VerbModifyQPRTS:   73 * simtime.Microsecond,
+	VerbPostSend:      200 * simtime.Nanosecond,
+	VerbPostRecv:      200 * simtime.Nanosecond,
+	VerbPollCQ:        30 * simtime.Nanosecond,
+	VerbCreateSRQ:     85 * simtime.Microsecond, // not in Table 1; sized like create_qp
+	VerbDestroySRQ:    90 * simtime.Microsecond,
+	VerbDestroyQP:     170 * simtime.Microsecond,
+	VerbDestroyCQ:     79 * simtime.Microsecond,
+	VerbDeregMR:       35 * simtime.Microsecond,
+	VerbDeallocPD:     2 * simtime.Microsecond,
+	VerbCloseDevice:   16 * simtime.Microsecond,
+}
+
+// Params holds the device settings that callers vary: the link, the RC
+// transport's retry behaviour, MR key minting and the context-cache model.
 type Params struct {
 	MTU      int     // RoCE path MTU in bytes
 	LineRate float64 // port speed, bits per second
 
-	// Data-path latencies (per packet, one side).
-	TxLatency simtime.Duration // doorbell→wire: WQE fetch, gather DMA
-	RxLatency simtime.Duration // wire→memory: validate, scatter DMA
-	RxCQE     simtime.Duration // extra to deliver a CQE after scatter
-	AckProc   simtime.Duration // processing an incoming ACK/NAK
-
-	// Data-path pipeline occupancies (message-rate limits).
-	TxOccupancy  simtime.Duration // TX pipeline hold per packet
-	RxOccupancy  simtime.Duration // RX pipeline hold per packet
-	AckOccupancy simtime.Duration // RX pipeline hold for a pure ACK/NAK
-
-	// Penalties applied when the QP lives on a virtual function.
-	VFDataPenalty simtime.Duration // added to TxLatency and RxLatency
-
-	// IOMMU cost per packet on both pipelines when the function's traffic
-	// passes a DMA-remapping unit (SR-IOV passthrough; MasQ avoids it).
-	IOMMUOccupancy simtime.Duration
-
-	// Control path.
-	VerbCost          [numVerbs]simtime.Duration // host (PF) cost per verb
-	VFControlFactor   float64                    // multiplier for control verbs on a VF
-	RegMRPerPage      simtime.Duration           // pinning cost per 4 KiB page past the first
-	ResetKernel       simtime.Duration           // Fig. 18: kernel routine share of modify_qp(ERR)
-	ResetRNICPF       simtime.Duration           // Fig. 18: RNIC share on PF, idle
-	ResetRNICVF       simtime.Duration           // Fig. 18: RNIC share on VF, idle
-	ResetTrafficExtra simtime.Duration           // Fig. 18: additional RNIC share under heavy traffic
-
-	// MaxInline bounds IBV_SEND_INLINE payloads (CX-3: ~912 bytes).
-	MaxInline int
-
 	// RC transport.
-	MaxInflight    int              // per-QP window, packets
 	RetransTimeout simtime.Duration // go-back-N timeout
 	MaxRetry       int              // transport retries before the QP errors out
 	RNRTimer       simtime.Duration // wait after an RNR NAK
-
-	// Resource limits.
-	MaxVFs int // non-ARI PCIe exposes 8 VFs (Table 5)
 
 	// KeyBase offsets MR key minting: the device assigns lkeys/rkeys
 	// sequentially from KeyBase+1. Hosts in a cluster use disjoint bases so
@@ -122,61 +154,13 @@ type Params struct {
 	CtxMissPenalty simtime.Duration
 }
 
-// DefaultParams returns the CX-3-calibrated parameter set.
+// DefaultParams returns the CX-3-calibrated settings.
 func DefaultParams() Params {
-	p := Params{
-		MTU:      4096,
-		LineRate: 40e9,
-
-		TxLatency: simtime.Us(0.25),
-		RxLatency: simtime.Us(0.08),
-		RxCQE:     simtime.Us(0.02),
-		AckProc:   simtime.Us(0.05),
-
-		TxOccupancy:  simtime.Us(0.090), // ≈9.7 M messages/s small-message ceiling
-		RxOccupancy:  simtime.Us(0.085),
-		AckOccupancy: simtime.Us(0.018), // ACKs are handled in a fast hardware path
-
-		VFDataPenalty:  simtime.Us(0.15),
-		IOMMUOccupancy: simtime.Us(0.012),
-
-		VFControlFactor:   2.35, // 0.8 ms → 1.9 ms connection setup (Fig. 15a)
-		RegMRPerPage:      simtime.Us(0.4),
-		ResetKernel:       simtime.Us(100),
-		ResetRNICPF:       simtime.Us(153),
-		ResetRNICVF:       simtime.Us(418),
-		ResetTrafficExtra: simtime.Us(320),
-
-		MaxInline:      912,
-		MaxInflight:    128,
+	return Params{
+		MTU:            4096,
+		LineRate:       40e9,
 		RetransTimeout: simtime.Ms(4),
 		MaxRetry:       7,
 		RNRTimer:       simtime.Us(100),
-
-		MaxVFs: 8,
 	}
-	us := func(v float64) simtime.Duration { return simtime.Us(v) }
-	p.VerbCost = [numVerbs]simtime.Duration{
-		VerbGetDeviceList: us(396),
-		VerbOpenDevice:    us(1115),
-		VerbAllocPD:       us(3),
-		VerbRegMR:         us(78),
-		VerbCreateCQ:      us(266),
-		VerbCreateQP:      us(76),
-		VerbQueryGID:      us(22),
-		VerbModifyQPInit:  us(231),
-		VerbModifyQPRTR:   us(62),
-		VerbModifyQPRTS:   us(73),
-		VerbPostSend:      us(0.2),
-		VerbPostRecv:      us(0.2),
-		VerbPollCQ:        us(0.03),
-		VerbCreateSRQ:     us(85), // not in Table 1; sized like create_qp
-		VerbDestroySRQ:    us(90),
-		VerbDestroyQP:     us(170),
-		VerbDestroyCQ:     us(79),
-		VerbDeregMR:       us(35),
-		VerbDeallocPD:     us(2),
-		VerbCloseDevice:   us(16),
-	}
-	return p
 }

@@ -133,13 +133,13 @@ func psnDiff(a, b uint32) int32 {
 // PostSend models ibv_post_send. Table 2 semantics: posting is allowed in
 // ERROR but the WR completes immediately with a flush error.
 func (qp *QP) PostSend(p *simtime.Proc, wr SendWR) error {
-	p.Sleep(qp.dev.P.VerbCost[VerbPostSend])
+	p.Sleep(verbCost[VerbPostSend])
 	return qp.postSendNow(wr)
 }
 
 // PostSendCost returns the post_send verb cost, for callback-style callers
 // that charge it with a timer instead of a process sleep.
-func (qp *QP) PostSendCost() simtime.Duration { return qp.dev.P.VerbCost[VerbPostSend] }
+func (qp *QP) PostSendCost() simtime.Duration { return verbCost[VerbPostSend] }
 
 // PostSendAsync applies a post_send whose verb cost the caller has already
 // charged (Timer.ScheduleAfter(PostSendCost()) standing in for PostSend's
@@ -163,8 +163,8 @@ func (qp *QP) postSendNow(wr SendWR) error {
 		wr.Len = 8 // atomics are always 8 bytes
 	}
 	if wr.InlineData != nil {
-		if len(wr.InlineData) > qp.dev.P.MaxInline {
-			return fmt.Errorf("rnic: inline payload of %d bytes exceeds MaxInline %d", len(wr.InlineData), qp.dev.P.MaxInline)
+		if len(wr.InlineData) > maxInline {
+			return fmt.Errorf("rnic: inline payload of %d bytes exceeds MaxInline %d", len(wr.InlineData), maxInline)
 		}
 		if wr.Op == WRRead {
 			return fmt.Errorf("rnic: RDMA READ cannot be inline")
@@ -194,7 +194,7 @@ func (qp *QP) postSendNow(wr SendWR) error {
 // flushes immediately in ERROR — Table 2). QPs attached to an SRQ have no
 // private receive queue.
 func (qp *QP) PostRecv(p *simtime.Proc, wr RecvWR) error {
-	p.Sleep(qp.dev.P.VerbCost[VerbPostRecv])
+	p.Sleep(verbCost[VerbPostRecv])
 	if qp.srq != nil {
 		return fmt.Errorf("rnic: QP %d uses an SRQ; post to the SRQ instead", qp.Num)
 	}
@@ -243,7 +243,7 @@ func (qp *QP) hasWork() bool {
 	if qp.txIdx >= len(qp.sq) {
 		return false
 	}
-	return psnDiff(qp.sndNxt, qp.sndUna) < int32(qp.dev.P.MaxInflight)
+	return psnDiff(qp.sndNxt, qp.sndUna) < int32(maxInflight)
 }
 
 // busy reports whether the QP has unfinished send-side work (used by the

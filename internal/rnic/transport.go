@@ -111,9 +111,9 @@ func (d *Device) txStep(qp *QP) bool {
 	if !ok {
 		return false
 	}
-	occ := d.P.TxOccupancy + d.ctxLookup(qp.Num)
+	occ := txOccupancy + d.ctxLookup(qp.Num)
 	if qp.fn.IOMMU {
-		occ += d.P.IOMMUOccupancy
+		occ += iommuOccupancy
 	}
 	if wt := d.wireTime(bytes); wt > occ {
 		occ = wt
@@ -130,9 +130,9 @@ func (d *Device) txDone() {
 	qp, frame, occ := d.txQP, d.txFrame, d.txOcc
 	d.txQP, d.txFrame = nil, nil
 
-	lat := d.P.TxLatency
+	lat := txLatencyPF
 	if qp.fn.IsVF() {
-		lat += d.P.VFDataPenalty
+		lat += vfDataPenalty
 	}
 	rem := lat - occ
 	if rem < 0 {
@@ -248,7 +248,7 @@ func (qp *QP) buildNextPacket() (simnet.Frame, int, bool) {
 		if qp.Type == UD {
 			// Unacknowledged service: complete at emission.
 			wrID, op2, l := w.wr.WRID, w.wr.Op, w.wr.Len
-			d.eng.After(d.P.TxLatency, func() {
+			d.eng.After(txLatencyPF, func() {
 				qp.SendCQ.post(WC{WRID: wrID, Status: WCSuccess, Op: op2, QPN: qp.Num, ByteLen: l})
 			})
 		}
@@ -399,11 +399,11 @@ func (d *Device) rxStep(pkt *packet.Packet) bool {
 	}
 	var occ simtime.Duration
 	if bth.OpCode == packet.OpAcknowledge {
-		occ = d.P.AckOccupancy // no DMA, no context fetch beyond the QPC
+		occ = ackOccupancy // no DMA, no context fetch beyond the QPC
 	} else {
-		occ = d.P.RxOccupancy + d.ctxLookup(qp.Num)
+		occ = rxOccupancy + d.ctxLookup(qp.Num)
 		if qp.fn.IOMMU {
-			occ += d.P.IOMMUOccupancy
+			occ += iommuOccupancy
 		}
 	}
 	d.rxPkt, d.rxQP = pkt, qp
@@ -448,16 +448,16 @@ func (d *Device) rxDone() {
 
 // rxLatency is the wire→memory latency for this QP's function.
 func (d *Device) rxLatency(qp *QP) simtime.Duration {
-	lat := d.P.RxLatency
+	lat := rxLatencyPF
 	if qp.fn.IsVF() {
-		lat += d.P.VFDataPenalty
+		lat += vfDataPenalty
 	}
 	return lat
 }
 
 // postWCAfter delivers a completion after the RX latency + CQE delay.
 func (d *Device) postWCAfter(qp *QP, cq *CQ, wc WC) {
-	d.eng.After(d.rxLatency(qp)+d.P.RxCQE, func() { cq.post(wc) })
+	d.eng.After(d.rxLatency(qp)+rxCQE, func() { cq.post(wc) })
 }
 
 // sendAck emits an ACK/NAK from responder qp back to its requester.
@@ -603,7 +603,7 @@ func (d *Device) handleAtomicAck(qp *QP, pkt *packet.Packet) {
 			return
 		}
 	}
-	d.retireAfter(d.P.AckProc, qp, bth.PSN)
+	d.retireAfter(ackProc, qp, bth.PSN)
 }
 
 func (d *Device) handleSendChunk(qp *QP, pkt *packet.Packet) {
@@ -783,7 +783,7 @@ func (d *Device) handleReadResponse(qp *QP, pkt *packet.Packet) {
 	}
 	w.readRecv += len(pkt.Payload)
 	if w.readRecv >= w.wr.Len && w == qp.sq[0] {
-		d.eng.After(d.P.RxCQE, func() {
+		d.eng.After(rxCQE, func() {
 			if len(qp.sq) > 0 && qp.sq[0] == w {
 				qp.completeHead(w)
 				qp.retire(w.lastPSN)
@@ -868,5 +868,5 @@ func (d *Device) handleAck(qp *QP, pkt *packet.Packet) {
 		qp.kickAt(qp.pausedUntil)
 		return
 	}
-	d.retireAfter(d.P.AckProc, qp, bth.PSN)
+	d.retireAfter(ackProc, qp, bth.PSN)
 }

@@ -202,7 +202,7 @@ type SendWR struct {
 	// InlineData, when non-nil, is copied into the WQE at post time
 	// (IBV_SEND_INLINE): no MR or LKey is needed, the buffer may be
 	// reused immediately, and Len is taken from the slice. Limited to
-	// Params.MaxInline bytes. SEND and WRITE only.
+	// maxInline (912) bytes. SEND and WRITE only.
 	InlineData []byte
 
 	// Atomic operands: the addend (FETCH_ADD) or swap value (CMP_SWAP)

@@ -189,7 +189,7 @@ func (s Span) End(p *simtime.Proc) {
 
 // Interval records an already-delimited span, for a leg that did not run
 // as one stretch on p — e.g. the virtio ring-service leg of a call that
-// waited for the backend, whose HostProc ran out while p was parked.
+// waited for the backend, whose service leg ran out while p was parked.
 // start/end must come from p.Now() plus model constants, never from the
 // wall clock.
 func (r *Recorder) Interval(p *simtime.Proc, layer Layer, name string, start, end simtime.Time) {

@@ -14,7 +14,6 @@ import (
 // Event the guest waits on. Ring runs the same round trip on the guest's
 // proc and must schedule the same events in the same order.
 type procRing struct {
-	p    Params
 	eng  *simtime.Engine
 	reqs *simtime.Queue[*procCall]
 }
@@ -24,18 +23,18 @@ type procCall struct {
 	done *simtime.Event[[]any]
 }
 
-func newProcRing(eng *simtime.Engine, p Params, name string, handler func(*simtime.Proc, any) any) *procRing {
-	r := &procRing{p: p, eng: eng, reqs: simtime.NewQueue[*procCall](eng)}
+func newProcRing(eng *simtime.Engine, name string, handler func(*simtime.Proc, any) any) *procRing {
+	r := &procRing{eng: eng, reqs: simtime.NewQueue[*procCall](eng)}
 	eng.Spawn(name, func(bp *simtime.Proc) {
 		for {
 			c := r.reqs.Get(bp)
-			bp.Sleep(p.HostProc)
+			bp.Sleep(hostProc)
 			resp := make([]any, len(c.cmds))
 			for i, cmd := range c.cmds {
 				resp[i] = handler(bp, cmd)
 			}
 			done := c.done
-			eng.After(p.IRQCost, func() { done.Trigger(resp) })
+			eng.After(IRQCost, func() { done.Trigger(resp) })
 		}
 	})
 	return r
@@ -44,7 +43,7 @@ func newProcRing(eng *simtime.Engine, p Params, name string, handler func(*simti
 func (r *procRing) Call(p *simtime.Proc, cmd any) any { return r.CallBatch(p, []any{cmd})[0] }
 
 func (r *procRing) CallBatch(p *simtime.Proc, cmds []any) []any {
-	p.Sleep(r.p.KickCost)
+	p.Sleep(KickCost)
 	c := &procCall{cmds: cmds, done: simtime.NewEvent[[]any](r.eng)}
 	r.reqs.Put(c)
 	return c.done.Wait(p)
@@ -125,13 +124,12 @@ func ringScenario(seed int64, mk func(eng *simtime.Engine, name string, h func(*
 // in the same order as the proc-served reference ring, and dispatches the
 // same number of events.
 func TestRingMatchesProcServedOracle(t *testing.T) {
-	pr := DefaultParams()
 	for seed := int64(1); seed <= 200; seed++ {
 		wantLog, wantEvents := ringScenario(seed, func(eng *simtime.Engine, name string, h func(*simtime.Proc, any) any) caller {
-			return newProcRing(eng, pr, name, h)
+			return newProcRing(eng, name, h)
 		})
 		gotLog, gotEvents := ringScenario(seed, func(eng *simtime.Engine, _ string, h func(*simtime.Proc, any) any) caller {
-			return NewRing(eng, pr, h)
+			return NewRing(eng, h)
 		})
 		if !reflect.DeepEqual(gotLog, wantLog) {
 			for i := range wantLog {

@@ -13,29 +13,19 @@ import (
 	"masq/internal/trace"
 )
 
-// Params are the per-leg costs of a virtqueue round trip.
-type Params struct {
-	KickCost simtime.Duration // guest: descriptor setup + kick + VM exit
-	HostProc simtime.Duration // backend: wakeup and dequeue
-	IRQCost  simtime.Duration // interrupt injection + guest handler
-}
-
-// DefaultParams yields the paper's ~20 µs guest↔host round trip.
-func DefaultParams() Params {
-	return Params{
-		KickCost: simtime.Us(8),
-		HostProc: simtime.Us(4),
-		IRQCost:  simtime.Us(8),
-	}
-}
+// The per-leg costs of a virtqueue round trip, which sum to the paper's
+// ~20 µs guest↔host round trip.
+const (
+	KickCost = 8 * simtime.Microsecond // guest: descriptor setup + kick + VM exit
+	hostProc = 4 * simtime.Microsecond // backend: wakeup and dequeue
+	IRQCost  = 8 * simtime.Microsecond // interrupt injection + guest handler
+)
 
 // Ring is an RPC-style virtqueue pair (request + response) served by one
 // backend thread. The guest's proc runs the backend's part of each round
 // trip itself, holding the ring's backend unit while it does, so commands
 // from all guests of a ring are served one at a time in arrival order.
 type Ring struct {
-	P Params
-
 	// Rec, when set, records the three transport legs of each round trip
 	// as virtio-layer spans ("kick", "ring-service", "irq"). Nil is free.
 	Rec *trace.Recorder
@@ -47,8 +37,8 @@ type Ring struct {
 // NewRing creates a ring whose backend answers each command with handler.
 // handler runs on the calling guest's proc and may block: it sleeps and
 // acquires resources as the host-side driver would.
-func NewRing(eng *simtime.Engine, p Params, handler func(p *simtime.Proc, cmd any) any) *Ring {
-	return &Ring{P: p, handler: handler, backend: simtime.NewResource(eng, 1)}
+func NewRing(eng *simtime.Engine, handler func(p *simtime.Proc, cmd any) any) *Ring {
+	return &Ring{handler: handler, backend: simtime.NewResource(eng, 1)}
 }
 
 // Call issues one command from the guest and blocks until the backend's
@@ -78,26 +68,26 @@ func (r *Ring) CallBatch(p *simtime.Proc, cmds []any) []any {
 // points in the dispatch order, so Events() and the dispatch order equal
 // that ring's (DESIGN §2.1):
 //   - the idle path's Sleep(0) is the wake a queue Put gave the backend,
-//     and its Sleep(HostProc) is the backend's own;
+//     and its Sleep(hostProc) is the backend's own;
 //   - a busy backend took its next request as soon as it had scheduled the
-//     previous IRQ, and slept HostProc: ReleaseAfter(HostProc) wakes the
+//     previous IRQ, and slept hostProc: ReleaseAfter(hostProc) wakes the
 //     next waiter when that sleep would have ended;
 //   - the Sleep(0) after the IRQ is the Trigger's wake of the guest.
 func (r *Ring) roundTrip(p *simtime.Proc, serve func()) {
 	sp := r.Rec.Begin(p, trace.LayerVirtio, "kick")
-	p.Sleep(r.P.KickCost)
+	p.Sleep(KickCost)
 	sp.End(p)
 	if !r.backend.Acquire(p) {
 		p.Sleep(0)
-		p.Sleep(r.P.HostProc)
+		p.Sleep(hostProc)
 	}
 	// An interval, because a caller that waited spent it parked.
 	now := p.Now()
-	r.Rec.Interval(p, trace.LayerVirtio, "ring-service", now.Add(-r.P.HostProc), now)
+	r.Rec.Interval(p, trace.LayerVirtio, "ring-service", now.Add(-hostProc), now)
 	serve()
-	r.backend.ReleaseAfter(r.P.HostProc)
+	r.backend.ReleaseAfter(hostProc)
 	sp = r.Rec.Begin(p, trace.LayerVirtio, "irq")
-	p.Sleep(r.P.IRQCost)
+	p.Sleep(IRQCost)
 	sp.End(p)
 	p.Sleep(0)
 }

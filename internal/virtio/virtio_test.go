@@ -9,7 +9,7 @@ import (
 
 func TestCallRoundTripCost(t *testing.T) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, DefaultParams(), func(p *simtime.Proc, cmd any) any {
+	ring := NewRing(eng, func(p *simtime.Proc, cmd any) any {
 		return cmd.(int) * 2
 	})
 	var elapsed simtime.Duration
@@ -30,7 +30,7 @@ func TestCallRoundTripCost(t *testing.T) {
 
 func TestHandlerWorkAddsToRTT(t *testing.T) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, DefaultParams(), func(p *simtime.Proc, cmd any) any {
+	ring := NewRing(eng, func(p *simtime.Proc, cmd any) any {
 		p.Sleep(simtime.Us(100)) // device work
 		return nil
 	})
@@ -49,7 +49,7 @@ func TestHandlerWorkAddsToRTT(t *testing.T) {
 func TestCallsAreSerializedFIFO(t *testing.T) {
 	eng := simtime.NewEngine()
 	var order []int
-	ring := NewRing(eng, DefaultParams(), func(p *simtime.Proc, cmd any) any {
+	ring := NewRing(eng, func(p *simtime.Proc, cmd any) any {
 		order = append(order, cmd.(int))
 		return nil
 	})
@@ -73,8 +73,7 @@ func TestCallsAreSerializedFIFO(t *testing.T) {
 
 func TestBatchSharesKickAndIRQ(t *testing.T) {
 	eng := simtime.NewEngine()
-	pr := DefaultParams()
-	ring := NewRing(eng, pr, func(p *simtime.Proc, cmd any) any {
+	ring := NewRing(eng, func(p *simtime.Proc, cmd any) any {
 		p.Sleep(simtime.Us(10))
 		return cmd
 	})
@@ -106,7 +105,7 @@ func TestBatchSharesKickAndIRQ(t *testing.T) {
 // TestCallAllocatesNothing: a steady-state round trip allocates nothing.
 func TestCallAllocatesNothing(t *testing.T) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, DefaultParams(), func(p *simtime.Proc, cmd any) any { return cmd })
+	ring := NewRing(eng, func(p *simtime.Proc, cmd any) any { return cmd })
 	ping := simtime.NewQueue[struct{}](eng)
 	eng.Spawn("guest", func(p *simtime.Proc) {
 		for {
@@ -127,8 +126,7 @@ func TestCallAllocatesNothing(t *testing.T) {
 // TestRTTHelper: the default ring round trip, excluding handler work, is
 // calibrated to 20 µs.
 func TestRTTHelper(t *testing.T) {
-	p := DefaultParams()
-	if rtt := p.KickCost + p.HostProc + p.IRQCost; rtt != simtime.Us(20) {
+	if rtt := KickCost + hostProc + IRQCost; rtt != simtime.Us(20) {
 		t.Fatalf("RTT = %v", rtt)
 	}
 }
@@ -139,7 +137,7 @@ func TestRTTHelper(t *testing.T) {
 // makes no allocation.
 func BenchmarkRingCall(b *testing.B) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, DefaultParams(), func(p *simtime.Proc, cmd any) any { return nil })
+	ring := NewRing(eng, func(p *simtime.Proc, cmd any) any { return nil })
 	n := b.N
 	eng.Spawn("guest", func(p *simtime.Proc) {
 		for i := 0; i < n; i++ {
@@ -156,7 +154,7 @@ func BenchmarkRingCall(b *testing.B) {
 // the baton between the guests' goroutines. One op is one Call.
 func BenchmarkRingCallContended(b *testing.B) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, DefaultParams(), func(p *simtime.Proc, cmd any) any {
+	ring := NewRing(eng, func(p *simtime.Proc, cmd any) any {
 		p.Sleep(simtime.Microsecond)
 		return nil
 	})

@@ -46,8 +46,8 @@ const (
 // --- Testbed construction ---------------------------------------------------
 
 type (
-	// Config parameterizes a testbed (hosts, memory, RNIC calibration,
-	// MasQ costs...). Start from DefaultConfig.
+	// Config parameterizes a testbed (hosts, memory, RNIC settings,
+	// MasQ and controller policy...). Start from DefaultConfig.
 	Config = cluster.Config
 	// Testbed is an assembled cluster: hosts, overlay fabric, controller,
 	// MasQ backends.
@@ -276,10 +276,11 @@ const (
 	EventPortUp   = verbs.EventPortUp
 )
 
-// RNICParams exposes the device calibration knobs.
+// RNICParams exposes the device settings callers vary: link, RC retry,
+// MR key base and the context-cache model.
 type RNICParams = rnic.Params
 
-// DefaultRNICParams returns the CX-3-calibrated parameter set.
+// DefaultRNICParams returns the CX-3-calibrated settings.
 func DefaultRNICParams() RNICParams { return rnic.DefaultParams() }
 
 // --- Experiments --------------------------------------------------------------
