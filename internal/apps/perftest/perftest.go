@@ -63,18 +63,28 @@ func summarize(samples []simtime.Duration) LatencyResult {
 }
 
 // StartSendLat runs ib_send_lat: a SEND ping-pong of size-byte messages.
-// One-way latency is half the measured round trip.
+// One-way latency is half the measured round trip. A completion in error
+// ends both sides: the side that sees it moves its peer's QP to ERROR,
+// which flushes the receive the peer waits on, and the returned event never
+// triggers.
 func StartSendLat(eng *simtime.Engine, client, server *cluster.Endpoint, size, iters int) *simtime.Event[LatencyResult] {
 	done := simtime.NewEvent[LatencyResult](eng)
+	waitOK := func(p *simtime.Proc, cq verbs.CQ, peer *cluster.Endpoint) bool {
+		if cq.Wait(p).Status == verbs.WCSuccess {
+			return true
+		}
+		peer.QP.Modify(p, verbs.Attr{ToState: verbs.StateError})
+		return false
+	}
 	eng.Spawn("send_lat.server", func(p *simtime.Proc) {
 		s := server
 		for i := 0; i < iters; i++ {
 			s.QP.PostRecv(p, verbs.RecvWR{WRID: uint64(i), Addr: s.Buf, LKey: s.MR.LKey(), Len: size})
-			if wc := s.RCQ.Wait(p); wc.Status != verbs.WCSuccess {
+			if !waitOK(p, s.RCQ, client) {
 				return
 			}
 			s.QP.PostSend(p, verbs.SendWR{WRID: uint64(i), Op: verbs.WRSend, LocalAddr: s.Buf, LKey: s.MR.LKey(), Len: size})
-			if wc := s.SCQ.Wait(p); wc.Status != verbs.WCSuccess {
+			if !waitOK(p, s.SCQ, client) {
 				return
 			}
 		}
@@ -86,10 +96,7 @@ func StartSendLat(eng *simtime.Engine, client, server *cluster.Endpoint, size, i
 			c.QP.PostRecv(p, verbs.RecvWR{WRID: uint64(i), Addr: c.Buf, LKey: c.MR.LKey(), Len: size})
 			start := p.Now()
 			c.QP.PostSend(p, verbs.SendWR{WRID: uint64(i), Op: verbs.WRSend, LocalAddr: c.Buf, LKey: c.MR.LKey(), Len: size})
-			if wc := c.SCQ.Wait(p); wc.Status != verbs.WCSuccess {
-				return
-			}
-			if wc := c.RCQ.Wait(p); wc.Status != verbs.WCSuccess {
+			if !waitOK(p, c.SCQ, server) || !waitOK(p, c.RCQ, server) {
 				return
 			}
 			samples = append(samples, p.Now().Sub(start)/2)

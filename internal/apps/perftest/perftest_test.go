@@ -89,6 +89,27 @@ func TestWriteLatFailedWriteEndsRun(t *testing.T) {
 	}
 }
 
+// TestSendLatFailedSendEndsRun: a 65537-byte SEND runs past the 64 KiB
+// registered region, so the client's first SEND completes in error. The
+// client moves the server's QP to ERROR, so the server, parked on its posted
+// receive, returns too, and the result never triggers.
+func TestSendLatFailedSendEndsRun(t *testing.T) {
+	cp := pair(t, cluster.ModeMasQ)
+	eng := cp.TB.Eng
+	ev := StartSendLat(eng, cp.Client, cp.Server, 65537, 10)
+	// Each side resets the other's QP, about half a millisecond apiece
+	// through MasQ; both have returned 1.5 ms in.
+	eng.RunUntil(eng.Now().Add(simtime.Ms(5)))
+	if ev.Triggered() {
+		t.Fatalf("a run whose SEND failed reported %+v", ev.Value())
+	}
+	for _, name := range eng.PendingProcs() {
+		if strings.HasPrefix(name, "send_lat.") {
+			t.Fatalf("%s still pending after the failed SEND; pending: %v", name, eng.PendingProcs())
+		}
+	}
+}
+
 func TestWriteBWLargeMessagesNearLineRate(t *testing.T) {
 	cp := pair(t, cluster.ModeMasQ)
 	ev := StartWriteBW(cp.TB.Eng, cp.Client, cp.Server, 32*1024, 400, 32)

@@ -447,11 +447,12 @@ func (tb *Testbed) NewNode(mode Mode, hostIdx int, vni uint32, vip packet.IP) (*
 // CrashNode kills a MasQ node's VM abruptly — the unplanned counterpart of
 // MigrateNode. The host-side reaction chain runs first (masq.Backend.Crash:
 // destroy the session's QPs and flush their conntrack entries, deregister
-// MRs, unregister the vBond's controller mapping), then the vNIC is detached
-// from the vswitch and the VM's memory released. Surviving peers are NOT
-// notified: they discover the death through transport retry exhaustion,
-// which surfaces as a QP-fatal async event on their side (Sec. 3.3's
-// security argument depends on stale state never outliving the endpoint).
+// MRs, unregister the vBond's controller mapping), then the VM shuts down,
+// which detaches its vNIC from the vswitch and releases its memory.
+// Surviving peers are NOT notified: they discover the death through
+// transport retry exhaustion, which surfaces as a QP-fatal async event on
+// their side (Sec. 3.3's security argument depends on stale state never
+// outliving the endpoint).
 func (tb *Testbed) CrashNode(n *Node) error {
 	if n.Mode != ModeMasQ && n.Mode != ModeMasQPF && n.Mode != ModeMasQShared {
 		return fmt.Errorf("cluster: crash is implemented for MasQ nodes (got %v)", n.Mode)
@@ -461,14 +462,12 @@ func (tb *Testbed) CrashNode(n *Node) error {
 	}
 	n.crashed = true
 	fe, _ := n.Provider.(*masq.Frontend)
-	vm, vnic := n.VM, n.VM.VNIC
-	host := n.Host
-	b := tb.Backends[hostIndex(tb, host)]
+	vm := n.VM
+	b := tb.Backends[hostIndex(tb, n.Host)]
 	tb.Eng.Spawn("crash:"+n.Name, func(p *simtime.Proc) {
 		if b != nil && fe != nil {
 			b.Crash(p, fe)
 		}
-		host.VSwitch.DetachVM(vnic)
 		vm.Shutdown()
 	})
 	return nil

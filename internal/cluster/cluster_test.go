@@ -993,6 +993,34 @@ func TestMasQPlacementFollowsNodeMode(t *testing.T) {
 	}
 }
 
+// TestNewNodeFailureReleasesVIP: a MasQ node that fails to boot for want of
+// a VF leaves nothing behind: its VIP is free in the overlay, and a node of
+// another mode boots at it.
+func TestNewNodeFailureReleasesVIP(t *testing.T) {
+	tb := New(DefaultConfig())
+	vip := packet.NewIP(10, 0, 0, 1)
+	for v := uint32(1); v <= 9; v++ {
+		tb.AddTenant(v, fmt.Sprintf("t%d", v))
+		tb.AllowAll(v)
+		_, err := tb.NewNode(ModeMasQ, 0, v, vip)
+		switch {
+		case v < 9 && err != nil:
+			t.Fatalf("tenant %d: %v", v, err)
+		case v == 9 && (err == nil || !strings.Contains(err.Error(), "supports 8 VFs")):
+			t.Fatalf("tenant 9's node: error %v, want the 8-VF limit", err)
+		}
+	}
+	if vms := tb.Hosts[0].VMs(); vms != 8 {
+		t.Errorf("host 0 runs %d VMs after the failed node, want 8", vms)
+	}
+	if ep := tb.Fab.Lookup(9, vip); ep != nil {
+		t.Errorf("the failed node's VIP %v is still registered in VNI 9", vip)
+	}
+	if _, err := tb.NewNode(ModeHost, 0, 9, vip); err != nil {
+		t.Errorf("booting %v as a host node after the failed MasQ node: %v", vip, err)
+	}
+}
+
 // TestConnectExtraQPReportsStalledSetup: an extra QP toward a crashed
 // server never reaches RTS; the fixture must say so instead of returning
 // half-built endpoints.

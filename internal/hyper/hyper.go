@@ -184,8 +184,13 @@ func (vm *VM) MigrateTo(dst *Host) error {
 	return nil
 }
 
-// Shutdown releases the VM's memory reservation.
+// Shutdown detaches the VM's vNIC, which NewVM attached, so that its
+// virtual IP leaves the fabric registry, and releases the VM's memory
+// reservation.
 func (vm *VM) Shutdown() {
+	if vm.VNIC != nil {
+		vm.Host.VSwitch.DetachVM(vm.VNIC)
+	}
 	vm.Host.Phys.Release(vm.Mem + vmMemOverhead)
 	for i, v := range vm.Host.vms {
 		if v == vm {

@@ -6,7 +6,7 @@ import "testing"
 // the proc schedules its intrusive wake event and, holding the baton, runs
 // the event loop until that event fires, with no goroutine switch. Steady
 // state must be 0 allocs/op — the wake event is pre-allocated in the Proc
-// and the heap slot is recycled.
+// and the queue's slot is recycled.
 func BenchmarkSleepWake(b *testing.B) {
 	eng := NewEngine()
 	n := b.N
@@ -166,14 +166,15 @@ func BenchmarkResource(b *testing.B) {
 	eng.Run()
 }
 
-// BenchmarkEventHeap measures raw push/pop through the 4-ary event heap
-// with a K-deep backlog, the core O(log n) cost of every event.
+// BenchmarkEventHeap measures raw push/take through the event queue with a
+// 1024-deep backlog within the next 4096 ns, which a timer keeps refilling:
+// a dense queue, where most takes spread a low bucket. 0 allocs/op.
 func BenchmarkEventHeap(b *testing.B) {
 	eng := NewEngine()
 	const depth = 1024
 	n := b.N
 	fn := func() {}
-	// Seed a standing backlog so push/pop exercise real heap depth.
+	// Seed a standing backlog so push/take exercise a deep queue.
 	for i := 0; i < depth; i++ {
 		eng.After(Duration(1+(i*7919)%4096), fn)
 	}
@@ -184,6 +185,36 @@ func BenchmarkEventHeap(b *testing.B) {
 		}
 	})
 	t.ScheduleAfter(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+}
+
+// BenchmarkEventQueueFarBacklog measures the event queue with the shape of
+// the repository benchmark's connect workload: 6000 callbacks spread over
+// the next 30 s of virtual time, each re-arming 30 s ahead when it fires so
+// the backlog stands, and a timer that re-arms 1 µs ahead. Nearly every
+// dispatch is the timer's, with the backlog queued far behind it. 0
+// allocs/op.
+func BenchmarkEventQueueFarBacklog(b *testing.B) {
+	const backlog = 6000
+	const span = 30 * Second
+	eng := NewEngine()
+	n := b.N
+	var refill func()
+	refill = func() { eng.After(span, refill) }
+	for i := 1; i <= backlog; i++ {
+		eng.After(span*Duration(i)/backlog, refill)
+	}
+	var t *Timer
+	t = eng.NewTimer(func() {
+		if n--; n > 0 {
+			t.ScheduleAfter(Microsecond)
+		} else {
+			eng.Stop()
+		}
+	})
+	t.ScheduleAfter(Microsecond)
 	b.ReportAllocs()
 	b.ResetTimer()
 	eng.Run()

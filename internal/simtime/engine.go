@@ -27,7 +27,10 @@
 // Virtual time is an int64 nanosecond count starting at zero. There is no
 // wall clock anywhere in the engine, so a simulation run is a pure function
 // of its inputs: the same program produces the same event order and the
-// same timestamps on every run.
+// same timestamps on every run. Events at one instant run in the order they
+// were scheduled. Pending events wait in a FIFO for the current instant and
+// in a monotone radix heap for later ones (radix.go), which relies on
+// virtual time never moving back.
 package simtime
 
 import (
@@ -120,96 +123,31 @@ func (a entry) before(b entry) bool {
 }
 
 // The event queue has two parts. Events scheduled for the current instant
-// go to the lane, a FIFO (Engine.lane from lhead on); all others go to the
-// heap (Engine.pq), a 4-ary min-heap whose hand-rolled sift loops
-// (hole-based, no interface dispatch, no swaps) halve the depth of a
-// binary heap. The head of the queue is the earlier of the two heads under
-// before, and that merge gives exactly the order of a heap-only queue:
+// go to the lane, a FIFO (Engine.lane from lhead on); all later ones go to
+// the radix queue (Engine.pq, radix.go). The head of the queue is the
+// earlier of the two heads under before, and that merge gives exactly the
+// (at, seq) order of a single queue:
 //   - every lane entry is at Now(), in seq order, so the lane head is the
 //     lane's minimum;
-//   - a heap entry at Now() was scheduled before the clock reached it, so
-//     its seq is smaller than any lane entry's.
+//   - a radix entry at Now() was scheduled before the clock reached it, so
+//     its seq is smaller than any lane entry's. Such entries are all in the
+//     radix queue's bucket 0 (headBefore); when it is empty, every radix
+//     entry is later than Now() and the lane goes first.
 //
 // The lane relies on the clock never moving while it holds entries: they
-// all order before any later heap entry, so they run before the clock
+// all order before any later radix entry, so they run before the clock
 // advances, and RunUntil never sets the clock back.
-
-func (e *Engine) push(x entry) {
-	q := append(e.pq, x)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) >> 2
-		p := q[parent]
-		if !x.before(p) {
-			break
-		}
-		q[i] = p
-		i = parent
-	}
-	q[i] = x
-	e.pq = q
-}
-
-func (e *Engine) pop() entry {
-	q := e.pq
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q[n] = entry{}
-	q = q[:n]
-	e.pq = q
-	if n > 0 {
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			m, mc := c, q[c]
-			for j := c + 1; j < end; j++ {
-				if q[j].before(mc) {
-					m, mc = j, q[j]
-				}
-			}
-			if !mc.before(last) {
-				break
-			}
-			q[i] = mc
-			i = m
-		}
-		q[i] = last
-	}
-	return top
-}
-
-// peek returns the head of the queue without removing it, and false when
-// the queue is empty.
-func (e *Engine) peek() (entry, bool) {
-	if e.lhead < len(e.lane) {
-		if x := e.lane[e.lhead]; len(e.pq) == 0 || !e.pq[0].before(x) {
-			return x, true
-		}
-	}
-	if len(e.pq) == 0 {
-		return entry{}, false
-	}
-	return e.pq[0], true
-}
 
 // Engine owns the virtual clock and the set of managed processes.
 // The zero value is not usable; call NewEngine.
 type Engine struct {
 	now     Time
 	seq     uint64
-	pq      []entry  // heap: events scheduled for a later instant
-	lane    []entry  // events scheduled at Now(), from lhead on
-	lhead   int      // index of the lane's head
-	free    []*event // recycled pooled events
-	nevents uint64   // events dispatched (perf accounting)
+	pq      radixQueue // events scheduled for a later instant
+	lane    []entry    // events scheduled at Now(), from lhead on
+	lhead   int        // index of the lane's head
+	free    []*event   // recycled pooled events
+	nevents uint64     // events dispatched (perf accounting)
 	procs   map[*Proc]struct{}
 	idle    []chan *Proc  // parked workers, each waiting for a new proc to run
 	ready   *Proc         // process woken by the last dispatched event
@@ -256,9 +194,9 @@ func (e *Engine) schedule(at Time, fn func()) {
 
 // scheduleEvent enqueues ev (whose fn is already set) to fire at time at
 // (>= now): in the lane when that is the current instant, otherwise in the
-// heap. For intrusive events this is the allocation-free scheduling path;
-// an event may only be queued once, so rescheduling before the previous
-// firing is a bug the guard below turns into a panic.
+// radix queue. For intrusive events this is the allocation-free scheduling
+// path; an event may only be queued once, so rescheduling before the
+// previous firing is a bug the guard below turns into a panic.
 func (e *Engine) scheduleEvent(ev *event, at Time) {
 	if ev.queued {
 		panic("simtime: event scheduled twice")
@@ -269,7 +207,7 @@ func (e *Engine) scheduleEvent(ev *event, at Time) {
 		e.lane = append(e.lane, entry{e.now, e.seq, ev})
 		return
 	}
-	e.push(entry{at, e.seq, ev})
+	e.pq.push(entry{at, e.seq, ev})
 }
 
 // At schedules fn to run inline at virtual time at. fn must not block; to
@@ -486,33 +424,30 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		e.pass(p)
 		<-e.turn
 	}
-	if _, ok := e.peek(); ok && !e.stopped {
+	if (e.lhead < len(e.lane) || e.pq.mask != 0) && !e.stopped {
 		e.now = deadline // the run was cut short by the deadline
 	}
 	return e.now
 }
 
 // dispatch removes the head of the queue and runs it, unless nothing is
-// due before the run's limit; it reports whether it removed an entry. It
-// finds and removes the head in one step: with an empty lane that costs
-// one branch more than a heap alone.
+// due before the run's limit; it reports whether it removed an entry. Both
+// sources check the limit: a process handed the baton with the limit at
+// Now() must dispatch nothing, not even an entry at Now().
 func (e *Engine) dispatch() bool {
 	var x entry
-	switch {
-	case e.lhead == len(e.lane):
-		if len(e.pq) == 0 || e.pq[0].at >= e.limit {
+	if e.lhead < len(e.lane) && !e.pq.headBefore(e.lane[e.lhead]) {
+		if x = e.lane[e.lhead]; x.at >= e.limit {
 			return false
 		}
-		x = e.pop()
-	case e.lane[e.lhead].at >= e.limit:
-		return false // a heap entry before the lane head is at the same instant
-	case len(e.pq) > 0 && e.pq[0].before(e.lane[e.lhead]):
-		x = e.pop()
-	default:
-		x = e.lane[e.lhead]
 		e.lane[e.lhead] = entry{}
 		if e.lhead++; e.lhead == len(e.lane) {
 			e.lane, e.lhead = e.lane[:0], 0
+		}
+	} else {
+		var ok bool
+		if x, ok = e.pq.take(e.limit); !ok {
+			return false
 		}
 	}
 	ev := x.ev
@@ -525,7 +460,13 @@ func (e *Engine) dispatch() bool {
 		e.free = append(e.free, ev)
 	}
 	if fn == nil {
-		return true // cancelled
+		// A dead process's wake (Proc.main): skipped without moving the
+		// clock. Taking it may have moved the radix queue's base past
+		// Now(), below where later pushes can land.
+		if e.pq.base > e.now {
+			e.pq.rebase(e.now)
+		}
+		return true
 	}
 	e.now = x.at
 	e.nevents++

@@ -700,6 +700,29 @@ func TestCallbackGoexitOnProcGoroutine(t *testing.T) {
 	}
 }
 
+// TestScheduleBelowSkippedWake: the run after a Goexit skips the dead
+// process's wake at 30 without moving the clock from 25, so later schedule
+// calls land before the skipped wake's instant. They still run in time
+// order.
+func TestScheduleBelowSkippedWake(t *testing.T) {
+	e := NewEngine()
+	var wakes []Time
+	sleepLoop(e, 10, &wakes)
+	e.At(25, func() { runtime.Goexit() })
+	e.Run()
+	if end := e.Run(); end != 25 {
+		t.Fatalf("Run after the Goexit = %v, want 25", end)
+	}
+	var order []Time
+	for _, at := range []Time{31, 27} {
+		e.At(at, func() { order = append(order, e.Now()) })
+	}
+	e.Run()
+	if want := []Time{27, 31}; !slices.Equal(order, want) {
+		t.Fatalf("callbacks ran at %v, want %v", order, want)
+	}
+}
+
 // sleepUntilRun drives waiters that queue on a shared deadline, which
 // callbacks and the waiters themselves keep extending at seeded random
 // instants, and returns the run's interleaving trace, Events count and

@@ -23,9 +23,9 @@ type orderRig struct {
 	last   entry // last entry dispatched
 	ran    bool
 
-	// What the run exercised: entries taken from the lane, and heap
-	// entries taken while the lane waited.
-	lane, heapFirst int
+	// What the run exercised: entries taken from the lane, and radix
+	// queue entries taken while the lane waited.
+	lane, queueFirst int
 }
 
 // act does one random non-blocking thing.
@@ -35,7 +35,7 @@ func (r *orderRig) act() {
 	}
 	r.budget--
 	e := r.e
-	switch r.rng.Intn(9) {
+	switch r.rng.Intn(10) {
 	case 0:
 		e.At(e.Now(), r.act)
 	case 1:
@@ -55,6 +55,8 @@ func (r *orderRig) act() {
 		if r.rng.Intn(3) == 0 {
 			e.Stop()
 		}
+	case 8:
+		e.At(e.Now()+1+Time(r.rng.Int63n(1<<40)), r.act) // high buckets
 	default:
 		r.act()
 		r.act()
@@ -96,9 +98,9 @@ func (r *orderRig) spawn() {
 // last one dispatched. A dispatch that removed any other entry would leave
 // the reported one queued to be reported again. A woken process gets the
 // baton with the limit at Now(), so it runs until it blocks or ends and
-// hands the baton straight back. A run that no Stop ended finishes with
-// the real RunUntil, which has nothing left to run and settles the clock
-// on the deadline.
+// hands the baton straight back, having dispatched nothing, not even an
+// event at Now(). A run that no Stop ended finishes with the real RunUntil,
+// which has nothing left to run and settles the clock on the deadline.
 func (r *orderRig) runUntil(deadline Time) {
 	e := r.e
 	e.stopped = false
@@ -115,7 +117,7 @@ func (r *orderRig) runUntil(deadline Time) {
 		case e.lhead < len(e.lane) && e.lane[e.lhead] == x:
 			r.lane++
 		case e.lhead < len(e.lane):
-			r.heapFirst++
+			r.queueFirst++
 		}
 		fmt.Fprintf(&r.log, "%d %d\n", x.at, x.seq)
 		e.limit = deadline + 1
@@ -125,8 +127,12 @@ func (r *orderRig) runUntil(deadline Time) {
 		if p := e.ready; p != nil {
 			e.ready = nil
 			e.limit = e.now
+			n := e.Events()
 			e.pass(p)
 			<-e.turn
+			if e.Events() != n {
+				r.t.Fatalf("a process handed the baton at %d with the limit there dispatched %d events", e.now, e.Events()-n)
+			}
 		}
 	}
 	if !e.stopped {
@@ -135,7 +141,7 @@ func (r *orderRig) runUntil(deadline Time) {
 }
 
 // orderRun runs the workload for seed in random RunUntil slices until
-// nothing is left, and returns the rig.
+// nothing is left, sometimes acting between slices, and returns the rig.
 func orderRun(t *testing.T, seed int64) *orderRig {
 	e := NewEngine()
 	r := &orderRig{
@@ -153,34 +159,41 @@ func orderRun(t *testing.T, seed int64) *orderRig {
 		r.spawn()
 	}
 	for end := Time(0); ; {
-		if _, ok := e.peek(); !ok {
+		x, ok := e.peek()
+		if !ok {
 			break
+		}
+		if gap := x.at - end; gap > 1000 {
+			end += gap - Time(r.rng.Intn(100)) // skip an idle stretch
 		}
 		end += Time(r.rng.Intn(60))
 		r.runUntil(end)
+		if r.rng.Intn(4) == 0 {
+			r.act() // schedule between runs, maybe below a head left queued
+		}
 	}
 	fmt.Fprintf(&r.log, "events %d at %d\n", e.Events(), e.Now())
 	return r
 }
 
 // TestEventOrderStrictlyIncreasing: over seeded random mixes of callbacks
-// at the current instant and later, Sleep(0), queues in both styles,
-// events, a resource, Spawn, SleepUntil, RunUntil cuts, and Stop and
-// resume, the engine dispatches its entries in strictly increasing
-// (at, seq) order, which is the order of a heap-only queue. Each seed's log
-// is the same on a rerun.
+// at the current instant, a few ns later and up to 2^40 ns later, Sleep(0),
+// queues in both styles, events, a resource, Spawn, SleepUntil, RunUntil
+// cuts with schedule calls between runs, and Stop and resume, the engine
+// dispatches its entries in strictly increasing (at, seq) order, which is
+// the order of a single queue. Each seed's log is the same on a rerun.
 func TestEventOrderStrictlyIncreasing(t *testing.T) {
-	var lane, heapFirst int
+	var lane, queueFirst int
 	for seed := int64(1); seed <= 10; seed++ {
 		r := orderRun(t, seed)
 		if again := orderRun(t, seed); again.log.String() != r.log.String() {
 			t.Fatalf("seed %d: the rerun dispatches a different sequence", seed)
 		}
 		lane += r.lane
-		heapFirst += r.heapFirst
+		queueFirst += r.queueFirst
 	}
-	t.Logf("dispatched %d from the lane, %d from the heap ahead of it", lane, heapFirst)
-	if lane == 0 || heapFirst == 0 {
+	t.Logf("dispatched %d from the lane, %d from the radix queue ahead of it", lane, queueFirst)
+	if lane == 0 || queueFirst == 0 {
 		t.Fatal("the workload does not exercise both parts of the queue")
 	}
 }

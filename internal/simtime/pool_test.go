@@ -192,7 +192,7 @@ func TestDeterminismAB(t *testing.T) {
 }
 
 // TestSleepWakeZeroAlloc: steady-state Sleep/wake must not allocate — the
-// wake event is intrusive in the Proc and the heap slot is recycled.
+// wake event is intrusive in the Proc and the queue slot is recycled.
 func TestSleepWakeZeroAlloc(t *testing.T) {
 	eng := NewEngine()
 	ping := NewQueue[struct{}](eng)
