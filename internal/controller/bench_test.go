@@ -55,3 +55,46 @@ func BenchmarkQueueStorm(b *testing.B) {
 	b.ResetTimer()
 	eng.Run()
 }
+
+// BenchmarkReplicaBacklog measures one shard's replication log under
+// ctrl-storm's per-shard shape, which BenchmarkQueueStorm cannot show
+// because its standby keeps the log near empty. 7,500 registrations leave
+// as many records logged at the start; then every 150 ms, the time the
+// standby needs to apply 7,500 records at 20 µs each, a wave renews every
+// key in 100-renewal batches, about ten times faster than the standby
+// applies them. So the log never drains and swings between about 7.5k and
+// 14k records (reported as peak-lag). One op is one batch RPC.
+func BenchmarkReplicaBacklog(b *testing.B) {
+	const keys, batch = 7500, 100
+	const delay = 20 * simtime.Microsecond
+	eng := simtime.NewEngine()
+	p := DefaultParams()
+	p.LeaseTTL = simtime.Ms(10_000)
+	p.Replicate = true
+	p.ReplDelay = delay
+	s := NewSharded([]*simtime.Engine{eng}, p, 1)
+	m := mapping(packet.NewIP(172, 16, 0, 1))
+	renew := make([]RenewReq, keys)
+	for i := range renew {
+		renew[i] = RenewReq{K: keyN(7, i), M: m}
+		s.Register(renew[i].K, m)
+	}
+	peak := 0
+	eng.Spawn("renew", func(pr *simtime.Proc) {
+		for ops := 0; ops < b.N; {
+			start := pr.Now()
+			for i := 0; i < keys && ops < b.N; i += batch {
+				ops++
+				if _, _, err := s.BatchLookupShard(pr, 0, nil, renew[i:i+batch]); err != nil {
+					b.Error(err)
+				}
+			}
+			peak = max(peak, s.ShardStats(0).ReplLag)
+			pr.Sleep(start.Add(keys * delay).Sub(pr.Now()))
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+	b.ReportMetric(float64(peak), "peak-lag")
+}

@@ -236,7 +236,8 @@ type Controller struct {
 	Stats Stats
 
 	eng   *simtime.Engine
-	table map[Key]entry
+	slots *keySlots // numbers the keys; the shard's standby shares it
+	table table     // one row per slot
 	subs  []*Subscription
 	fault FaultPlan
 	rng   *rand.Rand
@@ -253,17 +254,10 @@ type Controller struct {
 	waiting   int
 	queueHWM  int
 
-	// mutated, when set, appends every accepted table write to the owning
-	// shard's replication log. Nil (the default) replicates nothing.
-	mutated func(k Key, e entry, removed bool)
-}
-
-// entry is one table row: the mapping, the epoch it was written under, and
-// its lease deadline (zero when leases are disabled).
-type entry struct {
-	m       Mapping
-	epoch   uint64
-	expires simtime.Time
+	// standby, when set, is the owning shard's replica: every accepted
+	// table write is appended to its log. Nil (the default) replicates
+	// nothing.
+	standby *Replica
 }
 
 // SetRecorder attaches a trace recorder; query and notification work is
@@ -275,7 +269,7 @@ func New(eng *simtime.Engine, p Params) *Controller {
 	return &Controller{
 		P:     p,
 		eng:   eng,
-		table: make(map[Key]entry),
+		slots: newKeySlots(),
 		rng:   rand.New(rand.NewSource(p.Seed)),
 		epoch: 1,
 	}
@@ -301,7 +295,7 @@ func (c *Controller) Crash() {
 	}
 	c.down = true
 	c.Stats.Crashes++
-	c.table = make(map[Key]entry)
+	c.table = c.table[:0]
 	for _, s := range c.subs {
 		for {
 			if _, ok := s.q.TryGet(); !ok {
@@ -325,17 +319,23 @@ func (c *Controller) Restart() {
 	c.epoch++
 }
 
-// leaseExpiry returns the deadline for an entry written now.
-func (c *Controller) leaseExpiry(now simtime.Time) simtime.Time {
-	if c.P.LeaseTTL <= 0 {
-		return 0
+// row returns the table row for m written now: the current epoch and,
+// with leases on, a deadline LeaseTTL from now.
+func (c *Controller) row(m Mapping, now simtime.Time) entry {
+	e := entry{m: m, ok: true, epoch: c.epoch}
+	if c.P.LeaseTTL > 0 {
+		e.expires = now.Add(c.P.LeaseTTL)
 	}
-	return now.Add(c.P.LeaseTTL)
+	return e
 }
 
-// live reports whether an entry's lease still holds at now.
-func (e entry) live(now simtime.Time) bool {
-	return e.expires == 0 || now < e.expires
+// write stores row s and appends the write to the replication log, if any
+// is attached.
+func (c *Controller) write(s int32, e entry) {
+	c.table.set(s, e, len(c.slots.keys))
+	if c.standby != nil {
+		c.standby.append(s, e)
+	}
 }
 
 // Register inserts or updates a mapping (vBond's notification on vGID
@@ -348,9 +348,7 @@ func (c *Controller) Register(k Key, m Mapping) {
 		return
 	}
 	c.Stats.Updates++
-	e := entry{m: m, epoch: c.epoch, expires: c.leaseExpiry(c.eng.Now())}
-	c.table[k] = e
-	c.logMutation(k, e, false)
+	c.write(c.slots.intern(k), c.row(m, c.eng.Now()))
 	c.notify(Notify{Key: k, Mapping: m})
 }
 
@@ -363,8 +361,7 @@ func (c *Controller) Unregister(k Key) {
 		return
 	}
 	c.Stats.Removals++
-	delete(c.table, k)
-	c.logMutation(k, entry{}, true)
+	c.write(c.slots.lookup(k), entry{})
 	c.notify(Notify{Key: k, Removed: true})
 }
 
@@ -470,14 +467,6 @@ func (c *Controller) serialize(p *simtime.Proc, cost simtime.Duration) {
 	p.Sleep(cost)
 }
 
-// logMutation appends one accepted table write to the replication log, if
-// any is attached.
-func (c *Controller) logMutation(k Key, e entry, removed bool) {
-	if c.mutated != nil {
-		c.mutated(k, e, removed)
-	}
-}
-
 // rpc models one control RPC round trip under the fault plan. The
 // controller must be reachable for the whole [send, send+queryRTT]
 // interval — a window opening (or a crash landing) anywhere mid-RTT eats
@@ -531,17 +520,39 @@ func (c *Controller) Lookup(p *simtime.Proc, k Key) (Mapping, bool, error) {
 	if err := c.rpc(p); err != nil {
 		return Mapping{}, false, err
 	}
-	e, ok := c.table[k]
-	if ok && !e.live(p.Now()) {
-		delete(c.table, k)
-		c.Stats.LeaseExpired++
-		ok = false
-	}
-	if ok {
+	if e, ok := c.read(c.slots.lookup(k), p.Now()); ok {
 		c.Stats.Hits++
 		return e.m, true, nil
 	}
 	return Mapping{}, false, nil
+}
+
+// read returns row s if its lease holds at now. A row whose lease has
+// lapsed is purged here, lazily, and counted.
+func (c *Controller) read(s int32, now simtime.Time) (entry, bool) {
+	e := c.table.get(s)
+	if e.ok && !e.live(now) {
+		c.table[s] = entry{}
+		c.Stats.LeaseExpired++
+		return entry{}, false
+	}
+	return e, e.ok
+}
+
+// renew re-asserts k → m at now and reports whether that changed the
+// table's view of k (a reinstatement or an address change), which
+// subscribers must hear about. A row whose lease has lapsed counts as
+// expired and is overwritten.
+func (c *Controller) renew(k Key, m Mapping, now simtime.Time) (changed bool) {
+	s := c.slots.intern(k)
+	old := c.table.get(s)
+	if old.ok && !old.live(now) {
+		c.Stats.LeaseExpired++
+		old.ok = false
+	}
+	c.Stats.Renewals++
+	c.write(s, c.row(m, now))
+	return !old.ok || old.m != m
 }
 
 // Renew is the lease-renewal RPC: the edge re-asserts that (k → m) is
@@ -556,17 +567,7 @@ func (c *Controller) Renew(p *simtime.Proc, k Key, m Mapping) (uint64, error) {
 	if err := c.rpc(p); err != nil {
 		return 0, err
 	}
-	now := p.Now()
-	old, had := c.table[k]
-	if had && !old.live(now) {
-		c.Stats.LeaseExpired++
-		had = false
-	}
-	c.Stats.Renewals++
-	e := entry{m: m, epoch: c.epoch, expires: c.leaseExpiry(now)}
-	c.table[k] = e
-	c.logMutation(k, e, false)
-	if !had || old.m != m {
+	if c.renew(k, m, p.Now()) {
 		c.notify(Notify{Key: k, Mapping: m})
 	}
 	return c.epoch, nil
@@ -603,9 +604,7 @@ func (c *Controller) Move(p *simtime.Proc, k Key, m Mapping, qpnMap map[uint32]u
 	}
 	c.Stats.Moves++
 	c.Stats.Updates++
-	e := entry{m: m, epoch: c.epoch, expires: c.leaseExpiry(p.Now())}
-	c.table[k] = e
-	c.logMutation(k, e, false)
+	c.write(c.slots.intern(k), c.row(m, p.Now()))
 	c.notify(Notify{Key: k, Mapping: m, Moved: true, QPNMap: qpnMap})
 	return nil
 }
@@ -649,29 +648,14 @@ func (c *Controller) BatchLookup(p *simtime.Proc, keys []Key, renew []RenewReq) 
 	}
 	now := p.Now()
 	for _, r := range renew {
-		old, had := c.table[r.K]
-		if had && !old.live(now) {
-			c.Stats.LeaseExpired++
-			had = false
-		}
-		c.Stats.Renewals++
 		c.Stats.BatchRenewals++
-		e := entry{m: r.M, epoch: c.epoch, expires: c.leaseExpiry(now)}
-		c.table[r.K] = e
-		c.logMutation(r.K, e, false)
-		if !had || old.m != r.M {
+		if c.renew(r.K, r.M, now) {
 			c.notify(Notify{Key: r.K, Mapping: r.M})
 		}
 	}
 	out := make([]BatchResult, len(keys))
 	for i, k := range keys {
-		e, ok := c.table[k]
-		if ok && !e.live(now) {
-			delete(c.table, k)
-			c.Stats.LeaseExpired++
-			ok = false
-		}
-		if ok {
+		if e, ok := c.read(c.slots.lookup(k), now); ok {
 			c.Stats.Hits++
 			out[i] = BatchResult{M: e.m, OK: true}
 		}
@@ -696,8 +680,8 @@ func (c *Controller) FetchDump(p *simtime.Proc, vni uint32) (map[Key]Mapping, ui
 		return nil, 0, err
 	}
 	n := 0
-	for k, e := range c.table {
-		if k.VNI == vni && e.live(p.Now()) {
+	for s, e := range c.table {
+		if e.live(p.Now()) && c.slots.keys[s].VNI == vni {
 			n++
 		}
 	}
@@ -709,16 +693,12 @@ func (c *Controller) FetchDump(p *simtime.Proc, vni uint32) (map[Key]Mapping, ui
 	}
 	now := p.Now()
 	out := make(map[Key]Mapping)
-	for k, e := range c.table {
-		if k.VNI != vni {
-			continue
+	for s := range c.table {
+		if k := c.slots.keys[s]; k.VNI == vni {
+			if e, ok := c.read(int32(s), now); ok {
+				out[k] = e.m
+			}
 		}
-		if !e.live(now) {
-			delete(c.table, k)
-			c.Stats.LeaseExpired++
-			continue
-		}
-		out[k] = e.m
 	}
 	return out, c.epoch, nil
 }
@@ -729,8 +709,8 @@ func (c *Controller) FetchDump(p *simtime.Proc, vni uint32) (map[Key]Mapping, ui
 func (c *Controller) Dump(vni uint32) map[Key]Mapping {
 	now := c.eng.Now()
 	out := make(map[Key]Mapping)
-	for k, e := range c.table {
-		if k.VNI == vni && e.live(now) {
+	for s, e := range c.table {
+		if k := c.slots.keys[s]; k.VNI == vni && e.live(now) {
 			out[k] = e.m
 		}
 	}

@@ -64,8 +64,8 @@ func TestOverlappingVIPsDistinctByVNI(t *testing.T) {
 	if m1.PIP == m2.PIP {
 		t.Fatal("tenants with identical vGIDs must resolve independently")
 	}
-	if len(c.table) != 2 {
-		t.Fatalf("size = %d", len(c.table))
+	if n := len(rowsOf(c.table, c.slots)); n != 2 {
+		t.Fatalf("size = %d", n)
 	}
 }
 

@@ -31,7 +31,7 @@ func TestCrashWipesTableAndQueues(t *testing.T) {
 		waited = p.Now().Sub(s)
 	})
 	eng.Run()
-	if len(c.Dump(100)) != 0 || len(c.table) != 0 {
+	if len(c.Dump(100)) != 0 || len(rowsOf(c.table, c.slots)) != 0 {
 		t.Fatal("crash left table entries behind")
 	}
 	if c.Stats.NotifyWiped == 0 {

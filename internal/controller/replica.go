@@ -1,16 +1,19 @@
 package controller
 
 import (
+	"slices"
+
 	"masq/internal/simtime"
 )
 
 // replRec is one replication-log record: a table write the primary
-// accepted, shipped to the standby in accept order.
+// accepted, shipped to the standby in accept order. It names its row by
+// the slot the primary and the standby share (keySlots); a removal carries
+// the empty row, and a removal of a key never written carries slot -1.
 type replRec struct {
-	seq     uint64
-	k       Key
-	e       entry
-	removed bool
+	seq  uint64
+	slot int32
+	e    entry
 }
 
 // Replica is one shard's standby: a shadow mapping table fed by a
@@ -23,16 +26,17 @@ type replRec struct {
 type Replica struct {
 	eng   *simtime.Engine
 	delay simtime.Duration
+	slots *keySlots // the primary's key index, which records' slots name
 
-	q       *simtime.Queue[replRec] // logged records not yet on the channel
-	table   map[Key]entry
+	log     replLog // logged records not yet on the channel
+	table   table
 	logSeq  uint64 // records accepted by the primary
 	applied uint64 // records folded into the shadow table
 	gen     uint64 // truncation generation: fences the in-flight record
 	fenced  uint64 // records dropped by truncation (lost writes)
 
-	// The log pump moves one record at a time from q onto the channel and
-	// into the table, as a state machine driven by one timer.
+	// The log pump moves one record at a time from the log onto the
+	// channel and into the table, as a state machine driven by one timer.
 	state  pumpState
 	cur    replRec        // the handed or in-flight record
 	curGen uint64         // gen when cur entered the channel
@@ -50,30 +54,25 @@ type pumpState uint8
 
 const (
 	// pumpStarting: the start timer is pending. Records logged before it
-	// fires wait in q, where a truncation fences them.
+	// fires wait in the log, where a truncation fences them.
 	pumpStarting pumpState = iota
-	// pumpParked: q is empty and no timer is pending. The next append
-	// hands its record straight to the pump (pumpHanded).
+	// pumpParked: the log is empty and no timer is pending. The next
+	// append hands its record straight to the pump (pumpHanded).
 	pumpParked
 	// pumpHanded: cur was handed over at append and the hand-off timer is
-	// pending at that instant. The record is in neither q nor the channel,
-	// so a truncation in the same instant does not fence it: it enters
-	// the channel under the new generation.
+	// pending at that instant. The record is in neither the log nor the
+	// channel, so a truncation in the same instant does not fence it: it
+	// enters the channel under the new generation.
 	pumpHanded
 	// pumpSending: cur is on the channel and the apply timer is pending;
 	// a truncation before it fires fences cur.
 	pumpSending
 )
 
-// newReplica builds a standby and starts its apply pump on the shard's
-// engine.
-func newReplica(eng *simtime.Engine, delay simtime.Duration) *Replica {
-	r := &Replica{
-		eng:   eng,
-		delay: delay,
-		q:     simtime.NewQueue[replRec](eng),
-		table: make(map[Key]entry),
-	}
+// newReplica builds a standby for the primary whose key index is slots
+// and starts its apply pump on the shard's engine.
+func newReplica(eng *simtime.Engine, delay simtime.Duration, slots *keySlots) *Replica {
+	r := &Replica{eng: eng, delay: delay, slots: slots}
 	r.timer = eng.NewTimer(r.fire)
 	r.timer.ScheduleAt(eng.Now())
 	return r
@@ -98,7 +97,7 @@ func (r *Replica) fire() {
 // record applies as it is sent, so the loop drains the log in one go.
 func (r *Replica) pump() {
 	for {
-		rec, ok := r.q.TryGet()
+		rec, ok := r.log.pop()
 		if !ok {
 			r.state = pumpParked
 			return
@@ -137,21 +136,18 @@ func (r *Replica) apply() {
 		r.fenced++
 		return
 	}
-	if r.cur.removed {
-		delete(r.table, r.cur.k)
-	} else {
-		r.table[r.cur.k] = r.cur.e
-	}
+	r.table.set(r.cur.slot, r.cur.e, len(r.slots.keys))
 	r.applied = r.cur.seq
 }
 
-// append logs one accepted primary write (the Controller mutation hook).
-// A parked pump takes the record at once and starts on it at this instant.
-func (r *Replica) append(k Key, e entry, removed bool) {
+// append logs one accepted primary write to row s (the empty row for a
+// removal). A parked pump takes the record at once and starts on it at
+// this instant.
+func (r *Replica) append(s int32, e entry) {
 	r.logSeq++
-	rec := replRec{seq: r.logSeq, k: k, e: e, removed: removed}
+	rec := replRec{seq: r.logSeq, slot: s, e: e}
 	if r.state != pumpParked {
-		r.q.Put(rec)
+		r.log.push(rec)
 		return
 	}
 	r.cur = rec
@@ -171,13 +167,7 @@ func (r *Replica) Fenced() uint64 { return r.fenced }
 // and returns how many were queued. It runs at promotion: the replicated
 // prefix becomes the new primary's table and the un-applied tail is fenced.
 func (r *Replica) truncate() int {
-	n := 0
-	for {
-		if _, ok := r.q.TryGet(); !ok {
-			break
-		}
-		n++
-	}
+	n := r.log.clear()
 	r.fenced += uint64(n)
 	r.gen++ // fences the record (if any) already on the channel
 	r.applied = r.logSeq
@@ -185,23 +175,14 @@ func (r *Replica) truncate() int {
 }
 
 // snapshot copies the shadow table — the state a promotion adopts.
-func (r *Replica) snapshot() map[Key]entry {
-	out := make(map[Key]entry, len(r.table))
-	for k, e := range r.table {
-		out[k] = e
-	}
-	return out
-}
+func (r *Replica) snapshot() table { return slices.Clone(r.table) }
 
 // reset re-images the standby from an authoritative table (a fresh standby
 // synced from a just-promoted or just-restarted primary) and discards any
 // un-applied log.
-func (r *Replica) reset(table map[Key]entry) {
+func (r *Replica) reset(t table) {
 	r.truncate()
-	r.table = make(map[Key]entry, len(table))
-	for k, e := range table {
-		r.table[k] = e
-	}
+	r.table = append(r.table[:0], t...)
 }
 
 // SetLagWindow injects replication lag: until the given instant every
@@ -209,4 +190,81 @@ func (r *Replica) reset(table map[Key]entry) {
 func (r *Replica) SetLagWindow(until simtime.Time, extra simtime.Duration) {
 	r.lagUntil = until
 	r.lagExtra = extra
+}
+
+// replBlockLen is how many records one log block holds: 16 KiB of 64-byte
+// records.
+const replBlockLen = 256
+
+// replBlock is one fixed-size block of the log, chained to the next.
+type replBlock struct {
+	recs [replBlockLen]replRec
+	next *replBlock
+}
+
+// replLog is the FIFO of records logged but not yet on the channel, kept
+// as a chain of fixed-size blocks. An append never moves a record already
+// logged, however long the backlog grows, and a block is let go as soon as
+// its last record leaves. The block let go last is kept as the one spare,
+// so a drained log holds a single block, and a log that fills and drains
+// within one block allocates nothing.
+type replLog struct {
+	head, tail *replBlock
+	hi, ti     int // next record to take from head; next free row of tail
+	n          int
+	spare      *replBlock
+}
+
+// push appends rec at the tail, starting a block when the tail is full.
+func (l *replLog) push(rec replRec) {
+	if l.tail == nil || l.ti == replBlockLen {
+		b := l.spare
+		if b == nil {
+			b = new(replBlock)
+		}
+		l.spare = nil
+		if l.tail == nil {
+			l.head, l.hi = b, 0
+		} else {
+			l.tail.next = b
+		}
+		l.tail, l.ti = b, 0
+	}
+	l.tail.recs[l.ti] = rec
+	l.ti++
+	l.n++
+}
+
+// pop removes and returns the oldest record.
+func (l *replLog) pop() (replRec, bool) {
+	if l.n == 0 {
+		return replRec{}, false
+	}
+	rec := l.head.recs[l.hi]
+	l.hi++
+	if l.n--; l.n == 0 || l.hi == replBlockLen {
+		l.dropHead()
+	}
+	return rec, true
+}
+
+// dropHead lets the head block go, keeping it as the spare.
+func (l *replLog) dropHead() {
+	b := l.head
+	l.head, l.hi = b.next, 0
+	if l.head == nil {
+		l.tail, l.ti = nil, 0
+	}
+	b.next = nil
+	l.spare = b
+}
+
+// clear drops every logged record and returns how many there were.
+func (l *replLog) clear() int {
+	n := l.n
+	for l.head != nil {
+		l.dropHead()
+	}
+	l.n = 0
+	return n
 }

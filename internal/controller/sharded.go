@@ -45,6 +45,12 @@ type Shard struct {
 	genFenced  uint64 // write RPCs rejected by the gen fence
 	failovers  uint64 // standby promotions
 	partitions uint64 // partition events begun
+
+	// outage numbers the primary's outages (crashes and partitions) that
+	// armed a failover timer. The timer promotes only if the outage it was
+	// armed for is still the current one: an outage that ended, through a
+	// heal or a restart, must not promote the standby early in the next.
+	outage uint64
 }
 
 // ShardStats is one shard's observability snapshot (masqctl's per-shard
@@ -79,8 +85,8 @@ func NewSharded(engines []*simtime.Engine, p Params, n int) *Sharded {
 		sp.Seed = p.Seed + int64(i)
 		sh := &Shard{pri: New(eng, sp), eng: eng}
 		if p.Replicate {
-			sh.rep = newReplica(eng, p.ReplDelay)
-			sh.pri.mutated = sh.rep.append
+			sh.rep = newReplica(eng, p.ReplDelay, sh.pri.slots)
+			sh.pri.standby = sh.rep
 		}
 		s.shards[i] = sh
 	}
@@ -311,14 +317,17 @@ func (s *Sharded) healPartition(i int) {
 	}
 }
 
-// scheduleFailover arms the promotion timer for a down shard (replication
-// only — without a standby there is nothing to promote).
+// scheduleFailover stamps a new outage of shard i and arms its promotion
+// timer (replication only — without a standby there is nothing to
+// promote).
 func (s *Sharded) scheduleFailover(i int) {
 	if !s.p.Replicate {
 		return
 	}
 	sh := s.shards[i]
-	sh.eng.After(s.p.failoverDetect(), func() { s.promote(i) })
+	sh.outage++
+	outage := sh.outage
+	sh.eng.After(s.p.failoverDetect(), func() { s.promote(i, outage) })
 }
 
 // promote installs shard i's standby as the new primary: the replicated
@@ -326,11 +335,12 @@ func (s *Sharded) scheduleFailover(i int) {
 // log tail is truncated (fenced writes), and the fencing generation moves
 // so in-flight writes spanning the promotion fail explicitly. The lag
 // tail's mappings are repaired the same way a crash is: lease renewals
-// re-assert them against the new incarnation.
-func (s *Sharded) promote(i int) {
+// re-assert them against the new incarnation. The timer armed for an
+// earlier outage promotes nothing.
+func (s *Sharded) promote(i int, outage uint64) {
 	sh := s.shards[i]
 	c := sh.pri
-	if !c.down {
+	if !c.down || sh.outage != outage {
 		return // healed or manually restarted before the detector fired
 	}
 	c.down = false

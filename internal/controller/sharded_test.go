@@ -287,6 +287,47 @@ func TestPartitionFailoverFencesDeposedPrimary(t *testing.T) {
 	}
 }
 
+// TestStaleFailoverTimerDoesNotPromote: the failover timer of an outage
+// that ended — healed before the detector fired, or restarted — must not
+// promote the standby during the next outage. Either way the second outage
+// starts at 1.5 ms, so with a 2 ms detector the promotion lands at 3.5 ms,
+// not at the first outage's 2 ms.
+func TestStaleFailoverTimerDoesNotPromote(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		outages func(s *Sharded, eng *simtime.Engine)
+		epoch   uint64 // after the promotion
+	}{
+		{"partition healed, then another", func(s *Sharded, eng *simtime.Engine) {
+			s.PartitionShard(0, simtime.Ms(1))
+			eng.At(simtime.Time(simtime.Ms(1.5)), func() { s.PartitionShard(0, simtime.Ms(10)) })
+		}, 2},
+		{"crash restarted, then another", func(s *Sharded, eng *simtime.Engine) {
+			s.CrashShard(0)
+			eng.At(simtime.Time(simtime.Ms(0.5)), func() { s.RestartShard(0) })
+			eng.At(simtime.Time(simtime.Ms(1.5)), func() { s.CrashShard(0) })
+		}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := simtime.NewEngine()
+			p := DefaultParams()
+			p.Replicate = true
+			p.FailoverDetect = simtime.Ms(2)
+			s := NewSharded([]*simtime.Engine{eng}, p, 1)
+			tc.outages(s, eng)
+			promotion := simtime.Time(simtime.Ms(3.5))
+			eng.RunUntil(promotion - 1)
+			if st := s.ShardStats(0); st.Failovers != 0 || !st.Down {
+				t.Fatalf("just before %v: %+v, want the second outage still dark", promotion, st)
+			}
+			eng.RunUntil(promotion)
+			if st := s.ShardStats(0); st.Failovers != 1 || st.Down || st.Epoch != tc.epoch {
+				t.Fatalf("at %v: %+v, want one promotion to epoch %d", promotion, st, tc.epoch)
+			}
+		})
+	}
+}
+
 // TestRenewalRacesPromotionNotLost is the lease-renewal-vs-failover race:
 // renewals landing while the old primary is dark (or fenced mid-promotion)
 // must not lose the registration — the edge retries, and the promoted
@@ -388,7 +429,7 @@ func TestBatchReplyLostToMidSerializationCrash(t *testing.T) {
 	eng.Spawn("batch", func(pr *simtime.Proc) {
 		_, _, err = s.BatchLookupShard(pr, 0, nil, renew)
 		done = pr.Now()
-		table, logged = len(s.Primary(0).table), s.shards[0].rep.logSeq
+		table, logged = len(rowsOf(s.Primary(0).table, s.Primary(0).slots)), s.shards[0].rep.logSeq
 	})
 	eng.Run()
 	if err != ErrUnavailable {

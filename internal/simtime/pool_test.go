@@ -14,7 +14,7 @@ func TestQueueTimeoutCompactsEagerly(t *testing.T) {
 		if _, ok := q.GetTimeout(p, 10); ok {
 			t.Error("got a value from an empty queue")
 		}
-		if got := len(q.waiters) - q.whead; got != 0 {
+		if got := q.waiters.len(); got != 0 {
 			t.Errorf("stale waiter left in list after timeout: %d", got)
 		}
 	})
@@ -209,5 +209,74 @@ func TestSleepWakeZeroAlloc(t *testing.T) {
 	step() // warm the waiter pool and queue ring
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
 		t.Fatalf("steady-state Sleep/wake allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestQueueStandingBacklogStaysSmall: a FIFO that never drains reuses its
+// slice instead of growing by a slot per push. A Queue's items, a Queue's
+// waiters and a Resource's waiters each keep a standing backlog of 8 for
+// 100k cycles, in FIFO order, and no slice may outgrow a few times that.
+func TestQueueStandingBacklogStaysSmall(t *testing.T) {
+	const backlog, cycles = 8, 100_000
+	const maxCap = 4 * backlog
+
+	eng := NewEngine()
+	q := NewQueue[int](eng)
+	for i := 0; i < backlog; i++ {
+		q.Put(i)
+	}
+	for i := backlog; i < cycles; i++ {
+		q.Put(i)
+		if v, ok := q.TryGet(); !ok || v != i-backlog {
+			t.Fatalf("cycle %d: got %d, %v; want %d", i, v, ok, i-backlog)
+		}
+	}
+	if c := cap(q.items.s); c > maxCap {
+		t.Errorf("items: cap %d after %d cycles with %d queued, want <= %d", c, cycles, q.Len(), maxCap)
+	}
+
+	// Getters re-queue at the tail as soon as a Put serves them, so the
+	// wait list never drains.
+	eng = NewEngine()
+	wq := NewQueue[int](eng)
+	next, served := 0, 0
+	for g := 0; g < backlog; g++ {
+		eng.Spawn("getter", func(p *Proc) {
+			for served < cycles {
+				if v := wq.Get(p); v != next {
+					t.Errorf("getter got %d, want %d", v, next)
+				}
+				next++
+				served++
+			}
+		})
+	}
+	eng.Spawn("putter", func(p *Proc) {
+		for i := 0; served < cycles; i++ {
+			p.Sleep(1)
+			wq.Put(i)
+		}
+	})
+	eng.Run()
+	if c := cap(wq.waiters.s); c > maxCap {
+		t.Errorf("queue waiters: cap %d after %d cycles, want <= %d", c, cycles, maxCap)
+	}
+
+	eng = NewEngine()
+	r := NewResource(eng, 1)
+	held := 0
+	for w := 0; w < backlog; w++ {
+		eng.Spawn("holder", func(p *Proc) {
+			for held < cycles {
+				r.Acquire(p)
+				held++
+				p.Sleep(1)
+				r.Release()
+			}
+		})
+	}
+	eng.Run()
+	if c := cap(r.waiters.s); c > maxCap {
+		t.Errorf("resource waiters: cap %d after %d cycles, want <= %d", c, cycles, maxCap)
 	}
 }

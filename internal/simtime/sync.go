@@ -1,5 +1,54 @@
 package simtime
 
+// fifo is a head-indexed FIFO slice: the storage of a Queue's items and
+// wait list and of a Resource's wait list. A pop advances head, and the
+// slice restarts from the front when it drains, so a steady produce and
+// consume cycle stops allocating. A FIFO that never drains would otherwise
+// grow past a dead prefix of taken slots forever, so a push that finds the
+// slice full with at least half of it taken slides the live items to the
+// front instead of growing it: the slice stays within a few times the
+// deepest backlog, and each slide is paid for by the pushes that filled
+// the half it reclaims.
+type fifo[T any] struct {
+	s    []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.s) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.s) == cap(f.s) && f.head > 0 && f.head >= len(f.s)/2 {
+		n := copy(f.s, f.s[f.head:])
+		clear(f.s[n:])
+		f.s, f.head = f.s[:n], 0
+	}
+	f.s = append(f.s, v)
+}
+
+func (f *fifo[T]) pop() (T, bool) {
+	var zero T
+	if f.head == len(f.s) {
+		return zero, false
+	}
+	v := f.s[f.head]
+	f.s[f.head] = zero
+	if f.head++; f.head == len(f.s) {
+		f.s, f.head = f.s[:0], 0
+	}
+	return v, true
+}
+
+// cut removes the item at index i of the backing slice, keeping order.
+func (f *fifo[T]) cut(i int) {
+	var zero T
+	copy(f.s[i:], f.s[i+1:])
+	f.s[len(f.s)-1] = zero
+	f.s = f.s[:len(f.s)-1]
+	if f.head == len(f.s) {
+		f.s, f.head = f.s[:0], 0
+	}
+}
+
 // waiter is one parked process's slot in a queue or event wait list.
 // Waiters are pooled per primitive: the blocked process releases its waiter
 // back to the pool when it resumes, so steady-state blocking allocates
@@ -147,14 +196,8 @@ func (ev *Event[T]) removeWaiter(w *waiter[T]) {
 type Queue[T any] struct {
 	eng *Engine
 
-	// items is a head-indexed ring: popping advances head, and the backing
-	// array is reused from the start each time the queue drains, so a
-	// steady-state produce/consume cycle stops allocating.
-	items []T
-	head  int
-
-	waiters []*waiter[T]
-	whead   int
+	items   fifo[T]
+	waiters fifo[*waiter[T]]
 	pool    waiterPool[T]
 
 	cb  func(T) // armed one-shot consumer callback (nil when absent)
@@ -169,56 +212,15 @@ func NewQueue[T any](e *Engine) *Queue[T] {
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) - q.head }
-
-func (q *Queue[T]) pushItem(v T) { q.items = append(q.items, v) }
-
-func (q *Queue[T]) popItem() (T, bool) {
-	if q.head == len(q.items) {
-		var zero T
-		return zero, false
-	}
-	v := q.items[q.head]
-	var zero T
-	q.items[q.head] = zero
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return v, true
-}
-
-func (q *Queue[T]) pushWaiter(w *waiter[T]) { q.waiters = append(q.waiters, w) }
-
-func (q *Queue[T]) popWaiter() (*waiter[T], bool) {
-	if q.whead == len(q.waiters) {
-		return nil, false
-	}
-	w := q.waiters[q.whead]
-	q.waiters[q.whead] = nil
-	q.whead++
-	if q.whead == len(q.waiters) {
-		q.waiters = q.waiters[:0]
-		q.whead = 0
-	}
-	return w, true
-}
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // removeWaiter compacts w out of the wait list, preserving FIFO order.
 func (q *Queue[T]) removeWaiter(w *waiter[T]) {
-	for i := q.whead; i < len(q.waiters); i++ {
-		if q.waiters[i] != w {
-			continue
+	for i := q.waiters.head; i < len(q.waiters.s); i++ {
+		if q.waiters.s[i] == w {
+			q.waiters.cut(i)
+			return
 		}
-		copy(q.waiters[i:], q.waiters[i+1:])
-		q.waiters[len(q.waiters)-1] = nil
-		q.waiters = q.waiters[:len(q.waiters)-1]
-		if q.whead == len(q.waiters) {
-			q.waiters = q.waiters[:0]
-			q.whead = 0
-		}
-		return
 	}
 }
 
@@ -227,7 +229,7 @@ func (q *Queue[T]) removeWaiter(w *waiter[T]) {
 // scheduled at the current instant.
 func (q *Queue[T]) Put(v T) {
 	for {
-		w, ok := q.popWaiter()
+		w, ok := q.waiters.pop()
 		if !ok {
 			break
 		}
@@ -239,7 +241,7 @@ func (q *Queue[T]) Put(v T) {
 		q.eng.wake(w.p, q.eng.now)
 		return
 	}
-	q.pushItem(v)
+	q.items.push(v)
 	if q.cb != nil && !q.svc.queued {
 		q.eng.scheduleEvent(&q.svc, q.eng.now)
 	}
@@ -247,11 +249,11 @@ func (q *Queue[T]) Put(v T) {
 
 // Get removes and returns the head item, blocking while the queue is empty.
 func (q *Queue[T]) Get(p *Proc) T {
-	if v, ok := q.popItem(); ok {
+	if v, ok := q.items.pop(); ok {
 		return v
 	}
 	w := q.pool.get(p)
-	q.pushWaiter(w)
+	q.waiters.push(w)
 	p.block()
 	v := w.val
 	q.pool.put(w)
@@ -260,7 +262,7 @@ func (q *Queue[T]) Get(p *Proc) T {
 
 // TryGet removes and returns the head item without blocking.
 func (q *Queue[T]) TryGet() (v T, ok bool) {
-	return q.popItem()
+	return q.items.pop()
 }
 
 // GetTimeout is Get with a deadline; ok is false on timeout. Like every
@@ -268,11 +270,11 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 // event rather than running it inline, and the abandoned waiter record is
 // compacted out of the wait list immediately.
 func (q *Queue[T]) GetTimeout(p *Proc, d Duration) (v T, ok bool) {
-	if v, ok := q.popItem(); ok {
+	if v, ok := q.items.pop(); ok {
 		return v, true
 	}
 	w := q.pool.get(p)
-	q.pushWaiter(w)
+	q.waiters.push(w)
 	gen := w.gen
 	eng := p.eng
 	eng.schedule(eng.now.Add(d), func() {
@@ -317,7 +319,7 @@ func (q *Queue[T]) service() {
 	if cb == nil {
 		return // disarmed after the delivery was scheduled
 	}
-	v, ok := q.popItem()
+	v, ok := q.items.pop()
 	if !ok {
 		return // consumed by a TryGet after the delivery was scheduled
 	}
@@ -331,8 +333,7 @@ type Resource struct {
 	eng      *Engine
 	capacity int
 	inUse    int
-	waiters  []*Proc
-	whead    int
+	waiters  fifo[*Proc]
 }
 
 // NewResource returns a resource with the given capacity (>= 1).
@@ -350,7 +351,7 @@ func (r *Resource) Acquire(p *Proc) (waited bool) {
 		r.inUse++
 		return false
 	}
-	r.waiters = append(r.waiters, p)
+	r.waiters.push(p)
 	p.block()
 	// Whoever released on our behalf already counted us in.
 	return true
@@ -364,14 +365,7 @@ func (r *Resource) Release() { r.ReleaseAfter(0) }
 // unit passes straight to the longest waiter, which resumes d from now;
 // otherwise the unit is freed at once.
 func (r *Resource) ReleaseAfter(d Duration) {
-	if r.whead < len(r.waiters) {
-		p := r.waiters[r.whead]
-		r.waiters[r.whead] = nil
-		r.whead++
-		if r.whead == len(r.waiters) {
-			r.waiters = r.waiters[:0]
-			r.whead = 0
-		}
+	if p, ok := r.waiters.pop(); ok {
 		// Capacity transfers directly to the waiter; inUse is unchanged.
 		r.eng.wake(p, r.eng.now.Add(d))
 		return
