@@ -46,10 +46,11 @@ type Shard struct {
 	failovers  uint64 // standby promotions
 	partitions uint64 // partition events begun
 
-	// outage numbers the primary's outages (crashes and partitions) that
-	// armed a failover timer. The timer promotes only if the outage it was
-	// armed for is still the current one: an outage that ended, through a
-	// heal or a restart, must not promote the standby early in the next.
+	// outage numbers the primary's outages (crashes and partitions), with
+	// or without replication. A failover timer promotes, and a partition's
+	// heal ends the partition, only if the outage it was armed for is still
+	// the current one: an outage that ended, through a promotion, a heal or
+	// a restart, must not promote the standby early in the next, nor end it.
 	outage uint64
 }
 
@@ -266,7 +267,7 @@ func (s *Sharded) CrashShard(i int) {
 		return
 	}
 	sh.pri.Crash()
-	s.scheduleFailover(i)
+	s.beginOutage(i)
 }
 
 // RestartShard brings a crashed shard primary back empty under a bumped
@@ -297,12 +298,15 @@ func (s *Sharded) PartitionShard(i int, heal simtime.Duration) {
 	}
 	sh.pri.down = true
 	sh.partitions++
-	s.scheduleFailover(i)
-	sh.eng.After(heal, func() { s.healPartition(i) })
+	outage := s.beginOutage(i)
+	sh.eng.After(heal, func() { s.healPartition(i, outage) })
 }
 
-func (s *Sharded) healPartition(i int) {
+func (s *Sharded) healPartition(i int, outage uint64) {
 	sh := s.shards[i]
+	if sh.outage != outage {
+		return // a later outage began; this heal is not its end
+	}
 	if sh.pri.down {
 		// Healed before the failover detector fired: no promotion happened,
 		// the primary picks up where it left off.
@@ -317,17 +321,17 @@ func (s *Sharded) healPartition(i int) {
 	}
 }
 
-// scheduleFailover stamps a new outage of shard i and arms its promotion
-// timer (replication only — without a standby there is nothing to
-// promote).
-func (s *Sharded) scheduleFailover(i int) {
-	if !s.p.Replicate {
-		return
-	}
+// beginOutage stamps a new outage of shard i and returns its number. With
+// replication it also arms the outage's promotion timer; without a standby
+// there is nothing to promote.
+func (s *Sharded) beginOutage(i int) uint64 {
 	sh := s.shards[i]
 	sh.outage++
 	outage := sh.outage
-	sh.eng.After(s.p.failoverDetect(), func() { s.promote(i, outage) })
+	if s.p.Replicate {
+		sh.eng.After(s.p.failoverDetect(), func() { s.promote(i, outage) })
+	}
+	return outage
 }
 
 // promote installs shard i's standby as the new primary: the replicated

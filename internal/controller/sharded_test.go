@@ -328,6 +328,43 @@ func TestStaleFailoverTimerDoesNotPromote(t *testing.T) {
 	}
 }
 
+// TestStaleHealDoesNotEndNextPartition: a partition that ended early — by
+// promotion, or by a restart — still has its heal pending, and that heal
+// must not end a later partition of the same shard.
+func TestStaleHealDoesNotEndNextPartition(t *testing.T) {
+	t.Run("promoted, then partitioned again", func(t *testing.T) {
+		eng := simtime.NewEngine()
+		p := DefaultParams()
+		p.Replicate = true
+		p.FailoverDetect = simtime.Ms(2)
+		s := NewSharded([]*simtime.Engine{eng}, p, 1)
+		s.PartitionShard(0, simtime.Ms(5)) // promoted at 2 ms
+		eng.At(simtime.Time(simtime.Ms(3)), func() { s.PartitionShard(0, simtime.Ms(10)) })
+		// The first heal lands at 5 ms, with the second partition's
+		// promotion: it must leave the promotion to end that partition.
+		eng.RunUntil(simtime.Time(simtime.Ms(5.1)))
+		if st := s.ShardStats(0); st.Failovers != 2 || st.Epoch != 3 || st.Down {
+			t.Fatalf("at 5.1 ms: %+v, want the second partition promoted to epoch 3", st)
+		}
+	})
+	t.Run("restarted, then partitioned again", func(t *testing.T) {
+		eng := simtime.NewEngine()
+		s := NewSharded([]*simtime.Engine{eng}, DefaultParams(), 1)
+		s.PartitionShard(0, simtime.Ms(1))
+		eng.At(simtime.Time(simtime.Ms(0.5)), func() { s.RestartShard(0) })
+		eng.At(simtime.Time(simtime.Ms(0.7)), func() { s.PartitionShard(0, simtime.Ms(10)) })
+		heal := simtime.Time(simtime.Ms(10.7))
+		eng.RunUntil(heal - 1)
+		if st := s.ShardStats(0); !st.Down {
+			t.Fatalf("just before %v: %+v, want the second partition still dark", heal, st)
+		}
+		eng.RunUntil(heal)
+		if st := s.ShardStats(0); st.Down || st.Partitions != 2 {
+			t.Fatalf("at %v: %+v, want the second partition healed", heal, st)
+		}
+	})
+}
+
 // TestRenewalRacesPromotionNotLost is the lease-renewal-vs-failover race:
 // renewals landing while the old primary is dark (or fenced mid-promotion)
 // must not lose the registration — the edge retries, and the promoted

@@ -52,7 +52,7 @@ type refRec struct {
 type refTimer struct {
 	at     simtime.Time
 	kind   int
-	outage uint64           // promote: the outage it was armed for
+	outage uint64           // promote, heal: the outage it was armed for
 	heal   simtime.Duration // partition: how long until it heals
 }
 
@@ -117,9 +117,11 @@ func (r *refShard) advance(to simtime.Time) {
 				r.failovers++
 			}
 		case refHeal:
-			if r.down {
+			switch {
+			case r.outage != tm.outage:
+			case r.down:
 				r.down = false
-			} else {
+			default:
 				r.reset(tm.at)
 			}
 		case refCrash:
@@ -186,7 +188,7 @@ func (r *refShard) partition(now simtime.Time, heal simtime.Duration) {
 	r.down = true
 	r.parts++
 	r.armFailover(now)
-	r.timers = append(r.timers, refTimer{at: now.Add(heal), kind: refHeal})
+	r.timers = append(r.timers, refTimer{at: now.Add(heal), kind: refHeal, outage: r.outage})
 }
 
 func (r *refShard) restart(now simtime.Time) {

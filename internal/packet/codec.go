@@ -14,7 +14,9 @@ var icrcTable = crc32.MakeTable(crc32.Castagnoli)
 // Serialize encodes the layers outside-in into a single wire buffer.
 // IPv4.TotalLen and UDP.Length are filled in when zero. If the packet
 // contains a BTH, a 4-byte ICRC covering the BTH and everything after it is
-// appended (and accounted for in the length fields).
+// appended (and accounted for in the length fields). The buffer comes from
+// the frame free list (frame.go) and every byte of it is written here; the
+// caller owns it until it sends it.
 func Serialize(layers ...Layer) []byte {
 	// One headerLen pass, cached for the later loops (the interface
 	// dispatch per layer shows up at packet rates).
@@ -34,7 +36,7 @@ func Serialize(layers ...Layer) []byte {
 	if bthIdx >= 0 {
 		icrcLen = 4
 	}
-	buf := make([]byte, total+icrcLen)
+	buf := newFrame(total + icrcLen)
 
 	// Fill length fields bottom-up first: bytes remaining after each header.
 	remaining := total + icrcLen
@@ -269,21 +271,26 @@ type decodeArena struct {
 	aa     AtomicAckETH
 	imm    ImmDt
 
-	pool *Pool // owning pool, nil for one-shot arenas
+	pool  *Pool  // owning pool, nil for one-shot arenas
+	frame []byte // the decoded frame, owned by the packet until Release
 }
 
 // Pool recycles decode arenas for consumers with a clear packet lifetime
 // (the RNIC RX pipeline copies every payload byte out before moving on).
 // Pool.Decode draws an arena from the free list and Packet.Release returns
-// it, so steady-state decoding allocates nothing. Packets whose consumers
-// may retain them (or that never call Release) fall back to the garbage
-// collector — an unreleased arena is lost to the pool, never corrupted.
+// it, together with the frame, so steady-state decoding and serializing
+// allocate nothing. Packets whose consumers may retain them (or that never
+// call Release) fall back to the garbage collector — an unreleased arena
+// or frame is lost to its list, never corrupted.
 type Pool struct {
 	free []*decodeArena
 }
 
-// Decode is the package-level Decode drawing its arena from the pool. The
-// packet and every header it exposes are valid only until Release.
+// Decode is the package-level Decode drawing its arena from the pool. On
+// success the packet takes ownership of data: the caller must hold no other
+// reference to it, and Release puts it on the frame free list. The packet
+// and every header it exposes are valid only until Release. On error the
+// frame stays the caller's.
 func (pl *Pool) Decode(data []byte) (*Packet, error) {
 	var a *decodeArena
 	if n := len(pl.free); n > 0 {
@@ -300,20 +307,23 @@ func (pl *Pool) Decode(data []byte) (*Packet, error) {
 		pl.free = append(pl.free, a)
 		return nil, err
 	}
+	a.frame = data
 	return p, nil
 }
 
-// Release returns the packet's arena to its pool for reuse; the packet and
-// all its layers are invalid afterwards. It is a no-op for packets decoded
-// outside a pool, so release points need not know how a packet was made.
+// Release returns the packet's arena to its pool and its frame to the
+// frame free list; the packet, all its layers and its payload are invalid
+// afterwards. It is a no-op for packets decoded outside a pool, so release
+// points need not know how a packet was made.
 func (p *Packet) Release() {
 	a := p.arena
 	if a == nil || a.pool == nil {
 		return
 	}
-	pl := a.pool
+	pl, frame := a.pool, a.frame
 	*a = decodeArena{} // drop frame/payload references before pooling
 	pl.free = append(pl.free, a)
+	freeFrame(frame)
 }
 
 // Decode parses a full Ethernet frame produced by Serialize.

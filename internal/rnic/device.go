@@ -82,22 +82,24 @@ type Device struct {
 	enc frameScratch
 
 	// Pools for the delayed-action records of the data path (post-pipeline
-	// frame emission, deferred ACK retirement). Each record owns an
-	// intrusive timer, so steady state allocates neither closures nor
-	// events.
+	// frame emission, deferred ACK retirement, completion delivery). Each
+	// record owns an intrusive timer, so steady state allocates neither
+	// closures nor events.
 	emitFree   []*emitJob
 	retireFree []*retireJob
+	wcFree     []*wcJob
 
 	// pktPool recycles decode arenas for arriving frames. The RX pipeline
-	// releases a packet once its handler has copied everything out;
-	// packets steered elsewhere (e.g. the overlay vswitch) are simply
-	// never released and fall back to the garbage collector.
+	// releases a packet once its handler has copied everything out, which
+	// also returns its frame to the packet package's free list; packets
+	// steered elsewhere (e.g. the overlay vswitch) are simply never
+	// released and fall back to the garbage collector.
 	pktPool packet.Pool
 }
 
-// RxDecode decodes an arriving frame from the device's arena pool. The
-// caller must treat the packet as dead once the RX pipeline has handled
-// (and released) it.
+// RxDecode decodes an arriving frame from the device's arena pool; on
+// success the packet owns the frame. The caller must treat the packet as
+// dead once the RX pipeline has handled (and released) it.
 func (d *Device) RxDecode(f simnet.Frame) (*packet.Packet, error) {
 	return d.pktPool.Decode(f)
 }
@@ -142,12 +144,8 @@ type emitJob struct {
 // the TX stats if countTx (data-path packets are counted at emission; ACKs
 // and responses are not, matching the process-based implementation).
 func (d *Device) emitAfter(delay simtime.Duration, dip packet.IP, f simnet.Frame, countTx bool) {
-	var j *emitJob
-	if n := len(d.emitFree); n > 0 {
-		j = d.emitFree[n-1]
-		d.emitFree[n-1] = nil
-		d.emitFree = d.emitFree[:n-1]
-	} else {
+	j := popJob(&d.emitFree)
+	if j == nil {
 		j = &emitJob{d: d}
 		j.t = d.eng.NewTimer(j.fire)
 	}
@@ -177,12 +175,8 @@ type retireJob struct {
 // retireAfter retires qp's WQEs up to psn once the ACK processing delay
 // elapses.
 func (d *Device) retireAfter(delay simtime.Duration, qp *QP, psn uint32) {
-	var j *retireJob
-	if n := len(d.retireFree); n > 0 {
-		j = d.retireFree[n-1]
-		d.retireFree[n-1] = nil
-		d.retireFree = d.retireFree[:n-1]
-	} else {
+	j := popJob(&d.retireFree)
+	if j == nil {
 		j = &retireJob{d: d}
 		j.t = d.eng.NewTimer(j.fire)
 	}
@@ -195,6 +189,45 @@ func (j *retireJob) fire() {
 	j.qp = nil
 	j.d.retireFree = append(j.d.retireFree, j)
 	qp.retire(psn)
+}
+
+// wcJob delivers one completion after its RX latency and CQE delay.
+type wcJob struct {
+	d  *Device
+	cq *CQ
+	wc WC
+	t  *simtime.Timer
+}
+
+// postWCAfter delivers wc to cq after qp's RX latency plus the CQE delay.
+func (d *Device) postWCAfter(qp *QP, cq *CQ, wc WC) {
+	j := popJob(&d.wcFree)
+	if j == nil {
+		j = &wcJob{d: d}
+		j.t = d.eng.NewTimer(j.fire)
+	}
+	j.cq, j.wc = cq, wc
+	j.t.ScheduleAfter(d.rxLatency(qp) + rxCQE)
+}
+
+func (j *wcJob) fire() {
+	cq, wc := j.cq, j.wc
+	j.cq = nil
+	j.d.wcFree = append(j.d.wcFree, j)
+	cq.post(wc)
+}
+
+// popJob takes the last record off a job free list, or returns nil when
+// the list is empty.
+func popJob[J any](free *[]*J) *J {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	j := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return j
 }
 
 // SetRecorder attaches a trace recorder; every firmware verb execution is

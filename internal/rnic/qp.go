@@ -213,20 +213,19 @@ func (qp *QP) PostRecv(p *simtime.Proc, wr RecvWR) error {
 }
 
 // takeRecvWQE pops the next receive WQE from the private RQ or the SRQ.
+// Like popHeadSQ it slides the rest down a slot instead of reslicing, so
+// PostRecv's append keeps reusing the queue's backing array.
 func (qp *QP) takeRecvWQE() (RecvWR, bool) {
+	rq := &qp.rq
 	if qp.srq != nil {
-		if len(qp.srq.rq) == 0 {
-			return RecvWR{}, false
-		}
-		wr := qp.srq.rq[0]
-		qp.srq.rq = qp.srq.rq[1:]
-		return wr, true
+		rq = &qp.srq.rq
 	}
-	if len(qp.rq) == 0 {
+	q := *rq
+	if len(q) == 0 {
 		return RecvWR{}, false
 	}
-	wr := qp.rq[0]
-	qp.rq = qp.rq[1:]
+	wr := q[0]
+	*rq = q[:copy(q, q[1:])]
 	return wr, true
 }
 

@@ -63,12 +63,12 @@ func servePort(d *Device, port *simnet.Port) {
 	port.RX.OnNext(serve)
 }
 
-func newEnv(t *testing.T) *env {
+func newEnv(t testing.TB) *env {
 	t.Helper()
 	return newEnvParams(t, DefaultParams())
 }
 
-func newEnvParams(t *testing.T, p Params) *env {
+func newEnvParams(t testing.TB, p Params) *env {
 	t.Helper()
 	eng := simtime.NewEngine()
 	a := newNode(eng, "devA", packet.NewIP(10, 0, 0, 1), packet.MAC{2, 0, 0, 0, 0, 1}, p)
@@ -78,7 +78,7 @@ func newEnvParams(t *testing.T, p Params) *env {
 }
 
 // buffer allocates and registers a buffer on node n.
-func (n *node) buffer(t *testing.T, p *simtime.Proc, pd *PD, size int, access Access) (uint64, *MR) {
+func (n *node) buffer(t testing.TB, p *simtime.Proc, pd *PD, size int, access Access) (uint64, *MR) {
 	t.Helper()
 	va, err := n.hva.Alloc(size)
 	if err != nil {
@@ -101,7 +101,7 @@ type endpoint struct {
 	qp       *QP
 }
 
-func makeEndpoint(t *testing.T, p *simtime.Proc, n *node, typ QPType) *endpoint {
+func makeEndpoint(t testing.TB, p *simtime.Proc, n *node, typ QPType) *endpoint {
 	t.Helper()
 	fn := n.dev.PF()
 	pd := n.dev.AllocPD(p, fn)
@@ -121,7 +121,7 @@ func av(peer *endpoint) AddressVector {
 }
 
 // connect brings both QPs to RTS pointing at each other (Fig. 1 setup).
-func connect(t *testing.T, p *simtime.Proc, x, y *endpoint) {
+func connect(t testing.TB, p *simtime.Proc, x, y *endpoint) {
 	t.Helper()
 	for _, pair := range []struct{ self, peer *endpoint }{{x, y}, {y, x}} {
 		dev := pair.self.n.dev

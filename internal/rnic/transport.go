@@ -455,11 +455,6 @@ func (d *Device) rxLatency(qp *QP) simtime.Duration {
 	return lat
 }
 
-// postWCAfter delivers a completion after the RX latency + CQE delay.
-func (d *Device) postWCAfter(qp *QP, cq *CQ, wc WC) {
-	d.eng.After(d.rxLatency(qp)+rxCQE, func() { cq.post(wc) })
-}
-
 // sendAck emits an ACK/NAK from responder qp back to its requester.
 func (d *Device) sendAck(qp *QP, syndrome byte, psn uint32) {
 	if syndrome != packet.AckSyndromeACK {

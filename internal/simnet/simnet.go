@@ -55,8 +55,10 @@ func NewPort(eng *simtime.Engine, name string) *Port {
 }
 
 // Send transmits a frame. It never blocks: the frame queues at the link and
-// is serialized at link rate. Sending on an unattached port panics — it is
-// a wiring bug, not a runtime condition.
+// is serialized at link rate. A receiver that decodes the frame through a
+// packet.Pool takes it over and recycles it, so the sender must not touch
+// a frame it has sent. Sending on an unattached port panics — it is a
+// wiring bug, not a runtime condition.
 func (p *Port) Send(f Frame) {
 	if p.tx == nil {
 		panic("simnet: send on unattached port " + p.Name)
@@ -136,9 +138,10 @@ type Link struct {
 	PropDelay simtime.Duration
 
 	// Drop, when non-nil, is consulted per frame (after serialization);
-	// returning true discards the frame. Retained as a shim for tests that
-	// predate the structured fault layer — new code should use SetDown or
-	// SetLoss, whose drops are attributed in Stats.
+	// returning true discards the frame. It must not keep the frame: one
+	// it lets through may be recycled by its receiver. Retained as a shim
+	// for tests that predate the structured fault layer — new code should
+	// use SetDown or SetLoss, whose drops are attributed in Stats.
 	Drop func(Frame) bool
 
 	down  bool
@@ -392,9 +395,20 @@ func (s *Switch) forward(in int, f Frame) {
 			return
 		}
 	}
-	for i, p := range s.ports { // flood
-		if i != in {
+	// Flood. Each port gets a frame of its own, because a receiver that
+	// decodes one through a packet.Pool owns it and recycles it on
+	// release: the last port gets f, the others copies made before it.
+	last := len(s.ports) - 1
+	if last == in {
+		last--
+	}
+	for i, p := range s.ports {
+		switch i {
+		case in:
+		case last:
 			p.Send(f)
+		default:
+			p.Send(append(Frame(nil), f...))
 		}
 	}
 }

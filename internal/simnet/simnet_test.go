@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"testing"
 
 	"masq/internal/packet"
@@ -224,6 +225,38 @@ func TestSwitchBroadcast(t *testing.T) {
 	eng.RunUntil(simtime.Time(simtime.Ms(5)))
 	if aGot != 0 || bGot != 1 || cGot != 1 {
 		t.Fatalf("a=%d b=%d c=%d, want 0/1/1", aGot, bGot, cGot)
+	}
+}
+
+// TestSwitchFloodGivesEachPortItsOwnFrame: a receiver that decodes a frame
+// through a packet.Pool owns it and recycles it on release, so a flood
+// must not hand one buffer to several ports. One flooded frame reaches
+// three ports as three distinct buffers with equal bytes.
+func TestSwitchFloodGivesEachPortItsOwnFrame(t *testing.T) {
+	eng := simtime.NewEngine()
+	sw := NewSwitch(eng, "tor", simtime.Us(0.3))
+	ports := make([]*Port, 4)
+	got := make([]Frame, len(ports))
+	for i := range ports {
+		ports[i] = NewPort(eng, "host"+itoa(i))
+		sw.AttachPort(ports[i], Gbps(40), simtime.Us(0.1))
+		ports[i].RX.OnNext(func(f Frame) { got[i] = f })
+	}
+	sent := frameTo(packet.BroadcastMAC, macA, 100)
+	ports[0].Send(sent)
+	eng.Run()
+	if got[0] != nil {
+		t.Fatal("the flood came back to its ingress port")
+	}
+	for i, f := range got[1:] {
+		if !bytes.Equal(f, sent) {
+			t.Fatalf("port %d got % x, want % x", i+1, f, sent)
+		}
+		for j, g := range got[1 : i+1] {
+			if &f[0] == &g[0] {
+				t.Fatalf("ports %d and %d got the same buffer", j+1, i+1)
+			}
+		}
 	}
 }
 
