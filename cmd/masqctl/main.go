@@ -50,8 +50,8 @@ func main() {
 	if *nrules > 0 {
 		// Synthetic chain in the 198.18/15 benchmarking space — disjoint from
 		// the scenario's 10/8 VMs, so it only exercises scale, never verdicts.
-		// One AddRules call: a bulk load is a single chain sort and a single
-		// subscriber notification, not N of each.
+		// One AddRules call: a bulk load indexes the batch in one pass and
+		// notifies subscribers once, not once per rule.
 		seed := uint32(1)
 		next := func(m int) int {
 			seed = seed*1664525 + 1013904223
@@ -122,8 +122,8 @@ func main() {
 			fmt.Printf("  … and %d more\n", len(rules)-len(shown))
 		}
 		inf := t.Policy.IndexInfo()
-		fmt.Printf("  decision index: %d rules over %d prefix-pair classes, %d buckets (%d incremental updates, %d rebuilds)\n",
-			inf.Rules, inf.Pairs, inf.Buckets, inf.Updates, inf.Rebuilds)
+		fmt.Printf("  decision index: %d rules over %d prefix-pair classes, %d buckets (%d incremental updates)\n",
+			inf.Rules, inf.Pairs, inf.Buckets, inf.Updates)
 	}
 
 	fmt.Println("\n=== SDN controller mapping table (VNI, vGID) -> physical ===")

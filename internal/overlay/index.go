@@ -1,6 +1,8 @@
 package overlay
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"masq/internal/packet"
@@ -21,10 +23,7 @@ import (
 // Bits > 32) and are simply not indexed.
 type ruleIndex struct {
 	classes [3]protoClass
-	// updates counts incremental add/remove maintenance operations;
-	// rebuilds counts full from-scratch reconstructions.
-	updates  uint64
-	rebuilds uint64
+	updates uint64 // incremental add/remove maintenance operations
 }
 
 // pairKey identifies one (src, dst) prefix-length combination.
@@ -47,14 +46,14 @@ type protoClass struct {
 	rules   int
 }
 
-// chainBefore is the chain evaluation order: priority descending, ID
-// ascending. AddRule assigns ascending IDs and inserts stably, so this is a
-// strict total order over any rule set a Policy can hold.
-func chainBefore(a, b Rule) bool {
+// chainCmp is the chain evaluation order: priority descending, then ID
+// ascending. A Policy never reuses an ID, so this is a total order over any
+// rule set it holds, and sorting by it is deterministic.
+func chainCmp(a, b Rule) int {
 	if a.Priority != b.Priority {
-		return a.Priority > b.Priority
+		return cmp.Compare(b.Priority, a.Priority)
 	}
-	return a.ID < b.ID
+	return cmp.Compare(a.ID, b.ID)
 }
 
 func pairLess(a, b pairKey) bool {
@@ -106,11 +105,8 @@ func (ix *ruleIndex) add(r Rule) {
 	}
 	c.pairRef[pk]++
 	b := c.buckets[pk][mk]
-	i := sort.Search(len(b), func(i int) bool { return !chainBefore(b[i], r) })
-	b = append(b, Rule{})
-	copy(b[i+1:], b[i:])
-	b[i] = r
-	c.buckets[pk][mk] = b
+	i, _ := slices.BinarySearchFunc(b, r, chainCmp)
+	c.buckets[pk][mk] = slices.Insert(b, i, r)
 	c.rules++
 	ix.updates++
 }
@@ -122,8 +118,8 @@ func (ix *ruleIndex) remove(r Rule) {
 	c := &ix.classes[r.Proto]
 	pk, mk := ruleKeys(r)
 	b := c.buckets[pk][mk]
-	i := sort.Search(len(b), func(i int) bool { return !chainBefore(b[i], r) })
-	if i >= len(b) || b[i].ID != r.ID {
+	i, ok := slices.BinarySearchFunc(b, r, chainCmp)
+	if !ok {
 		return // not indexed (defensive: remove must mirror add)
 	}
 	if len(b) == 1 {
@@ -153,7 +149,7 @@ func (ix *ruleIndex) lookup(proto Proto, src, dst packet.IP) (best Rule, found b
 			probes++
 			mk := maskedKey{packet.MaskIP(src, int(pk.sbits)), packet.MaskIP(dst, int(pk.dbits))}
 			if b := c.buckets[pk][mk]; len(b) > 0 {
-				if !found || chainBefore(b[0], best) {
+				if !found || chainCmp(b[0], best) < 0 {
 					best, found = b[0], true
 				}
 			}
@@ -170,28 +166,17 @@ func (ix *ruleIndex) lookup(proto Proto, src, dst packet.IP) (best Rule, found b
 	return best, found, probes
 }
 
-// rebuild reconstructs the index from a chain snapshot.
-func (ix *ruleIndex) rebuild(rules []Rule) {
-	reb := ix.rebuilds + 1
-	*ix = ruleIndex{rebuilds: reb}
-	for _, r := range rules {
-		ix.add(r)
-	}
-	ix.updates -= uint64(len(rules)) // adds during a rebuild aren't incremental updates
-}
-
 // IndexInfo is a snapshot of index shape and maintenance counters,
 // surfaced by masqctl.
 type IndexInfo struct {
-	Rules    int    // indexed rules across all proto classes
-	Pairs    int    // live (src, dst) prefix-length combinations
-	Buckets  int    // masked-address hash buckets
-	Updates  uint64 // incremental add/remove maintenance ops
-	Rebuilds uint64 // full from-scratch reconstructions
+	Rules   int    // indexed rules across all proto classes
+	Pairs   int    // live (src, dst) prefix-length combinations
+	Buckets int    // masked-address hash buckets
+	Updates uint64 // incremental add/remove maintenance ops
 }
 
 func (ix *ruleIndex) info() IndexInfo {
-	inf := IndexInfo{Updates: ix.updates, Rebuilds: ix.rebuilds}
+	inf := IndexInfo{Updates: ix.updates}
 	for i := range ix.classes {
 		c := &ix.classes[i]
 		inf.Rules += c.rules

@@ -12,7 +12,7 @@
 package overlay
 
 import (
-	"sort"
+	"slices"
 
 	"masq/internal/packet"
 )
@@ -54,8 +54,12 @@ type Rule struct {
 	Action   Action
 }
 
-// Matches reports whether the rule applies to a flow.
+// Matches reports whether the rule applies to a flow. A rule whose Proto
+// is none of the named protocols matches no flow, not even a ProtoAny one.
 func (r Rule) Matches(proto Proto, src, dst packet.IP) bool {
+	if r.Proto < ProtoAny || r.Proto > ProtoRDMA {
+		return false
+	}
 	if r.Proto != ProtoAny && proto != ProtoAny && r.Proto != proto {
 		return false
 	}
@@ -71,14 +75,15 @@ type RuleChange struct {
 	Full  bool
 }
 
-// Policy is a tenant's ordered rule chain plus an update-notification
-// list. The chain is shadowed by a decision index (see ruleIndex) that
-// answers Allows in O(prefix-length pairs) probes instead of O(rules);
-// the linear scan (allowsLinearCost) is kept as the reference
-// implementation, selected with Tenant.SetLinear.
+// Policy is a tenant's rule set plus an update-notification list. Rules
+// are held by ID and shadowed by a decision index (see ruleIndex) that
+// answers Allows in O(prefix-length pairs) probes instead of O(rules). The
+// first-match chain is a view: chain sorts it on demand and caches it until
+// the next change. Only the linear reference scan (allowsLinearCost,
+// selected with Tenant.SetLinear) and Rules read it.
 type Policy struct {
-	rules   []Rule // chain order: priority desc, ID asc
 	byID    map[int]Rule
+	view    []Rule // the chain in evaluation order; nil after a change
 	idx     ruleIndex
 	linear  bool // evaluate with allowsLinearCost; the index is maintained either way
 	nextID  int
@@ -93,72 +98,68 @@ func NewPolicy() *Policy { return &Policy{nextID: 1, byID: make(map[int]Rule)} }
 func (pl *Policy) Version() uint64 { return pl.version }
 
 // Rules returns a copy of the chain in evaluation order.
-func (pl *Policy) Rules() []Rule { return append([]Rule(nil), pl.rules...) }
+func (pl *Policy) Rules() []Rule { return slices.Clone(pl.chain()) }
 
 // Linear reports whether the policy evaluates via the linear reference
 // scan (see Tenant.SetLinear).
 func (pl *Policy) Linear() bool { return pl.linear }
 
-// chainPos returns r's position in the chain. r must be present.
-func (pl *Policy) chainPos(r Rule) int {
-	return sort.Search(len(pl.rules), func(i int) bool { return !chainBefore(pl.rules[i], r) })
+// chain returns the rules in evaluation order (chainCmp), sorting them
+// into the cached view at the first call after a change.
+func (pl *Policy) chain() []Rule {
+	if pl.view == nil && len(pl.byID) > 0 {
+		pl.view = make([]Rule, 0, len(pl.byID))
+		for _, r := range pl.byID {
+			pl.view = append(pl.view, r)
+		}
+		slices.SortFunc(pl.view, chainCmp)
+	}
+	return pl.view
 }
 
-// AddRule inserts a rule and returns its ID. The rule is spliced directly
-// into its priority position (rules of equal priority keep insertion
-// order, matching the historical stable sort) — no chain re-sort — and the
-// decision index is updated incrementally. Subscribers are notified.
+// AddRule adds a rule and returns its ID: a map write plus an incremental
+// index update. Subscribers are notified.
 func (pl *Policy) AddRule(r Rule) int {
 	r.ID = pl.nextID
 	pl.nextID++
-	// First slot whose priority is strictly lower: equal-priority rules all
-	// have smaller IDs, so this is exactly the (priority desc, ID asc) slot.
-	i := sort.Search(len(pl.rules), func(i int) bool { return pl.rules[i].Priority < r.Priority })
-	pl.rules = append(pl.rules, Rule{})
-	copy(pl.rules[i+1:], pl.rules[i:])
-	pl.rules[i] = r
 	pl.byID[r.ID] = r
+	pl.view = nil
 	pl.idx.add(r)
 	pl.bump(RuleChange{Rule: r, Added: true})
 	return r.ID
 }
 
-// AddRules bulk-loads a batch of rules and returns their IDs. It sorts the
-// chain once and notifies subscribers once with a Full change, so loading
-// 100k rules is O(n log n) instead of the O(n²) of repeated single inserts.
+// AddRules bulk-loads a batch of rules and returns their IDs. It numbers
+// and indexes the batch in one pass and notifies subscribers once, with a
+// Full change.
 func (pl *Policy) AddRules(rules []Rule) []int {
 	if len(rules) == 0 {
 		return nil
+	}
+	if len(pl.byID) == 0 {
+		pl.byID = make(map[int]Rule, len(rules))
 	}
 	ids := make([]int, len(rules))
 	for i, r := range rules {
 		r.ID = pl.nextID
 		pl.nextID++
 		ids[i] = r.ID
-		pl.rules = append(pl.rules, r)
 		pl.byID[r.ID] = r
 		pl.idx.add(r)
 	}
-	// IDs ascend in insertion order, so a stable sort by priority restores
-	// the (priority desc, ID asc) chain invariant.
-	sort.SliceStable(pl.rules, func(i, j int) bool {
-		return pl.rules[i].Priority > pl.rules[j].Priority
-	})
+	pl.view = nil
 	pl.bump(RuleChange{Full: true})
 	return ids
 }
 
-// RemoveRule deletes a rule by ID; it reports whether it existed. The ID
-// index locates the rule and a binary search finds its chain slot, so
-// deletion does no O(rules) ID scan.
+// RemoveRule deletes a rule by ID; it reports whether it existed.
 func (pl *Policy) RemoveRule(id int) bool {
 	r, ok := pl.byID[id]
 	if !ok {
 		return false
 	}
-	i := pl.chainPos(r)
-	pl.rules = append(pl.rules[:i], pl.rules[i+1:]...)
 	delete(pl.byID, id)
+	pl.view = nil
 	pl.idx.remove(r)
 	pl.bump(RuleChange{Rule: r, Added: false})
 	return true
@@ -199,16 +200,17 @@ func (pl *Policy) AllowsCost(proto Proto, src, dst packet.IP) (bool, int) {
 // allowsLinearCost is the reference implementation: a first-match scan
 // of the chain, costing one unit per rule scanned.
 func (pl *Policy) allowsLinearCost(proto Proto, src, dst packet.IP) (bool, int) {
-	for i, r := range pl.rules {
+	chain := pl.chain()
+	for i, r := range chain {
 		if r.Matches(proto, src, dst) {
 			return r.Action == Allow, i + 1
 		}
 	}
-	return false, len(pl.rules)
+	return false, len(chain)
 }
 
 // RuleCount returns the chain length (cost model input).
-func (pl *Policy) RuleCount() int { return len(pl.rules) }
+func (pl *Policy) RuleCount() int { return len(pl.byID) }
 
 // IndexInfo reports the decision index's shape and maintenance counters.
 func (pl *Policy) IndexInfo() IndexInfo { return pl.idx.info() }
