@@ -256,23 +256,21 @@ func ablVirtioBatch() *Table {
 		Columns: []string{"strategy", "total (µs)", "per-command (µs)"},
 	}
 	eng := simtime.NewEngine()
-	ring := virtio.NewRing(eng, func(p *simtime.Proc, cmd any) any {
-		p.Sleep(simtime.Us(10))
-		return cmd
-	})
+	ring := virtio.NewRing(eng)
 	var serial, batched simtime.Duration
 	eng.Spawn("bench", func(p *simtime.Proc) {
+		handle := func() { p.Sleep(simtime.Us(10)) }
 		s := p.Now()
 		for i := 0; i < 8; i++ {
-			ring.Call(p, i)
+			ring.Call(p, handle)
 		}
 		serial = p.Now().Sub(s)
-		cmds := make([]any, 8)
-		for i := range cmds {
-			cmds[i] = i
-		}
 		s = p.Now()
-		ring.CallBatch(p, cmds)
+		ring.Call(p, func() {
+			for i := 0; i < 8; i++ {
+				handle()
+			}
+		})
 		batched = p.Now().Sub(s)
 	})
 	eng.Run()

@@ -131,7 +131,7 @@ func table4() *Table {
 		reset = p.Now().Sub(s)
 	})
 	eng.Run()
-	t.AddRow("update_rules", "insert_rule()", us(cp.TB.Cfg.Masq.InsertRuleCost))
+	t.AddRow("update_rules", "insert_rule()", us(masq.InsertRuleCost))
 	t.AddRow("update_rules", "reset_conn()", us(reset))
 	t.AddRow("modify_qp_RTR", "valid_conn()", us(valid))
 	t.AddRow("modify_qp_RTR", "insert_conn()", us(insert))

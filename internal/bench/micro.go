@@ -46,11 +46,11 @@ func table1() *Table {
 	node := cp.ClientNode
 
 	// Measure the virtio round trip on a scratch ring.
-	ring := virtio.NewRing(eng, func(p *simtime.Proc, cmd any) any { return cmd })
+	ring := virtio.NewRing(eng)
 	var rtt simtime.Duration
 	eng.Spawn("t1-rtt", func(p *simtime.Proc) {
 		s := p.Now()
-		ring.Call(p, nil)
+		ring.Call(p, func() {})
 		rtt = p.Now().Sub(s)
 	})
 	eng.Run()

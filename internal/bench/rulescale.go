@@ -88,7 +88,7 @@ func runRuleScale(n int, linear, withStorm bool) RuleScalePoint {
 		Fabric:      fab,
 		ResolveHost: func(packet.IP) (packet.MAC, bool) { return packet.MAC{}, false },
 	})
-	ct := masq.NewRConntrack(masq.DefaultParams(), host.Dev)
+	ct := masq.NewRConntrack(host.Dev)
 
 	// Load the whole policy before Watch: bulk chain, a catch-all for the
 	// probe/bystander subnet (lowest priority → scanned last by the linear

@@ -158,7 +158,7 @@ func NewBackend(host *hyper.Host, ctrl *controller.Sharded, fab *overlay.Fabric,
 		Host:      host,
 		Ctrl:      ctrl,
 		Fab:       fab,
-		CT:        NewRConntrack(p, host.Dev),
+		CT:        NewRConntrack(host.Dev),
 		cache:     make(map[controller.Key]cacheEntry),
 		tenants:   make(map[uint32]*rnic.Func),
 		qpOwner:   make(map[uint32]*session),
@@ -371,25 +371,13 @@ func (b *Backend) resolveGID(p *simtime.Proc, vni uint32, vgid packet.GID) (cont
 	return m, false, err
 }
 
-// retryPlan computes the first backoff and the doubling cap for controller
-// lookup retries. A zero configured backoff is floored at one controller
-// query timeout — re-querying a dead controller immediately only repeats
-// the same timeout — and doubling is clamped at RetryBackoffMax so a large
-// QueryRetries cannot overflow simtime.Duration.
-func (b *Backend) retryPlan() (backoff, limit simtime.Duration) {
-	backoff = b.P.RetryBackoff
-	if backoff <= 0 {
-		backoff = controller.QueryTimeout
-	}
-	limit = b.P.RetryBackoffMax
-	if limit <= 0 {
-		limit = 10 * controller.QueryTimeout
-	}
-	if backoff > limit {
-		backoff = limit
-	}
-	return backoff, limit
-}
+// The controller-lookup retry schedule: the wait before the second attempt
+// is retryBackoff, and it doubles on every further attempt up to
+// retryBackoffMax.
+const (
+	retryBackoff    = 200 * simtime.Microsecond
+	retryBackoffMax = 10 * simtime.Millisecond
+)
 
 // nextBackoff doubles a retry backoff under the clamp, without overflow.
 func nextBackoff(backoff, limit simtime.Duration) simtime.Duration {
@@ -401,11 +389,11 @@ func nextBackoff(backoff, limit simtime.Duration) simtime.Duration {
 
 // withRetry runs one controller RPC against shard until it succeeds or
 // the QueryRetries budget is spent, backing off exponentially between
-// attempts (see retryPlan). call returns the answering epoch. withRetry
-// returns the number of attempts made and the last attempt's error.
+// attempts. call returns the answering epoch. withRetry returns the number
+// of attempts made and the last attempt's error.
 func (b *Backend) withRetry(p *simtime.Proc, shard int, call func() (uint64, error)) (int, error) {
 	attempts := max(b.P.QueryRetries, 1)
-	backoff, limit := b.retryPlan()
+	backoff := retryBackoff
 	for i := 1; ; i++ {
 		ep, err := call()
 		if err == nil {
@@ -419,7 +407,7 @@ func (b *Backend) withRetry(p *simtime.Proc, shard int, call func() (uint64, err
 		}
 		b.Stats.QueryRetries++
 		p.Sleep(backoff)
-		backoff = nextBackoff(backoff, limit)
+		backoff = nextBackoff(backoff, retryBackoffMax)
 	}
 }
 
@@ -809,66 +797,6 @@ func (b *Backend) StartLeaseRenewal(until simtime.Time) {
 	})
 }
 
-// Command types crossing the virtio ring (frontend → backend).
-type (
-	cmdGetDevList struct{}
-	cmdOpenDev    struct{}
-	cmdCloseDev   struct{}
-	cmdAllocPD    struct{}
-	cmdDeallocPD  struct{ pd *rnic.PD }
-	cmdRegMR      struct {
-		sess   *session
-		pd     *rnic.PD
-		va     uint64
-		length int
-		gpaExt []mem.Extent
-		access rnic.Access
-	}
-	cmdDeregMR struct {
-		sess   *session
-		mr     *rnic.MR
-		gpaExt []mem.Extent
-	}
-	cmdCreateCQ struct {
-		sess *session
-		cqe  int
-	}
-	cmdDestroyCQ struct{ cq *rnic.CQ }
-	cmdCreateSRQ struct {
-		sess  *session
-		maxWR int
-	}
-	cmdDestroySRQ struct{ srq *rnic.SRQ }
-	cmdCreateQP   struct {
-		sess     *session
-		pd       *rnic.PD
-		scq, rcq *rnic.CQ
-		typ      rnic.QPType
-		caps     rnic.QPCaps
-	}
-	cmdDestroyQP struct {
-		sess *session
-		qp   *rnic.QP
-	}
-	cmdModifyQP struct {
-		sess *session
-		qp   *rnic.QP
-		attr verbs.Attr
-	}
-	cmdPostUD struct {
-		sess *session
-		qp   *rnic.QP
-		wr   rnic.SendWR
-		dgid packet.GID
-		dqpn uint32
-	}
-)
-
-type resp struct {
-	v   any
-	err error
-}
-
 // session is the backend's per-frontend state.
 type session struct {
 	vm    *hyper.VM
@@ -970,206 +898,149 @@ func (b *Backend) subscribeSession(sess *session) {
 
 // serveRing builds a frontend↔backend virtio ring served by this backend.
 func (b *Backend) serveRing() *virtio.Ring {
-	ring := virtio.NewRing(b.Host.Eng, b.handle)
+	ring := virtio.NewRing(b.Host.Eng)
 	ring.Rec = b.Rec
 	return ring
 }
 
-// cmdName labels a forwarded command for tracing.
-func cmdName(cmd any) string {
-	switch cmd.(type) {
-	case cmdGetDevList:
-		return "get_device_list"
-	case cmdOpenDev:
-		return "open_device"
-	case cmdCloseDev:
-		return "close_device"
-	case cmdAllocPD:
-		return "alloc_pd"
-	case cmdDeallocPD:
-		return "dealloc_pd"
-	case cmdRegMR:
-		return "reg_mr"
-	case cmdDeregMR:
-		return "dereg_mr"
-	case cmdCreateCQ:
-		return "create_cq"
-	case cmdDestroyCQ:
-		return "destroy_cq"
-	case cmdCreateSRQ:
-		return "create_srq"
-	case cmdDestroySRQ:
-		return "destroy_srq"
-	case cmdCreateQP:
-		return "create_qp"
-	case cmdDestroyQP:
-		return "destroy_qp"
-	case cmdModifyQP:
-		return "modify_qp"
-	case cmdPostUD:
-		return "post_ud"
+// regMR finishes the pinning walk: the frontend pinned GVA→GPA; the
+// backend pins GPA→HVA→HPA and programs the MTT (Appendix B).
+func (b *Backend) regMR(p *simtime.Proc, sess *session, pd *rnic.PD, va uint64, length int, gpa []mem.Extent, access rnic.Access) (*rnic.MR, error) {
+	var hpa []mem.Extent
+	for _, e := range gpa {
+		sub, err := sess.vm.GPA.PinToPhys(e.Addr, e.Len)
+		if err != nil {
+			return nil, err
+		}
+		hpa = append(hpa, sub...)
 	}
-	return "unknown"
+	mr := b.Host.Dev.RegMR(p, sess.fn, pd, va, length, hpa, access)
+	sess.mrs = append(sess.mrs, sessMR{mr: mr, gpa: gpa})
+	return mr, nil
 }
 
-// handle executes one forwarded command on the host.
-func (b *Backend) handle(p *simtime.Proc, cmd any) any {
-	sp := b.Rec.Begin(p, trace.LayerMasqBackend, cmdName(cmd))
-	defer sp.End(p)
-	dev := b.Host.Dev
-	switch c := cmd.(type) {
-	case cmdGetDevList:
-		dev.GetDeviceList(p)
-		return resp{}
-	case cmdOpenDev:
-		dev.Open(p)
-		return resp{}
-	case cmdCloseDev:
-		dev.Close(p)
-		return resp{}
-	case cmdAllocPD:
-		return resp{v: dev.AllocPD(p, nil)}
-	case cmdDeallocPD:
-		dev.DeallocPD(p, c.pd)
-		return resp{}
-	case cmdRegMR:
-		// Finish the pinning walk: the frontend pinned GVA→GPA; the
-		// backend pins GPA→HVA→HPA and programs the MTT (Appendix B).
-		var hpa []mem.Extent
-		for _, e := range c.gpaExt {
-			sub, err := c.sess.vm.GPA.PinToPhys(e.Addr, e.Len)
-			if err != nil {
-				return resp{err: err}
-			}
-			hpa = append(hpa, sub...)
+// deregMR deregisters mr and unpins its GPA→HPA walk.
+func (b *Backend) deregMR(p *simtime.Proc, sess *session, mr *rnic.MR, gpa []mem.Extent) error {
+	b.Host.Dev.DeregMR(p, nil, mr)
+	for i, r := range sess.mrs {
+		if r.mr == mr {
+			sess.mrs = append(sess.mrs[:i], sess.mrs[i+1:]...)
+			break
 		}
-		mr := dev.RegMR(p, c.sess.fn, c.pd, c.va, c.length, hpa, c.access)
-		c.sess.mrs = append(c.sess.mrs, sessMR{mr: mr, gpa: c.gpaExt})
-		return resp{v: mr}
-	case cmdDeregMR:
-		dev.DeregMR(p, nil, c.mr)
-		for i, r := range c.sess.mrs {
-			if r.mr == c.mr {
-				c.sess.mrs = append(c.sess.mrs[:i], c.sess.mrs[i+1:]...)
-				break
-			}
-		}
-		for _, e := range c.gpaExt {
-			if err := c.sess.vm.GPA.UnpinToPhys(e.Addr, e.Len); err != nil {
-				return resp{err: err}
-			}
-		}
-		return resp{}
-	case cmdCreateCQ:
-		if pool := b.pools[c.sess.vni]; pool != nil {
-			if cq := pool.takeCQ(c.cqe); cq != nil {
-				p.Sleep(poolReuseCost)
-				b.Stats.PoolHits++
-				pool.noteTake(p.Now())
-				return resp{v: cq}
-			}
-			b.Stats.PoolMisses++
-		}
-		return resp{v: dev.CreateCQ(p, c.sess.fn, c.cqe)}
-	case cmdDestroyCQ:
-		dev.DestroyCQ(p, nil, c.cq)
-		return resp{}
-	case cmdCreateSRQ:
-		return resp{v: dev.CreateSRQ(p, c.sess.fn, c.maxWR)}
-	case cmdDestroySRQ:
-		dev.DestroySRQ(p, nil, c.srq)
-		return resp{}
-	case cmdCreateQP:
-		if pool := b.pools[c.sess.vni]; pool != nil && c.typ == rnic.RC {
-			if qp := pool.takeQP(); qp != nil {
-				p.Sleep(poolReuseCost)
-				if err := qp.Rebind(c.pd, c.scq, c.rcq, c.caps); err != nil {
-					return resp{err: err}
-				}
-				b.Stats.PoolHits++
-				// The pooled QP is already in INIT with its source
-				// addressing latched; modifyQP skips the guest's INIT verb.
-				b.pooledInit[qp.Num] = true
-				b.qpOwner[qp.Num] = c.sess
-				c.sess.qps = append(c.sess.qps, qp)
-				pool.noteTake(p.Now())
-				return resp{v: qp}
-			}
-			b.Stats.PoolMisses++
-		}
-		qp := dev.CreateQP(p, c.sess.fn, c.pd, c.scq, c.rcq, c.typ, c.caps)
-		b.qpOwner[qp.Num] = c.sess
-		c.sess.qps = append(c.sess.qps, qp)
-		return resp{v: qp}
-	case cmdDestroyQP:
-		b.CT.Delete(p, c.qp.Num)
-		delete(b.qpOwner, c.qp.Num)
-		delete(b.pooledInit, c.qp.Num)
-		b.sharedDetach(c.qp.Num)
-		for i, qp := range c.sess.qps {
-			if qp == c.qp {
-				c.sess.qps = append(c.sess.qps[:i], c.sess.qps[i+1:]...)
-				break
-			}
-		}
-		dev.DestroyQP(p, c.qp)
-		return resp{}
-	case cmdModifyQP:
-		return resp{err: b.modifyQP(p, c)}
-	case cmdPostUD:
-		return resp{err: b.postUD(p, c)}
 	}
-	return resp{err: fmt.Errorf("masq: unknown backend command %T", cmd)}
+	for _, e := range gpa {
+		if err := sess.vm.GPA.UnpinToPhys(e.Addr, e.Len); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// createCQ serves a CQ from the tenant's warm pool when it can, and
+// creates one on the session's function otherwise.
+func (b *Backend) createCQ(p *simtime.Proc, sess *session, cqe int) *rnic.CQ {
+	if pool := b.pools[sess.vni]; pool != nil {
+		if cq := pool.takeCQ(cqe); cq != nil {
+			p.Sleep(poolReuseCost)
+			b.Stats.PoolHits++
+			pool.noteTake(p.Now())
+			return cq
+		}
+		b.Stats.PoolMisses++
+	}
+	return b.Host.Dev.CreateCQ(p, sess.fn, cqe)
+}
+
+// createQP serves an RC QP from the tenant's warm pool when it can, and
+// creates one on the session's function otherwise; either way the session
+// owns it.
+func (b *Backend) createQP(p *simtime.Proc, sess *session, pd *rnic.PD, scq, rcq *rnic.CQ, typ rnic.QPType, caps rnic.QPCaps) (*rnic.QP, error) {
+	if pool := b.pools[sess.vni]; pool != nil && typ == rnic.RC {
+		if qp := pool.takeQP(); qp != nil {
+			p.Sleep(poolReuseCost)
+			if err := qp.Rebind(pd, scq, rcq, caps); err != nil {
+				return nil, err
+			}
+			b.Stats.PoolHits++
+			// The pooled QP is already in INIT with its source
+			// addressing latched; modifyQP skips the guest's INIT verb.
+			b.pooledInit[qp.Num] = true
+			b.qpOwner[qp.Num] = sess
+			sess.qps = append(sess.qps, qp)
+			pool.noteTake(p.Now())
+			return qp, nil
+		}
+		b.Stats.PoolMisses++
+	}
+	qp := b.Host.Dev.CreateQP(p, sess.fn, pd, scq, rcq, typ, caps)
+	b.qpOwner[qp.Num] = sess
+	sess.qps = append(sess.qps, qp)
+	return qp, nil
+}
+
+// destroyQP erases the QP's RConntrack and ownership state, then destroys
+// it on the RNIC.
+func (b *Backend) destroyQP(p *simtime.Proc, sess *session, qp *rnic.QP) {
+	b.CT.Delete(p, qp.Num)
+	delete(b.qpOwner, qp.Num)
+	delete(b.pooledInit, qp.Num)
+	b.sharedDetach(qp.Num)
+	for i, q := range sess.qps {
+		if q == qp {
+			sess.qps = append(sess.qps[:i], sess.qps[i+1:]...)
+			break
+		}
+	}
+	b.Host.Dev.DestroyQP(p, qp)
 }
 
 // modifyQP is where RConnrename and RConntrack intercept the control path.
-func (b *Backend) modifyQP(p *simtime.Proc, c cmdModifyQP) error {
-	a := c.attr
+func (b *Backend) modifyQP(p *simtime.Proc, sess *session, qp *rnic.QP, a verbs.Attr) error {
 	attr := rnic.Attr{ToState: a.ToState, QKey: a.QKey}
-	if a.ToState == rnic.StateRTR && c.qp.Type == rnic.RC && (a.DQPN == 0 || a.DGID.IsZero()) {
+	if a.ToState == rnic.StateRTR && qp.Type == rnic.RC && (a.DQPN == 0 || a.DGID.IsZero()) {
 		// A connected QP cannot reach RTR without a complete remote
 		// address; programming it half-configured would only fail later
 		// on the wire.
 		return fmt.Errorf("masq: modify_qp(RTR) on RC QP %d: malformed address vector (DGID %v, DQPN %d)",
-			c.qp.Num, a.DGID, a.DQPN)
+			qp.Num, a.DGID, a.DQPN)
 	}
 	if a.ToState == rnic.StateRTR && a.DQPN != 0 && !a.DGID.IsZero() {
 		dstIP, _ := a.DGID.IP()
-		id := ConnID{VNI: c.sess.vni, SrcVIP: c.sess.vbond.VIP(), DstVIP: dstIP, QPN: c.qp.Num}
+		id := ConnID{VNI: sess.vni, SrcVIP: sess.vbond.VIP(), DstVIP: dstIP, QPN: qp.Num}
 		if err := b.CT.Validate(p, id); err != nil {
 			return err
 		}
 		sp := b.Rec.Begin(p, trace.LayerRConnrename, "rename")
-		err := b.renameRTR(p, c, a, attr, id, dstIP)
+		err := b.renameRTR(p, sess, qp, a, attr, id, dstIP)
 		sp.End(p)
 		return err
 	}
-	if a.ToState == rnic.StateInit && b.pooledInit[c.qp.Num] {
+	if a.ToState == rnic.StateInit && b.pooledInit[qp.Num] {
 		// Pooled QP: the refiller pre-applied INIT on the same function, so
 		// the guest's verb is satisfied by bookkeeping instead of firmware.
-		delete(b.pooledInit, c.qp.Num)
+		delete(b.pooledInit, qp.Num)
 		p.Sleep(poolReuseCost)
 		return nil
 	}
 	if a.ToState == rnic.StateRTS {
-		if fl, ok := b.sharedFlows[c.qp.Num]; ok && fl.attached {
+		if fl, ok := b.sharedFlows[qp.Num]; ok && fl.attached {
 			// Attached flow of a shared connection: the carrier already paid
 			// the firmware RTS; this flow's QPC flips in host memory.
-			return b.Host.Dev.SoftModify(p, c.qp, attr, sharedAttachCost)
+			return b.Host.Dev.SoftModify(p, qp, attr, sharedAttachCost)
 		}
 	}
-	return b.Host.Dev.ModifyQP(p, c.qp, attr)
+	return b.Host.Dev.ModifyQP(p, qp, attr)
 }
 
 // renameRTR resolves the virtual destination, handles stale mappings, and
 // programs the QPC with physical addressing — the RConnrename core.
-func (b *Backend) renameRTR(p *simtime.Proc, c cmdModifyQP, a verbs.Attr, attr rnic.Attr, id ConnID, dstIP packet.IP) error {
-	k := controller.Key{VNI: c.sess.vni, VGID: a.DGID}
-	m, graced, err := b.resolveGID(p, c.sess.vni, a.DGID)
+func (b *Backend) renameRTR(p *simtime.Proc, sess *session, qp *rnic.QP, a verbs.Attr, attr rnic.Attr, id ConnID, dstIP packet.IP) error {
+	k := controller.Key{VNI: sess.vni, VGID: a.DGID}
+	m, graced, err := b.resolveGID(p, sess.vni, a.DGID)
 	if err != nil {
 		return err
 	}
-	if !b.mappingLive(c.sess.vni, dstIP, m) {
+	if !b.mappingLive(sess.vni, dstIP, m) {
 		// Establishment toward the resolved address fails: the peer
 		// moved (migration) or retired its vGID before our
 		// invalidation arrived. Pay the detection timeout, drop the
@@ -1182,9 +1053,9 @@ func (b *Backend) renameRTR(p *simtime.Proc, c cmdModifyQP, a verbs.Attr, attr r
 		if m, err = b.lookupWithRetry(p, k); err != nil {
 			return err
 		}
-		if !b.mappingLive(c.sess.vni, dstIP, m) {
+		if !b.mappingLive(sess.vni, dstIP, m) {
 			b.invalidate(k)
-			return fmt.Errorf("masq: mapping for vGID %v in VNI %d is stale even after re-query", a.DGID, c.sess.vni)
+			return fmt.Errorf("masq: mapping for vGID %v in VNI %d is stale even after re-query", a.DGID, sess.vni)
 		}
 	}
 	// The rename: the application's QPC view keeps the virtual GID;
@@ -1192,13 +1063,13 @@ func (b *Backend) renameRTR(p *simtime.Proc, c cmdModifyQP, a verbs.Attr, attr r
 	b.Stats.Renames++
 	attr.AV = rnic.AddressVector{DGID: m.PGID, DIP: m.PIP, DMAC: m.PMAC, DQPN: a.DQPN}
 	if b.Mode == ModeVFShared {
-		if err := b.sharedRTR(p, c.qp, c.sess.vni, m, attr); err != nil {
+		if err := b.sharedRTR(p, qp, sess.vni, m, attr); err != nil {
 			return err
 		}
-	} else if err := b.Host.Dev.ModifyQP(p, c.qp, attr); err != nil {
+	} else if err := b.Host.Dev.ModifyQP(p, qp, attr); err != nil {
 		return err
 	}
-	b.CT.Insert(p, id, c.qp)
+	b.CT.Insert(p, id, qp)
 	if graced {
 		// Established on the controller's old word: once it is reachable
 		// again, the reconcile process re-validates this connection and
@@ -1249,17 +1120,16 @@ func (b *Backend) Crash(p *simtime.Proc, f *Frontend) {
 
 // postUD renames and posts a datagram WQE that the frontend routed through
 // the control path (Sec. 3.3.4).
-func (b *Backend) postUD(p *simtime.Proc, c cmdPostUD) error {
-	dstIP, _ := c.dgid.IP()
-	id := ConnID{VNI: c.sess.vni, SrcVIP: c.sess.vbond.VIP(), DstVIP: dstIP, QPN: c.qp.Num}
+func (b *Backend) postUD(p *simtime.Proc, sess *session, qp *rnic.QP, wr rnic.SendWR, dgid packet.GID, dqpn uint32) error {
+	dstIP, _ := dgid.IP()
+	id := ConnID{VNI: sess.vni, SrcVIP: sess.vbond.VIP(), DstVIP: dstIP, QPN: qp.Num}
 	if err := b.CT.Validate(p, id); err != nil {
 		return err
 	}
-	m, _, err := b.resolveGID(p, c.sess.vni, c.dgid)
+	m, _, err := b.resolveGID(p, sess.vni, dgid)
 	if err != nil {
 		return err
 	}
-	wr := c.wr
-	wr.Remote = &rnic.AddressVector{DGID: m.PGID, DIP: m.PIP, DMAC: m.PMAC, DQPN: c.dqpn}
-	return c.qp.PostSend(p, wr)
+	wr.Remote = &rnic.AddressVector{DGID: m.PGID, DIP: m.PIP, DMAC: m.PMAC, DQPN: dqpn}
+	return qp.PostSend(p, wr)
 }

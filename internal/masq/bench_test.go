@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"masq/internal/packet"
+	"masq/internal/rnic"
 	"masq/internal/simtime"
+	"masq/internal/verbs"
 )
 
 // BenchmarkRCTInsertDelete measures one insert_conn plus delete_conn on an
@@ -13,7 +15,7 @@ import (
 // deletes once they are empty, so every op allocates them again.
 func BenchmarkRCTInsertDelete(b *testing.B) {
 	eng := simtime.NewEngine()
-	ct := NewRConntrack(DefaultParams(), nil)
+	ct := NewRConntrack(nil)
 	id := ConnID{VNI: 100, SrcVIP: packet.IP{10, 0, 0, 1}, DstVIP: packet.IP{10, 0, 0, 2}, QPN: 7}
 	n := b.N
 	eng.Spawn("backend", func(p *simtime.Proc) {
@@ -25,4 +27,91 @@ func BenchmarkRCTInsertDelete(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	eng.Run()
+}
+
+// connectWalk is one connection's control path through the frontend:
+// create a CQ and an RC QP, INIT, RTR toward peer, RTS, then destroy the
+// QP and the CQ.
+func connectWalk(p *simtime.Proc, dev verbs.Device, pd verbs.PD, peer packet.GID) error {
+	cq, err := dev.CreateCQ(p, 16)
+	if err != nil {
+		return err
+	}
+	qp, err := dev.CreateQP(p, pd, cq, cq, rnic.RC, rnic.QPCaps{MaxSendWR: 4, MaxRecvWR: 4})
+	if err != nil {
+		return err
+	}
+	if err := qp.Modify(p, verbs.Attr{ToState: rnic.StateInit}); err != nil {
+		return err
+	}
+	if err := qp.Modify(p, verbs.Attr{ToState: rnic.StateRTR, DGID: peer, DQPN: 42}); err != nil {
+		return err
+	}
+	if err := qp.Modify(p, verbs.Attr{ToState: rnic.StateRTS}); err != nil {
+		return err
+	}
+	if err := qp.Destroy(p); err != nil {
+		return err
+	}
+	return cq.Destroy(p)
+}
+
+// forwardedConnect runs one connectWalk from peerBed's frontend toward its
+// peer per step, on a guest proc that opened the device and allocated a
+// PD once. The first step is a rename-cache miss; every later one is a
+// hit.
+func forwardedConnect(tb testing.TB) (step func()) {
+	tb.Helper()
+	b, fe, peer := peerBed(tb, nil)
+	ping := simtime.NewQueue[struct{}](b.eng)
+	b.eng.Spawn("guest", func(p *simtime.Proc) {
+		dev, err := fe.Open(p)
+		if err != nil {
+			tb.Error(err)
+			return
+		}
+		pd, err := dev.AllocPD(p)
+		if err != nil {
+			tb.Error(err)
+			return
+		}
+		for {
+			ping.Get(p)
+			if err := connectWalk(p, dev, pd, peer); err != nil {
+				tb.Error(err)
+				return
+			}
+		}
+	})
+	return func() {
+		ping.Put(struct{}{})
+		b.eng.RunUntil(b.eng.Now().Add(simtime.Ms(10)))
+	}
+}
+
+// forwardedConnectAllocs is the committed allocation budget of one warm
+// connectWalk. It may only go down.
+const forwardedConnectAllocs = 13
+
+// TestForwardedConnectAllocates gates the allocations of one warm
+// connection's walk through the frontend, the virtio ring and the backend.
+func TestForwardedConnectAllocates(t *testing.T) {
+	step := forwardedConnect(t)
+	step() // warm the rename cache, the RCT table and the engine's pools
+	if allocs := testing.AllocsPerRun(20, step); allocs > forwardedConnectAllocs {
+		t.Fatalf("a warm forwarded connect makes %.1f allocations, budget %d", allocs, forwardedConnectAllocs)
+	}
+}
+
+// BenchmarkForwardedConnect measures one warm connectWalk through the
+// frontend: seven forwarded verbs, each a virtio round trip served by the
+// backend. One op is one walk.
+func BenchmarkForwardedConnect(b *testing.B) {
+	step := forwardedConnect(b)
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
 }

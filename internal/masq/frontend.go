@@ -27,21 +27,30 @@ func (f *Frontend) Name() string { return f.b.Mode.String() }
 // VBond exposes the device bond (inspection and tests).
 func (f *Frontend) VBond() *VBond { return f.sess.vbond }
 
-// call forwards one command and unwraps the response.
-func (f *Frontend) call(p *simtime.Proc, cmd any) (any, error) {
-	sp := f.b.Rec.Begin(p, trace.LayerMasqFrontend, "forward")
-	r := f.ring.Call(p, cmd).(resp)
+// call forwards one verb over the virtio ring: serve is the backend's half,
+// run inside the round trip under a backend span named verb. The backend is
+// the one the ring serves, so a migration that rebinds the frontend while
+// the call is in flight does not move it.
+func (f *Frontend) call(p *simtime.Proc, verb string, serve func(b *Backend) error) error {
+	b := f.b
+	sp := b.Rec.Begin(p, trace.LayerMasqFrontend, "forward")
+	var err error
+	f.ring.Call(p, func() {
+		bsp := b.Rec.Begin(p, trace.LayerMasqBackend, verb)
+		err = serve(b)
+		bsp.End(p)
+	})
 	sp.End(p)
-	return r.v, r.err
+	return err
 }
 
 // Open implements verbs.Provider: both discovery verbs are forwarded
 // (Table 1 rows 1–2).
 func (f *Frontend) Open(p *simtime.Proc) (verbs.Device, error) {
-	if _, err := f.call(p, cmdGetDevList{}); err != nil {
+	if err := f.call(p, "get_device_list", func(b *Backend) error { b.Host.Dev.GetDeviceList(p); return nil }); err != nil {
 		return nil, err
 	}
-	if _, err := f.call(p, cmdOpenDev{}); err != nil {
+	if err := f.call(p, "open_device", func(b *Backend) error { b.Host.Dev.Open(p); return nil }); err != nil {
 		return nil, err
 	}
 	return &fdevice{f: f}, nil
@@ -60,11 +69,11 @@ func (x fpd) Handle() uint32 { return x.pd.Num }
 // the backend owns a real PD, adding one virtio round trip to a verb the
 // application calls once per lifetime.
 func (d *fdevice) AllocPD(p *simtime.Proc) (verbs.PD, error) {
-	v, err := d.f.call(p, cmdAllocPD{})
-	if err != nil {
+	var pd *rnic.PD
+	if err := d.f.call(p, "alloc_pd", func(b *Backend) error { pd = b.Host.Dev.AllocPD(p, nil); return nil }); err != nil {
 		return nil, err
 	}
-	return fpd{v.(*rnic.PD)}, nil
+	return fpd{pd}, nil
 }
 
 type fmr struct {
@@ -81,7 +90,7 @@ func (m fmr) Addr() uint64 { return m.va }
 func (m fmr) Len() int     { return m.ln }
 
 func (m fmr) Dereg(p *simtime.Proc) error {
-	if _, err := m.d.f.call(p, cmdDeregMR{sess: m.d.f.sess, mr: m.mr, gpaExt: m.gpa}); err != nil {
+	if err := m.d.f.call(p, "dereg_mr", func(b *Backend) error { return b.deregMR(p, m.d.f.sess, m.mr, m.gpa) }); err != nil {
 		return err
 	}
 	return m.d.f.sess.vm.GVA.Unpin(m.va, m.ln)
@@ -98,13 +107,14 @@ func (d *fdevice) RegMR(p *simtime.Proc, vpd verbs.PD, va uint64, length int, ac
 	if err != nil {
 		return nil, err
 	}
-	v, err := d.f.call(p, cmdRegMR{
-		sess: d.f.sess, pd: rpd.pd, va: va, length: length, gpaExt: gpa, access: access,
-	})
-	if err != nil {
+	var mr *rnic.MR
+	if err := d.f.call(p, "reg_mr", func(b *Backend) (err error) {
+		mr, err = b.regMR(p, d.f.sess, rpd.pd, va, length, gpa, access)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	return fmr{d: d, mr: v.(*rnic.MR), va: va, ln: length, gpa: gpa}, nil
+	return fmr{d: d, mr: mr, va: va, ln: length, gpa: gpa}, nil
 }
 
 type fcq struct {
@@ -119,8 +129,7 @@ func (c fcq) WaitTimeout(p *simtime.Proc, t simtime.Duration) (verbs.WC, bool) {
 	return c.cq.WaitTimeout(p, t)
 }
 func (c fcq) Destroy(p *simtime.Proc) error {
-	_, err := c.d.f.call(p, cmdDestroyCQ{cq: c.cq})
-	return err
+	return c.d.f.call(p, "destroy_cq", func(b *Backend) error { b.Host.Dev.DestroyCQ(p, nil, c.cq); return nil })
 }
 
 // The mapped CQ ring also supports the callback-style capability
@@ -130,11 +139,11 @@ func (c fcq) TryGet() (verbs.WC, bool)     { return c.cq.TryGet() }
 func (c fcq) PollCost() simtime.Duration   { return c.cq.PollCost() }
 
 func (d *fdevice) CreateCQ(p *simtime.Proc, cqe int) (verbs.CQ, error) {
-	v, err := d.f.call(p, cmdCreateCQ{sess: d.f.sess, cqe: cqe})
-	if err != nil {
+	var cq *rnic.CQ
+	if err := d.f.call(p, "create_cq", func(b *Backend) error { cq = b.createCQ(p, d.f.sess, cqe); return nil }); err != nil {
 		return nil, err
 	}
-	return fcq{d: d, cq: v.(*rnic.CQ)}, nil
+	return fcq{d: d, cq: cq}, nil
 }
 
 type fqp struct {
@@ -148,8 +157,7 @@ func (q fqp) State() verbs.State { return q.qp.State() }
 // Modify forwards through the backend, where RConnrename rewrites the
 // destination addressing and RConntrack enforces security rules.
 func (q fqp) Modify(p *simtime.Proc, a verbs.Attr) error {
-	_, err := q.d.f.call(p, cmdModifyQP{sess: q.d.f.sess, qp: q.qp, attr: a})
-	return err
+	return q.d.f.call(p, "modify_qp", func(b *Backend) error { return b.modifyQP(p, q.d.f.sess, q.qp, a) })
 }
 
 // PostSend is the data path: zero-copy, directly to the mapped queues.
@@ -160,8 +168,7 @@ func (q fqp) PostSend(p *simtime.Proc, wr verbs.SendWR) error {
 	if q.qp.Type == rnic.UD && wr.Remote != nil {
 		dgid, dqpn := wr.Remote.DGID, wr.Remote.DQPN
 		wr.Remote = nil
-		_, err := q.d.f.call(p, cmdPostUD{sess: q.d.f.sess, qp: q.qp, wr: wr, dgid: dgid, dqpn: dqpn})
-		return err
+		return q.d.f.call(p, "post_ud", func(b *Backend) error { return b.postUD(p, q.d.f.sess, q.qp, wr, dgid, dqpn) })
 	}
 	return q.qp.PostSend(p, wr)
 }
@@ -183,8 +190,7 @@ func (q fqp) PostSendAsync(wr verbs.SendWR) error {
 }
 
 func (q fqp) Destroy(p *simtime.Proc) error {
-	_, err := q.d.f.call(p, cmdDestroyQP{sess: q.d.f.sess, qp: q.qp})
-	return err
+	return q.d.f.call(p, "destroy_qp", func(b *Backend) error { b.destroyQP(p, q.d.f.sess, q.qp); return nil })
 }
 
 func (d *fdevice) CreateQP(p *simtime.Proc, vpd verbs.PD, send, recv verbs.CQ, typ verbs.QPType, caps verbs.QPCaps) (verbs.QP, error) {
@@ -197,13 +203,14 @@ func (d *fdevice) CreateQP(p *simtime.Proc, vpd verbs.PD, send, recv verbs.CQ, t
 	if !ok1 || !ok2 {
 		return nil, fmt.Errorf("masq: foreign CQ handle")
 	}
-	v, err := d.f.call(p, cmdCreateQP{
-		sess: d.f.sess, pd: rpd.pd, scq: scq.cq, rcq: rcq.cq, typ: typ, caps: caps,
-	})
-	if err != nil {
+	var qp *rnic.QP
+	if err := d.f.call(p, "create_qp", func(b *Backend) (err error) {
+		qp, err = b.createQP(p, d.f.sess, rpd.pd, scq.cq, rcq.cq, typ, caps)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	return fqp{d: d, qp: v.(*rnic.QP)}, nil
+	return fqp{d: d, qp: qp}, nil
 }
 
 type fsrq struct {
@@ -216,17 +223,16 @@ func (x fsrq) PostRecv(p *simtime.Proc, wr verbs.RecvWR) error { return x.s.Post
 func (x fsrq) Len() int                                        { return x.s.Len() }
 func (x fsrq) Raw() *rnic.SRQ                                  { return x.s }
 func (x fsrq) Destroy(p *simtime.Proc) error {
-	_, err := x.d.f.call(p, cmdDestroySRQ{srq: x.s})
-	return err
+	return x.d.f.call(p, "destroy_srq", func(b *Backend) error { b.Host.Dev.DestroySRQ(p, nil, x.s); return nil })
 }
 
 // CreateSRQ is a control-path verb: forwarded to the backend.
 func (d *fdevice) CreateSRQ(p *simtime.Proc, maxWR int) (verbs.SRQ, error) {
-	v, err := d.f.call(p, cmdCreateSRQ{sess: d.f.sess, maxWR: maxWR})
-	if err != nil {
+	var s *rnic.SRQ
+	if err := d.f.call(p, "create_srq", func(b *Backend) error { s = b.Host.Dev.CreateSRQ(p, d.f.sess.fn, maxWR); return nil }); err != nil {
 		return nil, err
 	}
-	return fsrq{d: d, s: v.(*rnic.SRQ)}, nil
+	return fsrq{d: d, s: s}, nil
 }
 
 // Async events (verbs.AsyncDevice): the backend injects device events into
@@ -256,6 +262,5 @@ func (d *fdevice) QueryGID(p *simtime.Proc) (packet.GID, error) {
 }
 
 func (d *fdevice) Close(p *simtime.Proc) error {
-	_, err := d.f.call(p, cmdCloseDev{})
-	return err
+	return d.f.call(p, "close_device", func(b *Backend) error { b.Host.Dev.Close(p); return nil })
 }

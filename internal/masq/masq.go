@@ -39,6 +39,7 @@ const (
 	ValidConnCost  = 2500 * simtime.Nanosecond // valid_conn(): policy check at RTR
 	InsertConnCost = 1500 * simtime.Nanosecond // insert_conn(): RCT table insert
 	deleteConnCost = 1500 * simtime.Nanosecond // delete_conn(): RCT table remove
+	InsertRuleCost = 1500 * simtime.Nanosecond // insert_rule(): rule-chain update
 
 	// ruleEvalCost is charged per rule-evaluation work unit beyond the
 	// first during valid_conn and enforcement re-validation: chain entries
@@ -118,11 +119,9 @@ const (
 	migrMRCost = 2 * simtime.Microsecond
 )
 
-// Params hold the MasQ settings that callers vary: rule-update cost,
-// controller retry policy, cache behaviour and the setup fast path.
+// Params hold the MasQ settings that callers vary: the controller retry
+// budget, cache behaviour and the setup fast path.
 type Params struct {
-	InsertRuleCost simtime.Duration // insert_rule(): rule-chain update (Table 4)
-
 	// PushDown pre-populates each backend's cache from the controller and
 	// keeps it updated, avoiding even first-query misses (Sec. 3.3.1).
 	PushDown bool
@@ -132,17 +131,6 @@ type Params struct {
 	// Lookups only fail when the controller is unavailable or replies are
 	// lost, so retries pace recovery from control-plane faults.
 	QueryRetries int
-
-	// RetryBackoff is the wait before the second lookup attempt; it
-	// doubles on every further attempt (exponential backoff). Zero is
-	// floored at one controller query timeout — an immediate re-query
-	// into a dead controller would only repeat the same timeout.
-	RetryBackoff simtime.Duration
-
-	// RetryBackoffMax caps the exponential backoff: doubling stops here,
-	// so arbitrarily large QueryRetries cannot overflow the duration.
-	// Zero means ten query timeouts.
-	RetryBackoffMax simtime.Duration
 
 	// BatchLookups enables the connection-setup fast path's batched
 	// controller queries: concurrent cache misses coalesce into one
@@ -178,10 +166,7 @@ type Params struct {
 // policy, with the setup fast path off.
 func DefaultParams() Params {
 	return Params{
-		InsertRuleCost:  simtime.Us(1.5),
 		QueryRetries:    4,
-		RetryBackoff:    simtime.Us(200),
-		RetryBackoffMax: simtime.Ms(10),
 		LeaseRenewEvery: simtime.Ms(1),
 	}
 }

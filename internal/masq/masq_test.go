@@ -1,7 +1,12 @@
 package masq
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +16,7 @@ import (
 	"masq/internal/packet"
 	"masq/internal/rnic"
 	"masq/internal/simtime"
+	"masq/internal/trace"
 	"masq/internal/verbs"
 )
 
@@ -26,7 +32,7 @@ type bed struct {
 	be   *Backend
 }
 
-func newBed(t *testing.T, mode Mode) *bed {
+func newBed(t testing.TB, mode Mode) *bed {
 	t.Helper()
 	eng := simtime.NewEngine()
 	fab := overlay.NewFabric()
@@ -42,7 +48,7 @@ func newBed(t *testing.T, mode Mode) *bed {
 		be: NewBackend(host, svc, fab, DefaultParams(), mode)}
 }
 
-func (b *bed) allowAll(t *testing.T, vni uint32) {
+func (b *bed) allowAll(t testing.TB, vni uint32) {
 	t.Helper()
 	all, _ := packet.ParseCIDR("0.0.0.0/0")
 	b.fab.Tenant(vni).Policy.AddRule(overlay.Rule{Priority: 1, Proto: overlay.ProtoAny, Src: all, Dst: all, Action: overlay.Allow})
@@ -438,18 +444,17 @@ func TestRConntrackRuleUpdateSparesAllowedConns(t *testing.T) {
 	}
 }
 
-// TestRuleEnforcementSkipsDestroyedQP: rulesChanged snapshots its victims
-// synchronously but enforces in a spawned process; a QP destroyed (and its
-// RCT entry deleted) in between must not be reset through the stale
-// pointer.
+// TestRuleEnforcementSkipsDestroyedQP: rule-change enforcement runs in its
+// own process and pays insert_rule() (1.5 µs) before it scans, while the
+// QP's destroy pays delete_conn() (1.5 µs), so the two meet at one
+// instant. A QP destroyed (and its RCT entry deleted) must not be reset
+// through a stale pointer.
 func TestRuleEnforcementSkipsDestroyedQP(t *testing.T) {
 	b := newBed(t, ModeVF)
 	tenant := b.fab.Tenant(100)
 	all, _ := packet.ParseCIDR("0.0.0.0/0")
 	rule := tenant.Policy.AddRule(overlay.Rule{Priority: 1, Proto: overlay.ProtoAny, Src: all, Dst: all, Action: overlay.Allow})
-	params := DefaultParams()
-	params.InsertRuleCost = simtime.Us(50) // enforcement acts well after the destroy
-	ct := NewRConntrack(params, b.host.Dev)
+	ct := NewRConntrack(b.host.Dev)
 	ct.Watch(tenant)
 
 	dev := b.host.Dev
@@ -464,7 +469,7 @@ func TestRuleEnforcementSkipsDestroyedQP(t *testing.T) {
 		dev.ModifyQP(p, qp, rnic.Attr{ToState: rnic.StateRTS})
 		id := ConnID{VNI: 100, SrcVIP: packet.NewIP(10, 0, 0, 1), DstVIP: packet.NewIP(10, 0, 0, 2), QPN: qp.Num}
 		ct.Insert(p, id, qp)
-		// Revoke the rule (snapshot taken now, enforcement in 50µs)...
+		// Revoke the rule (snapshot taken now, enforcement in 1.5µs)...
 		tenant.Policy.RemoveRule(rule)
 		// ...then destroy the QP before enforcement fires.
 		ct.Delete(p, qp.Num)
@@ -564,7 +569,7 @@ func TestModeString(t *testing.T) {
 
 func TestTable4Costs(t *testing.T) {
 	if ValidConnCost != simtime.Us(2.5) || InsertConnCost != simtime.Us(1.5) ||
-		deleteConnCost != simtime.Us(1.5) || DefaultParams().InsertRuleCost != simtime.Us(1.5) {
+		deleteConnCost != simtime.Us(1.5) || InsertRuleCost != simtime.Us(1.5) {
 		t.Fatal("Table 4 basic-op costs drifted from the paper")
 	}
 }
@@ -583,6 +588,126 @@ func frontendBed(t *testing.T) (*bed, *Frontend) {
 		t.Fatal(err)
 	}
 	return b, fe
+}
+
+// peerBed boots a frontend on an allow-all tenant, recording into rec
+// (which may be nil), and a peer VM whose vBond registered its vGID, which
+// it returns.
+func peerBed(t testing.TB, rec *trace.Recorder) (*bed, *Frontend, packet.GID) {
+	t.Helper()
+	b := newBed(t, ModeVF)
+	b.allowAll(t, 100)
+	b.be.SetRecorder(rec)
+	var fe *Frontend
+	for i, vip := range []packet.IP{packet.NewIP(192, 168, 1, 1), packet.NewIP(192, 168, 1, 2)} {
+		vm, err := b.host.NewVM(fmt.Sprintf("vm%d", i), 1<<30, 100, vip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := b.be.NewFrontend(vm, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			fe = f
+		}
+	}
+	return b, fe, packet.GIDFromIP(packet.NewIP(192, 168, 1, 2))
+}
+
+// TestForwardedVerbSpanNames drives every forwarded verb through the
+// frontend and pins the name of each one's backend span, which fig16's
+// layer split and the Chrome trace export read. Each backend span lies
+// inside its frontend "forward" span.
+func TestForwardedVerbSpanNames(t *testing.T) {
+	rec := trace.New()
+	b, fe, peer := peerBed(t, rec)
+	var (
+		dev verbs.Device
+		pd  verbs.PD
+		mr  verbs.MR
+		cq  verbs.CQ
+		srq verbs.SRQ
+		qp  verbs.QP
+	)
+	va, _ := fe.sess.vm.GVA.Alloc(4096)
+	steps := []func(p *simtime.Proc) error{
+		func(p *simtime.Proc) (err error) { dev, err = fe.Open(p); return err },
+		func(p *simtime.Proc) (err error) { pd, err = dev.AllocPD(p); return err },
+		func(p *simtime.Proc) (err error) {
+			mr, err = dev.RegMR(p, pd, va, 4096, rnic.AccessLocalWrite)
+			return err
+		},
+		func(p *simtime.Proc) (err error) { cq, err = dev.CreateCQ(p, 8); return err },
+		func(p *simtime.Proc) (err error) { srq, err = dev.CreateSRQ(p, 8); return err },
+		func(p *simtime.Proc) (err error) {
+			qp, err = dev.CreateQP(p, pd, cq, cq, rnic.UD, rnic.QPCaps{MaxSendWR: 4, MaxRecvWR: 4})
+			return err
+		},
+		func(p *simtime.Proc) error { return qp.Modify(p, verbs.Attr{ToState: rnic.StateInit}) },
+		func(p *simtime.Proc) error { return qp.Modify(p, verbs.Attr{ToState: rnic.StateRTR, QKey: 0x1234}) },
+		func(p *simtime.Proc) error { return qp.Modify(p, verbs.Attr{ToState: rnic.StateRTS}) },
+		func(p *simtime.Proc) error {
+			return qp.PostSend(p, verbs.SendWR{WRID: 1, Op: rnic.WRSend, LocalAddr: va, LKey: mr.LKey(), Len: 64,
+				Remote: &rnic.AddressVector{DGID: peer, DQPN: 42}, QKey: 0x1234})
+		},
+		func(p *simtime.Proc) error { return qp.Destroy(p) },
+		func(p *simtime.Proc) error { return srq.Destroy(p) },
+		func(p *simtime.Proc) error { return cq.Destroy(p) },
+		func(p *simtime.Proc) error { return mr.Dereg(p) },
+		func(p *simtime.Proc) error { return dev.Close(p) },
+	}
+	b.eng.Spawn("verbs", func(p *simtime.Proc) {
+		for i, step := range steps {
+			if err := step(p); err != nil {
+				t.Errorf("step %d: %v", i, err)
+				return
+			}
+		}
+	})
+	b.eng.Run()
+
+	var buf bytes.Buffer
+	if err := rec.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name, Cat, Ph string
+		Ts, Dur       float64
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	ns := func(us float64) int64 { return int64(math.Round(us * 1e3)) }
+	var got []string
+	var fwd []int64 // the open "forward" span's [start, end] in ns
+	for _, e := range events {
+		if e.Ph != "X" {
+			continue
+		}
+		start, end := ns(e.Ts), ns(e.Ts)+ns(e.Dur)
+		switch e.Cat {
+		case trace.LayerMasqFrontend.String():
+			if e.Name != "forward" {
+				t.Errorf("frontend span %q, want forward", e.Name)
+			}
+			fwd = []int64{start, end}
+		case trace.LayerMasqBackend.String():
+			got = append(got, e.Name)
+			if fwd == nil || start < fwd[0] || end > fwd[1] {
+				t.Errorf("backend span %q [%d, %d] ns is not inside a forward span (%v)", e.Name, start, end, fwd)
+			}
+			fwd = nil
+		}
+	}
+	want := []string{
+		"get_device_list", "open_device", "alloc_pd", "reg_mr", "create_cq", "create_srq", "create_qp",
+		"modify_qp", "modify_qp", "modify_qp", "post_ud", "destroy_qp", "destroy_srq", "destroy_cq",
+		"dereg_mr", "close_device",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("backend spans:\n got %q\nwant %q", got, want)
+	}
 }
 
 func TestFrontendResourceLifecycle(t *testing.T) {

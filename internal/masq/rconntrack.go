@@ -77,7 +77,6 @@ type RConntrack struct {
 		Revalidated   uint64 // RCT entries re-evaluated by enforcement
 	}
 
-	p        Params
 	dev      *rnic.Device
 	rec      *trace.Recorder
 	table    map[ConnID]*trackedConn
@@ -93,9 +92,8 @@ type RConntrack struct {
 }
 
 // NewRConntrack returns an empty tracker bound to the host's device.
-func NewRConntrack(p Params, dev *rnic.Device) *RConntrack {
+func NewRConntrack(dev *rnic.Device) *RConntrack {
 	return &RConntrack{
-		p:        p,
 		dev:      dev,
 		table:    make(map[ConnID]*trackedConn),
 		byQPN:    make(map[uint32]map[ConnID]struct{}),
@@ -321,7 +319,7 @@ func revocable(ch overlay.RuleChange) bool {
 // policy engine's work units — walking the pair index itself is free at
 // this granularity.
 func (ct *RConntrack) enforce(p *simtime.Proc, job enforceJob) {
-	p.Sleep(ct.p.InsertRuleCost) // insert_rule(): update the local chain
+	p.Sleep(InsertRuleCost) // insert_rule(): update the local chain
 	t, ch := job.t, job.ch
 
 	var cands []*trackedConn

@@ -150,7 +150,7 @@ func enforceScenario(t *testing.T, linear bool) string {
 	b := newBed(t, ModeVF)
 	tenant := b.fab.Tenant(100)
 	tenant.SetLinear(linear)
-	ct := NewRConntrack(DefaultParams(), b.host.Dev)
+	ct := NewRConntrack(b.host.Dev)
 	ct.Watch(tenant)
 
 	rng := rand.New(rand.NewSource(99))

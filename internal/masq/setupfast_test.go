@@ -42,48 +42,30 @@ func lookupElapsed(t *testing.T, b *bed) simtime.Duration {
 }
 
 // TestRetryBackoffClampedSequence pins the retry schedule: backoffs double
-// from RetryBackoff but stop at RetryBackoffMax. With 6 attempts, 200µs
-// initial backoff and a 1.6ms cap the sleeps are 200, 400, 800, 1600,
-// 1600 µs between six 1ms timeouts: 10.6ms total.
+// from 200µs but stop at the 10ms cap. With 9 attempts the sleeps are 200,
+// 400, 800, 1600, 3200, 6400, 10000 and 10000 µs between nine 1ms
+// timeouts: 41.6ms total.
 func TestRetryBackoffClampedSequence(t *testing.T) {
 	b := newBed(t, ModeVF)
 	darkController(b)
-	b.be.P.QueryRetries = 6
-	b.be.P.RetryBackoff = simtime.Us(200)
-	b.be.P.RetryBackoffMax = simtime.Us(1600)
-	if got, want := lookupElapsed(t, b), simtime.Us(10600); got != want {
-		t.Fatalf("elapsed = %v, want %v (6 timeouts + 200/400/800/1600/1600µs backoffs)", got, want)
+	b.be.P.QueryRetries = 9
+	if got, want := lookupElapsed(t, b), simtime.Us(41600); got != want {
+		t.Fatalf("elapsed = %v, want %v (9 timeouts + 200/400/800/1600/3200/6400/10000/10000µs backoffs)", got, want)
 	}
-	if b.be.Stats.QueryRetries != 5 || b.be.Stats.QueryFailures != 1 {
-		t.Fatalf("retries/failures = %d/%d, want 5/1", b.be.Stats.QueryRetries, b.be.Stats.QueryFailures)
-	}
-}
-
-// TestRetryBackoffZeroFloored is the second half of the bug: a zero
-// configured backoff used to stay zero forever (every retry fired the
-// instant the previous timeout expired). It is now floored at one query
-// timeout, so three attempts sleep 1ms and 2ms between 1ms timeouts.
-func TestRetryBackoffZeroFloored(t *testing.T) {
-	b := newBed(t, ModeVF)
-	darkController(b)
-	b.be.P.QueryRetries = 3
-	b.be.P.RetryBackoff = 0
-	if got, want := lookupElapsed(t, b), simtime.Ms(6); got != want {
-		t.Fatalf("elapsed = %v, want %v (3 timeouts + 1ms/2ms floored backoffs)", got, want)
+	if b.be.Stats.QueryRetries != 8 || b.be.Stats.QueryFailures != 1 {
+		t.Fatalf("retries/failures = %d/%d, want 8/1", b.be.Stats.QueryRetries, b.be.Stats.QueryFailures)
 	}
 }
 
 // TestRetryBackoffNoOverflowAtHighRetries would overflow before the clamp:
 // 63 unclamped doublings of any backoff wrap simtime.Duration negative and
-// crash (or return instantly). With the cap the schedule is exact:
-// 1, 2, 4 µs then sixty sleeps at the 8µs cap.
+// crash (or return instantly). With the cap the schedule is exact: 200,
+// 400, 800, 1600, 3200, 6400 µs, then fifty-seven sleeps at the 10ms cap.
 func TestRetryBackoffNoOverflowAtHighRetries(t *testing.T) {
 	b := newBed(t, ModeVF)
 	darkController(b)
 	b.be.P.QueryRetries = 64
-	b.be.P.RetryBackoff = simtime.Us(1)
-	b.be.P.RetryBackoffMax = simtime.Us(8)
-	want := 64*simtime.Ms(1) + simtime.Us(1+2+4) + 60*simtime.Us(8)
+	want := 64*simtime.Ms(1) + simtime.Us(200+400+800+1600+3200+6400) + 57*simtime.Ms(10)
 	if got := lookupElapsed(t, b); got != want {
 		t.Fatalf("elapsed = %v, want %v", got, want)
 	}

@@ -140,9 +140,12 @@ func (ix *ruleIndex) remove(r Rule) {
 
 // lookup returns the first-match rule for the flow, whether one exists, and
 // the number of bucket probes performed (the work units the cost model
-// charges). A flow with a specific proto consults its own class plus the
-// Any class; a ProtoAny flow consults all three (mirroring Rule.Matches,
-// where a ProtoAny flow matches rules of every protocol).
+// charges). Every flow consults the Any class. A TCP or RDMA flow also
+// consults its own class, and a ProtoAny flow the TCP and RDMA classes
+// (mirroring Rule.Matches, where a ProtoAny flow matches rules of every
+// protocol and a flow of an unnamed protocol matches only ProtoAny rules).
+// The best rule does not depend on the order, because chainCmp is a total
+// order.
 func (ix *ruleIndex) lookup(proto Proto, src, dst packet.IP) (best Rule, found bool, probes int) {
 	consult := func(c *protoClass) {
 		for _, pk := range c.pairs {
@@ -155,14 +158,14 @@ func (ix *ruleIndex) lookup(proto Proto, src, dst packet.IP) (best Rule, found b
 			}
 		}
 	}
-	if proto == ProtoAny {
-		consult(&ix.classes[ProtoAny])
+	switch proto {
+	case ProtoAny:
 		consult(&ix.classes[ProtoTCP])
 		consult(&ix.classes[ProtoRDMA])
-	} else {
+	case ProtoTCP, ProtoRDMA:
 		consult(&ix.classes[proto])
-		consult(&ix.classes[ProtoAny])
 	}
+	consult(&ix.classes[ProtoAny])
 	return best, found, probes
 }
 

@@ -132,6 +132,10 @@ var probeIPs = []packet.IP{
 	packet.NewIP(10, 3, 2, 0), packet.NewIP(192, 0, 2, 1),
 }
 
+// probeProtos are the probe mesh's flow protocols: the three named ones
+// and two that no constant names, which only ProtoAny rules match.
+var probeProtos = []Proto{ProtoAny, ProtoTCP, ProtoRDMA, 7, -1}
+
 // check compares the policy with the reference: the chain, the counters,
 // the notifications, and, on every flow of the probe mesh, the indexed
 // verdict with the linear scan's. AllowsCost must return what the engine
@@ -158,7 +162,7 @@ func (m *policyModel) check() {
 	}
 	for _, src := range probeIPs {
 		for _, dst := range probeIPs {
-			for _, pr := range []Proto{ProtoAny, ProtoTCP, ProtoRDMA} {
+			for _, pr := range probeProtos {
 				lin, linUnits := pl.allowsLinearCost(pr, src, dst)
 				got, units := pl.AllowsCost(pr, src, dst)
 				idx := got
@@ -336,13 +340,14 @@ func TestIndexedCostSublinear(t *testing.T) {
 
 // TestIndexSkipsImpossibleRules: a rule whose CIDR can never contain an
 // address (Bits > 32), or whose protocol is none of the named ones,
-// matches nothing in either engine, not even a ProtoAny flow.
+// matches nothing in either engine, not even a ProtoAny flow or a flow of
+// an unnamed protocol.
 func TestIndexSkipsImpossibleRules(t *testing.T) {
 	pl := NewPolicy()
 	pl.AddRule(Rule{Priority: 9, Proto: ProtoAny, Src: packet.CIDR{IP: packet.NewIP(10, 0, 0, 0), Bits: 33}, Dst: packet.CIDR{}, Action: Allow})
 	pl.AddRule(Rule{Priority: 9, Proto: 7, Src: packet.CIDR{}, Dst: packet.CIDR{}, Action: Allow})
 	src, dst := packet.NewIP(10, 0, 0, 1), packet.NewIP(10, 0, 0, 2)
-	for _, pr := range []Proto{ProtoAny, ProtoTCP, ProtoRDMA} {
+	for _, pr := range probeProtos {
 		if lin, _ := pl.allowsLinearCost(pr, src, dst); lin || pl.Allows(pr, src, dst) {
 			t.Fatalf("proto %d: impossible rule must not match", pr)
 		}

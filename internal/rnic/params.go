@@ -99,6 +99,10 @@ const (
 	// maxInflight is the RC transport's per-QP window, in packets.
 	maxInflight = 128
 
+	// rnrTimer is how long an RC sender waits after an RNR NAK before it
+	// retransmits.
+	rnrTimer = 100 * simtime.Microsecond
+
 	// maxVFs is the VF limit: non-ARI PCIe exposes 8 VFs (Table 5).
 	maxVFs = 8
 )
@@ -137,7 +141,6 @@ type Params struct {
 	// RC transport.
 	RetransTimeout simtime.Duration // go-back-N timeout
 	MaxRetry       int              // transport retries before the QP errors out
-	RNRTimer       simtime.Duration // wait after an RNR NAK
 
 	// KeyBase offsets MR key minting: the device assigns lkeys/rkeys
 	// sequentially from KeyBase+1. Hosts in a cluster use disjoint bases so
@@ -161,6 +164,5 @@ func DefaultParams() Params {
 		LineRate:       40e9,
 		RetransTimeout: simtime.Ms(4),
 		MaxRetry:       7,
-		RNRTimer:       simtime.Us(100),
 	}
 }

@@ -324,7 +324,6 @@ func TestSQDDrainAndResume(t *testing.T) {
 func TestRNRRetryExhaustionErrorsOut(t *testing.T) {
 	pr := DefaultParams()
 	pr.MaxRetry = 3
-	pr.RNRTimer = simtime.Us(50)
 	e := newEnvParams(t, pr)
 	var wc WC
 	e.eng.Spawn("test", func(p *simtime.Proc) {

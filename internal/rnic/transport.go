@@ -848,7 +848,7 @@ func (d *Device) handleAck(qp *QP, pkt *packet.Packet) {
 			qp.enterError(WCRNRRetryExceeded)
 			return
 		}
-		qp.pausedUntil = d.eng.Now().Add(d.P.RNRTimer)
+		qp.pausedUntil = d.eng.Now().Add(rnrTimer)
 		qp.sndNxt = qp.sndUna
 		w := qp.findWQE(qp.sndUna)
 		if w != nil {

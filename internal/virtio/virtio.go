@@ -30,50 +30,33 @@ type Ring struct {
 	// as virtio-layer spans ("kick", "ring-service", "irq"). Nil is free.
 	Rec *trace.Recorder
 
-	handler func(p *simtime.Proc, cmd any) any
 	backend *simtime.Resource
 }
 
-// NewRing creates a ring whose backend answers each command with handler.
-// handler runs on the calling guest's proc and may block: it sleeps and
-// acquires resources as the host-side driver would.
-func NewRing(eng *simtime.Engine, handler func(p *simtime.Proc, cmd any) any) *Ring {
-	return &Ring{handler: handler, backend: simtime.NewResource(eng, 1)}
+// NewRing creates a ring with one idle backend thread.
+func NewRing(eng *simtime.Engine) *Ring {
+	return &Ring{backend: simtime.NewResource(eng, 1)}
 }
 
-// Call issues one command from the guest and blocks until the backend's
-// response arrives, paying the full virtqueue round trip.
-func (r *Ring) Call(p *simtime.Proc, cmd any) (resp any) {
-	r.roundTrip(p, func() { resp = r.handler(p, cmd) })
-	return resp
-}
-
-// CallBatch issues several commands under a single kick and a single
-// interrupt (the virtio batching ablation). The backend handler still runs
-// once per command.
-func (r *Ring) CallBatch(p *simtime.Proc, cmds []any) []any {
-	resp := make([]any, len(cmds))
-	r.roundTrip(p, func() {
-		for i, cmd := range cmds {
-			resp[i] = r.handler(p, cmd)
-		}
-	})
-	return resp
-}
-
-// roundTrip runs one kick, the backend's service of serve, and the IRQ
-// back to the guest. It schedules the events of a ring whose backend is a
-// proc parked on a request queue, answering through an Event that an
-// After(IRQCost) callback triggers, at the same instants and at the same
-// points in the dispatch order, so Events() and the dispatch order equal
-// that ring's (DESIGN §2.1):
+// Call runs one round trip from the guest: the kick, the backend's service
+// of the request, and the IRQ back to the guest. serve is that service; it
+// runs on the calling guest's proc and may block, sleeping and acquiring
+// resources as the host-side driver would. A batch of commands is one Call
+// whose serve handles each command in turn, so it shares one kick and one
+// IRQ.
+//
+// Call schedules the events of a ring whose backend is a proc parked on a
+// request queue, answering through an Event that an After(IRQCost)
+// callback triggers, at the same instants and at the same points in the
+// dispatch order, so Events() and the dispatch order equal that ring's
+// (DESIGN §2.1):
 //   - the idle path's Sleep(0) is the wake a queue Put gave the backend,
 //     and its Sleep(hostProc) is the backend's own;
 //   - a busy backend took its next request as soon as it had scheduled the
 //     previous IRQ, and slept hostProc: ReleaseAfter(hostProc) wakes the
 //     next waiter when that sleep would have ended;
 //   - the Sleep(0) after the IRQ is the Trigger's wake of the guest.
-func (r *Ring) roundTrip(p *simtime.Proc, serve func()) {
+func (r *Ring) Call(p *simtime.Proc, serve func()) {
 	sp := r.Rec.Begin(p, trace.LayerVirtio, "kick")
 	p.Sleep(KickCost)
 	sp.End(p)

@@ -9,14 +9,12 @@ import (
 
 func TestCallRoundTripCost(t *testing.T) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, func(p *simtime.Proc, cmd any) any {
-		return cmd.(int) * 2
-	})
+	ring := NewRing(eng)
 	var elapsed simtime.Duration
-	var resp any
+	var resp int
 	eng.Spawn("guest", func(p *simtime.Proc) {
 		start := p.Now()
-		resp = ring.Call(p, 21)
+		ring.Call(p, func() { resp = 21 * 2 })
 		elapsed = p.Now().Sub(start)
 	})
 	eng.Run()
@@ -30,14 +28,11 @@ func TestCallRoundTripCost(t *testing.T) {
 
 func TestHandlerWorkAddsToRTT(t *testing.T) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, func(p *simtime.Proc, cmd any) any {
-		p.Sleep(simtime.Us(100)) // device work
-		return nil
-	})
+	ring := NewRing(eng)
 	var elapsed simtime.Duration
 	eng.Spawn("guest", func(p *simtime.Proc) {
 		start := p.Now()
-		ring.Call(p, nil)
+		ring.Call(p, func() { p.Sleep(simtime.Us(100)) }) // device work
 		elapsed = p.Now().Sub(start)
 	})
 	eng.Run()
@@ -49,15 +44,11 @@ func TestHandlerWorkAddsToRTT(t *testing.T) {
 func TestCallsAreSerializedFIFO(t *testing.T) {
 	eng := simtime.NewEngine()
 	var order []int
-	ring := NewRing(eng, func(p *simtime.Proc, cmd any) any {
-		order = append(order, cmd.(int))
-		return nil
-	})
+	ring := NewRing(eng)
 	for i := 0; i < 3; i++ {
-		i := i
 		eng.Spawn("guest", func(p *simtime.Proc) {
 			p.Sleep(simtime.Duration(i) * simtime.Microsecond)
-			ring.Call(p, i)
+			ring.Call(p, func() { order = append(order, i) })
 		})
 	}
 	eng.Run()
@@ -73,21 +64,27 @@ func TestCallsAreSerializedFIFO(t *testing.T) {
 
 func TestBatchSharesKickAndIRQ(t *testing.T) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, func(p *simtime.Proc, cmd any) any {
+	ring := NewRing(eng)
+	var served int
+	handle := func(p *simtime.Proc) {
 		p.Sleep(simtime.Us(10))
-		return cmd
-	})
+		served++
+	}
 	var batched, serial simtime.Duration
 	eng.Spawn("guest", func(p *simtime.Proc) {
 		start := p.Now()
-		resp := ring.CallBatch(p, []any{1, 2, 3, 4})
+		ring.Call(p, func() {
+			for i := 0; i < 4; i++ {
+				handle(p)
+			}
+		})
 		batched = p.Now().Sub(start)
-		if len(resp) != 4 || resp[3] != 4 {
-			t.Errorf("batch resp = %v", resp)
+		if served != 4 {
+			t.Errorf("batch served %d commands, want 4", served)
 		}
 		start = p.Now()
 		for i := 0; i < 4; i++ {
-			ring.Call(p, i)
+			ring.Call(p, func() { handle(p) })
 		}
 		serial = p.Now().Sub(start)
 	})
@@ -105,12 +102,12 @@ func TestBatchSharesKickAndIRQ(t *testing.T) {
 // TestCallAllocatesNothing: a steady-state round trip allocates nothing.
 func TestCallAllocatesNothing(t *testing.T) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, func(p *simtime.Proc, cmd any) any { return cmd })
+	ring := NewRing(eng)
 	ping := simtime.NewQueue[struct{}](eng)
 	eng.Spawn("guest", func(p *simtime.Proc) {
 		for {
 			ping.Get(p)
-			ring.Call(p, nil)
+			ring.Call(p, func() {})
 		}
 	})
 	step := func() {
@@ -123,7 +120,7 @@ func TestCallAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestRTTHelper: the default ring round trip, excluding handler work, is
+// TestRTTHelper: the default ring round trip, excluding service work, is
 // calibrated to 20 µs.
 func TestRTTHelper(t *testing.T) {
 	if rtt := KickCost + hostProc + IRQCost; rtt != simtime.Us(20) {
@@ -131,17 +128,17 @@ func TestRTTHelper(t *testing.T) {
 	}
 }
 
-// BenchmarkRingCall measures one guest Call to a no-op handler: the kick,
+// BenchmarkRingCall measures one guest Call with a no-op service: the kick,
 // the ring-service leg and the IRQ. The guest's proc runs every leg and
 // each wake is its own, so there is no goroutine hand-off, and a call
 // makes no allocation.
 func BenchmarkRingCall(b *testing.B) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, func(p *simtime.Proc, cmd any) any { return nil })
+	ring := NewRing(eng)
 	n := b.N
 	eng.Spawn("guest", func(p *simtime.Proc) {
 		for i := 0; i < n; i++ {
-			ring.Call(p, nil)
+			ring.Call(p, func() {})
 		}
 	})
 	b.ReportAllocs()
@@ -149,19 +146,16 @@ func BenchmarkRingCall(b *testing.B) {
 	eng.Run()
 }
 
-// BenchmarkRingCallContended runs two guests on one ring, with a handler
+// BenchmarkRingCallContended runs two guests on one ring, with a service
 // that sleeps 1 µs, so their round trips interleave and every call hands
 // the baton between the guests' goroutines. One op is one Call.
 func BenchmarkRingCallContended(b *testing.B) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, func(p *simtime.Proc, cmd any) any {
-		p.Sleep(simtime.Microsecond)
-		return nil
-	})
+	ring := NewRing(eng)
 	for g, n := range [2]int{b.N - b.N/2, b.N / 2} {
 		eng.Spawn(fmt.Sprintf("guest%d", g), func(p *simtime.Proc) {
 			for i := 0; i < n; i++ {
-				ring.Call(p, nil)
+				ring.Call(p, func() { p.Sleep(simtime.Microsecond) })
 			}
 		})
 	}
