@@ -484,6 +484,59 @@ func TestRuleEnforcementSkipsDestroyedQP(t *testing.T) {
 	}
 }
 
+// TestRuleEnforcementSkipsVictimDestroyedMidScan: one revocation condemns
+// two connections. While enforcement pays the first victim's
+// modify_qp(ERR), the second QP is destroyed (delete_conn, then
+// destroy_qp). Enforcement took both victims before that reset began, so
+// only its re-check of table membership keeps it from resetting the
+// destroyed QP through its stale pointer.
+func TestRuleEnforcementSkipsVictimDestroyedMidScan(t *testing.T) {
+	b := newBed(t, ModeVF)
+	tenant := b.fab.Tenant(100)
+	all, _ := packet.ParseCIDR("0.0.0.0/0")
+	rule := tenant.Policy.AddRule(overlay.Rule{Priority: 1, Proto: overlay.ProtoAny, Src: all, Dst: all, Action: overlay.Allow})
+	ct := NewRConntrack(b.host.Dev)
+	ct.Watch(tenant)
+
+	dev := b.host.Dev
+	var first, second *rnic.QP
+	b.eng.Spawn("race", func(p *simtime.Proc) {
+		fn := dev.PF()
+		pd := dev.AllocPD(p, fn)
+		cq := dev.CreateCQ(p, fn, 16)
+		open := func(dst byte) *rnic.QP {
+			qp := dev.CreateQP(p, fn, pd, cq, cq, rnic.RC, rnic.DefaultCaps())
+			dev.ModifyQP(p, qp, rnic.Attr{ToState: rnic.StateInit})
+			dev.ModifyQP(p, qp, rnic.Attr{ToState: rnic.StateRTR})
+			dev.ModifyQP(p, qp, rnic.Attr{ToState: rnic.StateRTS})
+			ct.Insert(p, ConnID{VNI: 100, SrcVIP: packet.NewIP(10, 0, 0, 1), DstVIP: packet.NewIP(10, 0, 0, dst), QPN: qp.Num}, qp)
+			return qp
+		}
+		first, second = open(2), open(3) // the scan takes them in QPN order
+		tenant.Policy.RemoveRule(rule)
+		// Once enforcement has re-validated the first victim, it is paying
+		// that victim's modify_qp(ERR).
+		for ct.Stats.Revalidated == 0 {
+			p.Sleep(100 * simtime.Nanosecond)
+		}
+		ct.Delete(p, second.Num)
+		if first.State() == rnic.StateError {
+			t.Error("the first victim's reset ended before delete_conn did")
+		}
+		dev.DestroyQP(p, second)
+	})
+	b.eng.Run()
+	if first.State() != rnic.StateError {
+		t.Fatalf("first victim in %v, want ERROR", first.State())
+	}
+	if second.State() == rnic.StateError {
+		t.Fatal("enforcement reset a destroyed QP through a stale pointer")
+	}
+	if ct.Stats.Resets != 1 {
+		t.Fatalf("resets = %d, want 1", ct.Stats.Resets)
+	}
+}
+
 // TestDeleteRemovesAllEntriesForQPN: destroy_qp must clear every RCT entry
 // the QPN owns, not just the first match found.
 func TestDeleteRemovesAllEntriesForQPN(t *testing.T) {

@@ -2,11 +2,11 @@
 // by the simulated network: Ethernet, IPv4, UDP, VXLAN, and the RoCEv2
 // (InfiniBand-over-UDP) transport headers BTH, RETH, AETH, DETH and ImmDt.
 //
-// The design follows gopacket: each header is a Layer that can serialize
-// itself and be decoded from bytes, and Decode walks a packet's layers
-// outside-in. Unlike gopacket the decoder is closed-world — it knows exactly
-// the protocols the simulation uses — which keeps it small and allocation-
-// light.
+// Serialize writes a list of headers (each a Layer) and a Payload outside-in
+// into one wire frame. Decode reads a frame back into a Packet, which holds
+// a typed pointer per header it found. The decoder is closed-world: it knows
+// exactly the protocols the simulation uses, and the UDP port and the BTH
+// opcode fix which headers follow, which keeps it small and allocation-light.
 package packet
 
 import (

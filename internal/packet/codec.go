@@ -3,6 +3,7 @@ package packet
 import (
 	"fmt"
 	"hash/crc32"
+	"strings"
 )
 
 // icrcTable is the CRC-32C polynomial used for the RoCEv2 invariant CRC.
@@ -74,10 +75,11 @@ func Serialize(layers ...Layer) []byte {
 	return buf
 }
 
-// Packet is a decoded packet: its layers outside-in, the application
-// payload, and — for VXLAN — the decoded inner packet.
+// Packet is a decoded packet: a pointer to each header it carries (nil for
+// one it lacks), the application payload, and — for VXLAN — the decoded
+// inner packet. Only the decoder builds one, so the headers are the whole
+// packet.
 type Packet struct {
-	Layers  []Layer
 	Payload Payload
 	Inner   *Packet // non-nil after a VXLAN header
 	// InnerRaw is the undecoded inner frame bytes behind a VXLAN header,
@@ -86,10 +88,6 @@ type Packet struct {
 
 	arena *decodeArena // backing arena, for Release
 
-	// Typed header pointers, filled by the decoder so the accessors below
-	// skip the Layers scan (and its per-element interface dispatch) on the
-	// hot path. Hand-assembled packets leave them nil and fall back to the
-	// scan.
 	ethHdr  *Ethernet
 	ipHdr   *IPv4
 	udpHdr  *UDP
@@ -103,173 +101,91 @@ type Packet struct {
 	immHdr  *ImmDt
 }
 
-// Layer returns the first layer of type t, or nil.
-func (p *Packet) Layer(t LayerType) Layer {
-	for _, l := range p.Layers {
-		if l.LayerType() == t {
-			return l
-		}
-	}
-	return nil
-}
-
 // Ethernet returns the Ethernet header, or nil.
-func (p *Packet) Ethernet() *Ethernet {
-	if p.ethHdr != nil {
-		return p.ethHdr
-	}
-	if l := p.Layer(LayerEthernet); l != nil {
-		return l.(*Ethernet)
-	}
-	return nil
-}
+func (p *Packet) Ethernet() *Ethernet { return p.ethHdr }
 
 // IPv4 returns the IPv4 header, or nil.
-func (p *Packet) IPv4() *IPv4 {
-	if p.ipHdr != nil {
-		return p.ipHdr
-	}
-	if l := p.Layer(LayerIPv4); l != nil {
-		return l.(*IPv4)
-	}
-	return nil
-}
+func (p *Packet) IPv4() *IPv4 { return p.ipHdr }
 
 // UDP returns the UDP header, or nil.
-func (p *Packet) UDP() *UDP {
-	if p.udpHdr != nil {
-		return p.udpHdr
-	}
-	if l := p.Layer(LayerUDP); l != nil {
-		return l.(*UDP)
-	}
-	return nil
-}
+func (p *Packet) UDP() *UDP { return p.udpHdr }
 
 // VXLAN returns the VXLAN header, or nil.
-func (p *Packet) VXLAN() *VXLAN {
-	if p.vxHdr != nil {
-		return p.vxHdr
-	}
-	if l := p.Layer(LayerVXLAN); l != nil {
-		return l.(*VXLAN)
-	}
-	return nil
-}
+func (p *Packet) VXLAN() *VXLAN { return p.vxHdr }
 
 // BTH returns the base transport header, or nil.
-func (p *Packet) BTH() *BTH {
-	if p.bthHdr != nil {
-		return p.bthHdr
-	}
-	if l := p.Layer(LayerBTH); l != nil {
-		return l.(*BTH)
-	}
-	return nil
-}
+func (p *Packet) BTH() *BTH { return p.bthHdr }
 
 // RETH returns the RDMA extended transport header, or nil.
-func (p *Packet) RETH() *RETH {
-	if p.rethHdr != nil {
-		return p.rethHdr
-	}
-	if l := p.Layer(LayerRETH); l != nil {
-		return l.(*RETH)
-	}
-	return nil
-}
+func (p *Packet) RETH() *RETH { return p.rethHdr }
 
 // AETH returns the ACK extended transport header, or nil.
-func (p *Packet) AETH() *AETH {
-	if p.aethHdr != nil {
-		return p.aethHdr
-	}
-	if l := p.Layer(LayerAETH); l != nil {
-		return l.(*AETH)
-	}
-	return nil
-}
+func (p *Packet) AETH() *AETH { return p.aethHdr }
 
 // DETH returns the datagram extended transport header, or nil.
-func (p *Packet) DETH() *DETH {
-	if p.dethHdr != nil {
-		return p.dethHdr
-	}
-	if l := p.Layer(LayerDETH); l != nil {
-		return l.(*DETH)
-	}
-	return nil
-}
+func (p *Packet) DETH() *DETH { return p.dethHdr }
 
 // AtomicETH returns the atomic request header, or nil.
-func (p *Packet) AtomicETH() *AtomicETH {
-	if p.aeHdr != nil {
-		return p.aeHdr
-	}
-	if l := p.Layer(LayerAtomicETH); l != nil {
-		return l.(*AtomicETH)
-	}
-	return nil
-}
+func (p *Packet) AtomicETH() *AtomicETH { return p.aeHdr }
 
 // AtomicAckETH returns the atomic response header, or nil.
-func (p *Packet) AtomicAckETH() *AtomicAckETH {
-	if p.aaHdr != nil {
-		return p.aaHdr
-	}
-	if l := p.Layer(LayerAtomicAckETH); l != nil {
-		return l.(*AtomicAckETH)
-	}
-	return nil
-}
+func (p *Packet) AtomicAckETH() *AtomicAckETH { return p.aaHdr }
 
 // ImmDt returns the immediate-data header, or nil.
-func (p *Packet) ImmDt() *ImmDt {
-	if p.immHdr != nil {
-		return p.immHdr
-	}
-	if l := p.Layer(LayerImmDt); l != nil {
-		return l.(*ImmDt)
-	}
-	return nil
-}
+func (p *Packet) ImmDt() *ImmDt { return p.immHdr }
 
+// String names the packet's headers outside-in, in the order the decoder
+// reads them, then the inner packet and the payload size, e.g.
+// "Ethernet/IPv4/UDP/BTH/Payload(3B)".
 func (p *Packet) String() string {
-	s := ""
-	for i, l := range p.Layers {
-		if i > 0 {
-			s += "/"
+	var parts []string
+	for _, h := range [...]struct {
+		present bool
+		name    string
+	}{
+		{p.ethHdr != nil, "Ethernet"},
+		{p.ipHdr != nil, "IPv4"},
+		{p.udpHdr != nil, "UDP"},
+		{p.vxHdr != nil, "VXLAN"},
+		{p.bthHdr != nil, "BTH"},
+		{p.dethHdr != nil, "DETH"},
+		{p.rethHdr != nil, "RETH"},
+		{p.aeHdr != nil, "AtomicETH"},
+		{p.aethHdr != nil, "AETH"},
+		{p.aaHdr != nil, "AtomicAckETH"},
+		{p.immHdr != nil, "ImmDt"},
+	} {
+		if h.present {
+			parts = append(parts, h.name)
 		}
-		s += l.LayerType().String()
 	}
 	if p.Inner != nil {
-		s += "/(" + p.Inner.String() + ")"
+		parts = append(parts, "("+p.Inner.String()+")")
 	}
 	if len(p.Payload) > 0 {
-		s += fmt.Sprintf("/Payload(%dB)", len(p.Payload))
+		parts = append(parts, fmt.Sprintf("Payload(%dB)", len(p.Payload)))
 	}
-	return s
+	return strings.Join(parts, "/")
 }
 
-// decodeArena backs one Decode call with a single allocation: the Packet,
-// the layer-slice storage, and every header struct the frame could contain
-// all share one block and one lifetime (the returned *Packet pins them).
+// decodeArena backs one Decode call with a single allocation: the Packet
+// and every header struct the frame could contain share one block and one
+// lifetime (the returned *Packet pins them).
 // Decode is the hottest allocation site in a packet-level run — collapsing
 // its ~9 small allocations into one is worth the arena's slack bytes.
 type decodeArena struct {
-	pkt    Packet
-	layers [8]Layer
-	eth    Ethernet
-	ip     IPv4
-	udp    UDP
-	vx     VXLAN
-	bth    BTH
-	deth   DETH
-	reth   RETH
-	ae     AtomicETH
-	aeth   AETH
-	aa     AtomicAckETH
-	imm    ImmDt
+	pkt  Packet
+	eth  Ethernet
+	ip   IPv4
+	udp  UDP
+	vx   VXLAN
+	bth  BTH
+	deth DETH
+	reth RETH
+	ae   AtomicETH
+	aeth AETH
+	aa   AtomicAckETH
+	imm  ImmDt
 
 	pool  *Pool  // owning pool, nil for one-shot arenas
 	frame []byte // the decoded frame, owned by the packet until Release
@@ -312,7 +228,7 @@ func (pl *Pool) Decode(data []byte) (*Packet, error) {
 }
 
 // Release returns the packet's arena to its pool and its frame to the
-// frame free list; the packet, all its layers and its payload are invalid
+// frame free list; the packet, all its headers and its payload are invalid
 // afterwards. It is a no-op for packets decoded outside a pool, so release
 // points need not know how a packet was made.
 func (p *Packet) Release() {
@@ -334,12 +250,10 @@ func Decode(data []byte) (*Packet, error) {
 func decodeInto(a *decodeArena, data []byte) (*Packet, error) {
 	p := &a.pkt
 	p.arena = a
-	p.Layers = a.layers[:0]
 	n, err := a.eth.unmarshal(data)
 	if err != nil {
 		return nil, err
 	}
-	p.Layers = append(p.Layers, &a.eth)
 	p.ethHdr = &a.eth
 	rest := data[n:]
 
@@ -351,10 +265,9 @@ func decodeInto(a *decodeArena, data []byte) (*Packet, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.Layers = append(p.Layers, &a.ip)
 	p.ipHdr = &a.ip
-	if int(a.ip.TotalLen) > len(rest) {
-		return nil, fmt.Errorf("packet: ipv4 total length %d exceeds frame (%d)", a.ip.TotalLen, len(rest))
+	if int(a.ip.TotalLen) < n || int(a.ip.TotalLen) > len(rest) {
+		return nil, fmt.Errorf("packet: ipv4 total length %d outside [%d, %d]", a.ip.TotalLen, n, len(rest))
 	}
 	rest = rest[n:a.ip.TotalLen]
 
@@ -366,7 +279,6 @@ func decodeInto(a *decodeArena, data []byte) (*Packet, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.Layers = append(p.Layers, &a.udp)
 	p.udpHdr = &a.udp
 	rest = rest[n:]
 
@@ -380,7 +292,6 @@ func decodeInto(a *decodeArena, data []byte) (*Packet, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.Layers = append(p.Layers, &a.vx)
 		p.vxHdr = &a.vx
 		return p, decodeRoCE(a, rest[n:])
 	case PortVXLAN:
@@ -388,7 +299,6 @@ func decodeInto(a *decodeArena, data []byte) (*Packet, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.Layers = append(p.Layers, &a.vx)
 		p.vxHdr = &a.vx
 		inner, err := Decode(rest[n:])
 		if err != nil {
@@ -410,7 +320,6 @@ func decodeRoCE(a *decodeArena, rest []byte) error {
 	if err != nil {
 		return err
 	}
-	p.Layers = append(p.Layers, &a.bth)
 	p.bthHdr = &a.bth
 	rest = rest[n:]
 
@@ -420,7 +329,6 @@ func decodeRoCE(a *decodeArena, rest []byte) error {
 		if err != nil {
 			return err
 		}
-		p.Layers = append(p.Layers, &a.deth)
 		p.dethHdr = &a.deth
 		rest = rest[n:]
 	}
@@ -429,7 +337,6 @@ func decodeRoCE(a *decodeArena, rest []byte) error {
 		if err != nil {
 			return err
 		}
-		p.Layers = append(p.Layers, &a.reth)
 		p.rethHdr = &a.reth
 		rest = rest[n:]
 	}
@@ -438,7 +345,6 @@ func decodeRoCE(a *decodeArena, rest []byte) error {
 		if err != nil {
 			return err
 		}
-		p.Layers = append(p.Layers, &a.ae)
 		p.aeHdr = &a.ae
 		rest = rest[n:]
 	}
@@ -447,7 +353,6 @@ func decodeRoCE(a *decodeArena, rest []byte) error {
 		if err != nil {
 			return err
 		}
-		p.Layers = append(p.Layers, &a.aeth)
 		p.aethHdr = &a.aeth
 		rest = rest[n:]
 	}
@@ -456,7 +361,6 @@ func decodeRoCE(a *decodeArena, rest []byte) error {
 		if err != nil {
 			return err
 		}
-		p.Layers = append(p.Layers, &a.aa)
 		p.aaHdr = &a.aa
 		rest = rest[n:]
 	}
@@ -465,7 +369,6 @@ func decodeRoCE(a *decodeArena, rest []byte) error {
 		if err != nil {
 			return err
 		}
-		p.Layers = append(p.Layers, &a.imm)
 		p.immHdr = &a.imm
 		rest = rest[n:]
 	}

@@ -5,58 +5,12 @@ import (
 	"fmt"
 )
 
-// LayerType identifies the kind of a decoded header.
-type LayerType int
-
-// Layer types known to the decoder.
-const (
-	LayerEthernet LayerType = iota
-	LayerIPv4
-	LayerUDP
-	LayerVXLAN
-	LayerBTH
-	LayerRETH
-	LayerAETH
-	LayerDETH
-	LayerImmDt
-	LayerAtomicETH
-	LayerAtomicAckETH
-	LayerPayload
-)
-
-var layerNames = map[LayerType]string{
-	LayerEthernet:     "Ethernet",
-	LayerIPv4:         "IPv4",
-	LayerUDP:          "UDP",
-	LayerVXLAN:        "VXLAN",
-	LayerBTH:          "BTH",
-	LayerRETH:         "RETH",
-	LayerAETH:         "AETH",
-	LayerDETH:         "DETH",
-	LayerImmDt:        "ImmDt",
-	LayerAtomicETH:    "AtomicETH",
-	LayerAtomicAckETH: "AtomicAckETH",
-	LayerPayload:      "Payload",
-}
-
-func (t LayerType) String() string {
-	if s, ok := layerNames[t]; ok {
-		return s
-	}
-	return fmt.Sprintf("LayerType(%d)", int(t))
-}
-
-// Layer is one protocol header (or the payload) of a packet.
+// Layer is one protocol header (or the payload) of a packet to Serialize.
 type Layer interface {
-	// LayerType identifies the header.
-	LayerType() LayerType
 	// headerLen is the serialized length in bytes.
 	headerLen() int
 	// marshal writes the header into b, which is at least headerLen bytes.
 	marshal(b []byte)
-	// unmarshal parses the header from the front of b and returns the number
-	// of bytes consumed.
-	unmarshal(b []byte) (int, error)
 }
 
 // EtherType values used by the simulation.
@@ -88,8 +42,7 @@ type Ethernet struct {
 	EtherType uint16
 }
 
-func (*Ethernet) LayerType() LayerType { return LayerEthernet }
-func (*Ethernet) headerLen() int       { return 14 }
+func (*Ethernet) headerLen() int { return 14 }
 
 func (h *Ethernet) marshal(b []byte) {
 	copy(b[0:6], h.Dst[:])
@@ -118,8 +71,7 @@ type IPv4 struct {
 	Src, Dst IP
 }
 
-func (*IPv4) LayerType() LayerType { return LayerIPv4 }
-func (*IPv4) headerLen() int       { return 20 }
+func (*IPv4) headerLen() int { return 20 }
 
 func (h *IPv4) marshal(b []byte) {
 	b[0] = 0x45 // version 4, IHL 5
@@ -180,8 +132,7 @@ type UDP struct {
 	Length           uint16 // filled by Serialize when zero
 }
 
-func (*UDP) LayerType() LayerType { return LayerUDP }
-func (*UDP) headerLen() int       { return 8 }
+func (*UDP) headerLen() int { return 8 }
 
 func (h *UDP) marshal(b []byte) {
 	binary.BigEndian.PutUint16(b[0:2], h.SrcPort)
@@ -210,8 +161,7 @@ type VXLAN struct {
 	FlowTag uint16
 }
 
-func (*VXLAN) LayerType() LayerType { return LayerVXLAN }
-func (*VXLAN) headerLen() int       { return 8 }
+func (*VXLAN) headerLen() int { return 8 }
 
 func (h *VXLAN) marshal(b []byte) {
 	b[0] = 0x08 // I flag: VNI valid

@@ -288,6 +288,31 @@ func TestDecodeTruncated(t *testing.T) {
 			t.Errorf("Decode of %d-byte prefix succeeded", n)
 		}
 	}
+	for i, data := range shortIPv4Frames() {
+		if _, err := Decode(data); err == nil {
+			t.Errorf("frame %d: IPv4 total length below the header length decoded", i)
+		}
+	}
+}
+
+// shortIPv4Frames returns a UDP frame whose IPv4 header, checksum intact,
+// claims a total length of 5 bytes, less than the header's own 20, and
+// the same frame behind a VXLAN header.
+func shortIPv4Frames() [][]byte {
+	short := Serialize(
+		&Ethernet{EtherType: EtherTypeIPv4},
+		&IPv4{TotalLen: 5, TTL: 64, Protocol: ProtoUDP, Src: NewIP(1, 1, 1, 1), Dst: NewIP(2, 2, 2, 2)},
+		&UDP{SrcPort: 1, DstPort: 9},
+		Payload("short"),
+	)
+	tunneled := Serialize(
+		&Ethernet{EtherType: EtherTypeIPv4},
+		&IPv4{TTL: 64, Protocol: ProtoUDP, Src: NewIP(172, 16, 0, 1), Dst: NewIP(172, 16, 0, 2)},
+		&UDP{SrcPort: 1, DstPort: PortVXLAN},
+		&VXLAN{VNI: 9},
+		Payload(short),
+	)
+	return [][]byte{short, tunneled}
 }
 
 func TestInternetChecksumSelfVerifies(t *testing.T) {

@@ -152,8 +152,7 @@ type BTH struct {
 	PSN      uint32 // 24 bits
 }
 
-func (*BTH) LayerType() LayerType { return LayerBTH }
-func (*BTH) headerLen() int       { return 12 }
+func (*BTH) headerLen() int { return 12 }
 
 func (h *BTH) marshal(b []byte) {
 	b[0] = byte(h.OpCode)
@@ -191,8 +190,7 @@ type RETH struct {
 	DMALen uint32
 }
 
-func (*RETH) LayerType() LayerType { return LayerRETH }
-func (*RETH) headerLen() int       { return 16 }
+func (*RETH) headerLen() int { return 16 }
 
 func (h *RETH) marshal(b []byte) {
 	binary.BigEndian.PutUint64(b[0:8], h.VA)
@@ -232,8 +230,7 @@ type AETH struct {
 	MSN      uint32 // 24 bits
 }
 
-func (*AETH) LayerType() LayerType { return LayerAETH }
-func (*AETH) headerLen() int       { return 4 }
+func (*AETH) headerLen() int { return 4 }
 
 func (h *AETH) marshal(b []byte) {
 	b[0] = h.Syndrome
@@ -266,8 +263,7 @@ type DETH struct {
 	SrcQP uint32 // 24 bits
 }
 
-func (*DETH) LayerType() LayerType { return LayerDETH }
-func (*DETH) headerLen() int       { return 8 }
+func (*DETH) headerLen() int { return 8 }
 
 func (h *DETH) marshal(b []byte) {
 	binary.BigEndian.PutUint32(b[0:4], h.QKey)
@@ -293,8 +289,7 @@ type AtomicETH struct {
 	Compare uint64 // compare value (CSwap only)
 }
 
-func (*AtomicETH) LayerType() LayerType { return LayerAtomicETH }
-func (*AtomicETH) headerLen() int       { return 28 }
+func (*AtomicETH) headerLen() int { return 28 }
 
 func (h *AtomicETH) marshal(b []byte) {
 	binary.BigEndian.PutUint64(b[0:8], h.VA)
@@ -320,8 +315,7 @@ type AtomicAckETH struct {
 	Orig uint64
 }
 
-func (*AtomicAckETH) LayerType() LayerType { return LayerAtomicAckETH }
-func (*AtomicAckETH) headerLen() int       { return 8 }
+func (*AtomicAckETH) headerLen() int { return 8 }
 
 func (h *AtomicAckETH) marshal(b []byte) { binary.BigEndian.PutUint64(b[0:8], h.Orig) }
 
@@ -338,8 +332,7 @@ type ImmDt struct {
 	Value uint32
 }
 
-func (*ImmDt) LayerType() LayerType { return LayerImmDt }
-func (*ImmDt) headerLen() int       { return 4 }
+func (*ImmDt) headerLen() int { return 4 }
 
 func (h *ImmDt) marshal(b []byte) { binary.BigEndian.PutUint32(b[0:4], h.Value) }
 
@@ -354,12 +347,8 @@ func (h *ImmDt) unmarshal(b []byte) (int, error) {
 // Payload is the application bytes of a packet.
 type Payload []byte
 
-func (Payload) LayerType() LayerType { return LayerPayload }
-func (p Payload) headerLen() int     { return len(p) }
-func (p Payload) marshal(b []byte)   { copy(b, p) }
-func (p Payload) unmarshal(b []byte) (int, error) {
-	return 0, fmt.Errorf("packet: payload does not self-decode")
-}
+func (p Payload) headerLen() int   { return len(p) }
+func (p Payload) marshal(b []byte) { copy(b, p) }
 
 func put24(b []byte, v uint32) {
 	b[0] = byte(v >> 16)

@@ -13,10 +13,11 @@ import (
 )
 
 // rcStream is one warm RC connection from device a to device b, driven a
-// message at a time. A message is a WRITE or a SEND of up to streamMax
-// bytes, four segments at the default MTU; at 1 KB it is one data segment
-// plus its ACK. A SEND also takes a receive WQE from a backlog the
-// responder keeps topped up.
+// message at a time. A message is a WRITE, a SEND or a READ of up to
+// streamMax bytes, four segments at the default MTU; at 1 KB a WRITE or a
+// SEND is one data segment plus its ACK, and a READ one request plus one
+// response. A SEND also takes a receive WQE from a backlog the responder
+// keeps topped up.
 type rcStream struct {
 	e      *env
 	op     WROp
@@ -43,7 +44,7 @@ func newRCStream(tb testing.TB, op WROp) *rcStream {
 		connect(tb, p, c, srv)
 		var smr, rmr *MR
 		s.srcVA, smr = e.a.buffer(tb, p, c.pd, streamMax, AccessLocalWrite)
-		s.dstVA, rmr = e.b.buffer(tb, p, srv.pd, streamMax, AccessLocalWrite|AccessRemoteWrite)
+		s.dstVA, rmr = e.b.buffer(tb, p, srv.pd, streamMax, AccessLocalWrite|AccessRemoteWrite|AccessRemoteRead)
 		wr := SendWR{Op: op, LocalAddr: s.srcVA, LKey: smr.LKey, RemoteAddr: s.dstVA, RKey: rmr.RKey}
 		e.eng.Spawn("requester", func(p *simtime.Proc) {
 			for {
@@ -118,6 +119,27 @@ func TestRCDataPathAllocatesNothing(t *testing.T) {
 				t.Fatalf("completions failed: %+v", s.failed)
 			}
 		})
+	}
+}
+
+// TestRCReadAllocations gates a warm 1 KB RC READ: the request through the
+// TX pipeline, the response built in the responder's scratch encoder and
+// sent by its pooled emit jobs, and the requester's completion. Two
+// allocations are left: the requester completes a READ through an After
+// closure, and the READ's send WQE, which that closure points at, is not
+// recycled. readAllocBudget may only go down.
+func TestRCReadAllocations(t *testing.T) {
+	const readAllocBudget = 2
+	s := newRCStream(t, WRRead)
+	step := func() { s.send(1024) }
+	for i := 0; i < 2*recvBacklog; i++ {
+		step() // warm the pools, the queues and the free list
+	}
+	if allocs := testing.AllocsPerRun(500, step); allocs > readAllocBudget {
+		t.Fatalf("READ allocates %.1f per message, want at most %d", allocs, readAllocBudget)
+	}
+	if len(s.failed) > 0 {
+		t.Fatalf("completions failed: %+v", s.failed)
 	}
 }
 

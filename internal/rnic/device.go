@@ -104,7 +104,7 @@ func (d *Device) RxDecode(f simnet.Frame) (*packet.Packet, error) {
 	return d.pktPool.Decode(f)
 }
 
-// frameScratch holds one reusable set of header layers for Serialize.
+// frameScratch holds one reusable set of headers for Serialize.
 type frameScratch struct {
 	layers  [8]packet.Layer
 	eth     packet.Ethernet
@@ -120,6 +120,16 @@ type frameScratch struct {
 	imm     packet.ImmDt
 	pay     packet.Payload
 	payload []byte
+}
+
+// start begins a RoCEv2 frame from qp toward av: it fills the Ethernet,
+// IPv4 and UDP headers and returns the layer list holding them, for the
+// caller to append the rest of the frame to.
+func (s *frameScratch) start(qp *QP, av *AddressVector) []packet.Layer {
+	s.eth = packet.Ethernet{Dst: av.DMAC, Src: qp.SrcMAC, EtherType: packet.EtherTypeIPv4}
+	s.ip = packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: qp.SrcIP, Dst: av.DIP}
+	s.udp = packet.UDP{SrcPort: 49152 + uint16(qp.Num&0x3fff), DstPort: packet.PortRoCEv2}
+	return append(s.layers[:0], &s.eth, &s.ip, &s.udp)
 }
 
 // payloadBuf returns an n-byte scratch buffer for gathering DMA payload

@@ -169,17 +169,21 @@ func (qp *QP) buildNextPacket() (simnet.Frame, int, bool) {
 	psn := qp.sndNxt
 	var chunkLen int
 
-	// Assemble into the device's scratch encoder: slots 0-2 hold the
-	// Ethernet/IPv4/UDP headers (filled once the address vector is known),
-	// transport layers follow. Serialize copies everything out before the
-	// scratch is reused. A flow-tagged QP (shared-connection mode) reserves
-	// slot 3 for the overlay header carrying the tag.
-	enc := &d.enc
-	hdrSlots := 3
-	if qp.FlowTag != 0 {
-		hdrSlots = 4
+	// Assemble into the device's scratch encoder; Serialize copies
+	// everything out before the scratch is reused. A flow-tagged QP
+	// (shared-connection mode) puts the overlay header carrying the tag
+	// between UDP and the transport headers.
+	av := &qp.AV
+	if qp.Type == UD && w.wr.Remote != nil {
+		av = w.wr.Remote
 	}
-	layers := enc.layers[:hdrSlots]
+	enc := &d.enc
+	layers := enc.start(qp, av)
+	if qp.FlowTag != 0 {
+		enc.udp.DstPort = packet.PortRoCEShared
+		enc.vx = packet.VXLAN{VNI: qp.FlowVNI, FlowTag: qp.FlowTag}
+		layers = append(layers, &enc.vx)
+	}
 
 	switch w.wr.Op {
 	case WRRead:
@@ -254,10 +258,6 @@ func (qp *QP) buildNextPacket() (simnet.Frame, int, bool) {
 		}
 	}
 
-	av := qp.AV
-	if qp.Type == UD && w.wr.Remote != nil {
-		av = *w.wr.Remote
-	}
 	if qp.txOff >= w.wr.Len {
 		qp.txIdx++
 		qp.txOff = 0
@@ -270,15 +270,6 @@ func (qp *QP) buildNextPacket() (simnet.Frame, int, bool) {
 	}
 
 	qp.currentDIP = av.DIP
-	enc.eth = packet.Ethernet{Dst: av.DMAC, Src: qp.SrcMAC, EtherType: packet.EtherTypeIPv4}
-	enc.ip = packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: qp.SrcIP, Dst: av.DIP}
-	enc.udp = packet.UDP{SrcPort: 49152 + uint16(qp.Num&0x3fff), DstPort: packet.PortRoCEv2}
-	layers[0], layers[1], layers[2] = &enc.eth, &enc.ip, &enc.udp
-	if qp.FlowTag != 0 {
-		enc.udp.DstPort = packet.PortRoCEShared
-		enc.vx = packet.VXLAN{VNI: qp.FlowVNI, FlowTag: qp.FlowTag}
-		layers[3] = &enc.vx
-	}
 	frame := packet.Serialize(layers...)
 	return simnet.Frame(frame), len(frame), true
 }
@@ -465,12 +456,9 @@ func (d *Device) sendAck(qp *QP, syndrome byte, psn uint32) {
 		}
 	}
 	enc := &d.enc
-	enc.eth = packet.Ethernet{Dst: qp.AV.DMAC, Src: qp.SrcMAC, EtherType: packet.EtherTypeIPv4}
-	enc.ip = packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: qp.SrcIP, Dst: qp.AV.DIP}
-	enc.udp = packet.UDP{SrcPort: 49152 + uint16(qp.Num&0x3fff), DstPort: packet.PortRoCEv2}
 	enc.bth = packet.BTH{OpCode: packet.OpAcknowledge, DestQP: qp.AV.DQPN, PSN: psn}
 	enc.aeth = packet.AETH{Syndrome: syndrome, MSN: qp.msn}
-	frame := packet.Serialize(&enc.eth, &enc.ip, &enc.udp, &enc.bth, &enc.aeth)
+	frame := packet.Serialize(append(enc.start(qp, &qp.AV), &enc.bth, &enc.aeth)...)
 	d.emitAfter(d.rxLatency(qp), qp.AV.DIP, simnet.Frame(frame), false)
 }
 
@@ -570,13 +558,10 @@ func (d *Device) handleAtomic(qp *QP, pkt *packet.Packet) {
 // sendAtomicAck emits the atomic response carrying the original value.
 func (d *Device) sendAtomicAck(qp *QP, psn uint32, orig uint64) {
 	enc := &d.enc
-	enc.eth = packet.Ethernet{Dst: qp.AV.DMAC, Src: qp.SrcMAC, EtherType: packet.EtherTypeIPv4}
-	enc.ip = packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: qp.SrcIP, Dst: qp.AV.DIP}
-	enc.udp = packet.UDP{SrcPort: 49152 + uint16(qp.Num&0x3fff), DstPort: packet.PortRoCEv2}
 	enc.bth = packet.BTH{OpCode: packet.OpAtomicAcknowledge, DestQP: qp.AV.DQPN, PSN: psn}
 	enc.aeth = packet.AETH{Syndrome: packet.AckSyndromeACK, MSN: qp.msn}
 	enc.aaeth = packet.AtomicAckETH{Orig: orig}
-	frame := packet.Serialize(&enc.eth, &enc.ip, &enc.udp, &enc.bth, &enc.aeth, &enc.aaeth)
+	frame := packet.Serialize(append(enc.start(qp, &qp.AV), &enc.bth, &enc.aeth, &enc.aaeth)...)
 	d.emitAfter(d.rxLatency(qp), qp.AV.DIP, simnet.Frame(frame), false)
 }
 
@@ -723,13 +708,14 @@ func (d *Device) handleReadRequest(qp *QP, pkt *packet.Packet) {
 	// Stream the responses. They bypass the TX scheduler (as a dedicated
 	// responder pipeline would) but are paced at wire speed.
 	delay := d.rxLatency(qp)
+	enc := &d.enc
 	for i := 0; i < npkts; i++ {
 		off := i * d.P.MTU
 		n := total - off
 		if n > d.P.MTU {
 			n = d.P.MTU
 		}
-		buf := make([]byte, n)
+		buf := enc.payloadBuf(n)
 		if err := mr.dma(d.hostMem, reth.VA+uint64(off), buf, false); err != nil {
 			d.sendAck(qp, packet.AckSyndromeNAK|packet.NakRemoteAccessError, (qp.expPSN-1)&0xffffff)
 			return
@@ -745,20 +731,15 @@ func (d *Device) handleReadRequest(qp *QP, pkt *packet.Packet) {
 		default:
 			op = packet.OpReadResponseMiddle
 		}
-		layers := []packet.Layer{
-			&packet.Ethernet{Dst: qp.AV.DMAC, Src: qp.SrcMAC, EtherType: packet.EtherTypeIPv4},
-			&packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: qp.SrcIP, Dst: qp.AV.DIP},
-			&packet.UDP{SrcPort: 49152 + uint16(qp.Num&0x3fff), DstPort: packet.PortRoCEv2},
-			&packet.BTH{OpCode: op, DestQP: qp.AV.DQPN, PSN: (bth.PSN + uint32(i)) & 0xffffff},
-		}
+		enc.bth = packet.BTH{OpCode: op, DestQP: qp.AV.DQPN, PSN: (bth.PSN + uint32(i)) & 0xffffff}
+		layers := append(enc.start(qp, &qp.AV), &enc.bth)
 		if op == packet.OpReadResponseFirst || op == packet.OpReadResponseLast || op == packet.OpReadResponseOnly {
-			layers = append(layers, &packet.AETH{Syndrome: packet.AckSyndromeACK, MSN: qp.msn})
+			enc.aeth = packet.AETH{Syndrome: packet.AckSyndromeACK, MSN: qp.msn}
+			layers = append(layers, &enc.aeth)
 		}
-		layers = append(layers, packet.Payload(buf))
-		frame := packet.Serialize(layers...)
-		d.eng.After(delay+d.wireTime(len(frame))*simtime.Duration(i+1), func() {
-			d.emit(qp.AV.DIP, simnet.Frame(frame))
-		})
+		enc.pay = packet.Payload(buf)
+		frame := packet.Serialize(append(layers, &enc.pay)...)
+		d.emitAfter(delay+d.wireTime(len(frame))*simtime.Duration(i+1), qp.AV.DIP, simnet.Frame(frame), false)
 	}
 }
 
