@@ -98,3 +98,42 @@ func BenchmarkReplicaBacklog(b *testing.B) {
 	eng.Run()
 	b.ReportMetric(float64(peak), "peak-lag")
 }
+
+// BenchmarkKeySlots times a shard's key index at ctrl-storm's scale: 30k
+// interns into an empty index (one op is the whole fill, growth included),
+// and a lookup of a key the full index holds and of one it does not. The
+// keys are subnet GIDs across 4 VNIs.
+func BenchmarkKeySlots(b *testing.B) {
+	const n = 30_000
+	keys := make([]Key, n)
+	for i := range keys {
+		keys[i] = keyN(uint32(7+i%4), i/4)
+	}
+	b.Run("intern-30k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ks := newKeySlots()
+			for _, k := range keys {
+				ks.intern(k)
+			}
+		}
+	})
+	full := newKeySlots()
+	for _, k := range keys {
+		full.intern(k)
+	}
+	b.Run("lookup-hit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if full.lookup(keys[i%n]) < 0 {
+				b.Fatal("miss")
+			}
+		}
+	})
+	b.Run("lookup-miss", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if full.lookup(keyN(99, i%n)) >= 0 {
+				b.Fatal("hit")
+			}
+		}
+	})
+}

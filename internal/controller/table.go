@@ -1,38 +1,99 @@
 package controller
 
-import "masq/internal/simtime"
+import (
+	"encoding/binary"
+	"math/bits"
+
+	"masq/internal/simtime"
+)
 
 // keySlots numbers a shard's keys densely: the first write of a key gives
 // it the next slot, and the key keeps that slot for the shard's life, so
-// the index is bounded by the keys ever written, just as a Go map never
-// shrinks. The primary and its standby share one index: a table is a slice
-// with one row per slot, and a replication record names its row by slot,
-// so the standby applies it, and a promotion or a re-image copies a whole
-// table, with no hashing. Reads and deletes never number a key.
+// the index is bounded by the keys ever written. The primary and its
+// standby share one index: a table is a slice with one row per slot, and a
+// replication record names its row by slot, so the standby applies it, and
+// a promotion or a re-image copies a whole table, with no hashing. Reads
+// and deletes never number a key.
+//
+// idx is an open-addressed hash index over keys: each entry holds a slot
+// plus one (0 is empty), its length is a power of two, and a key sits at
+// its hash or after it in a run of full entries (linear probing). A key is
+// never removed, so the index needs no tombstones, and a run ends at the
+// first empty entry. Once more than half full, the index doubles and is
+// rebuilt from keys, so runs stay short.
 type keySlots struct {
-	idx  map[Key]int32
+	idx  []int32
 	keys []Key // keys[s] is the key of slot s
 }
 
-func newKeySlots() *keySlots { return &keySlots{idx: make(map[Key]int32)} }
+// minIndex is the length of a new shard's index.
+const minIndex = 16
+
+func newKeySlots() *keySlots { return &keySlots{idx: make([]int32, minIndex)} }
+
+// keyHash mixes k a word at a time: the two 8-byte halves of its GID meet
+// in one 64×64→128-bit multiply, the VNI joins in a second, and each
+// product's halves fold together. Every input bit reaches the low bits the
+// index masks, so a subnet's GIDs, which differ only in their last bytes,
+// spread over the whole index.
+func keyHash(k Key) uint64 {
+	lo := binary.LittleEndian.Uint64(k.VGID[:8])
+	hi := binary.LittleEndian.Uint64(k.VGID[8:])
+	return mulFold(mulFold(lo^0x9e3779b97f4a7c15, hi^0xbf58476d1ce4e5b9)^uint64(k.VNI), 0x94d049bb133111eb)
+}
+
+func mulFold(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// probe returns the index entry that holds k, or the empty entry that ends
+// k's run, and k's slot, or -1 if k has never been written.
+func (ks *keySlots) probe(k Key) (int, int32) {
+	mask := len(ks.idx) - 1
+	for i := int(keyHash(k)) & mask; ; i = (i + 1) & mask {
+		e := ks.idx[i]
+		if e == 0 {
+			return i, -1
+		}
+		if ks.keys[e-1] == k {
+			return i, e - 1
+		}
+	}
+}
 
 // lookup returns k's slot, or -1 if k has never been written.
 func (ks *keySlots) lookup(k Key) int32 {
-	if s, ok := ks.idx[k]; ok {
-		return s
-	}
-	return -1
+	_, s := ks.probe(k)
+	return s
 }
 
 // intern returns k's slot, numbering k first if it has none.
 func (ks *keySlots) intern(k Key) int32 {
-	if s, ok := ks.idx[k]; ok {
+	i, s := ks.probe(k)
+	if s >= 0 {
 		return s
 	}
-	s := int32(len(ks.keys))
-	ks.idx[k] = s
+	s = int32(len(ks.keys))
 	ks.keys = append(ks.keys, k)
+	ks.idx[i] = s + 1
+	if 2*len(ks.keys) > len(ks.idx) {
+		ks.grow()
+	}
 	return s
+}
+
+// grow doubles the index and re-places every key in slot order.
+func (ks *keySlots) grow() {
+	ks.idx = make([]int32, 2*len(ks.idx))
+	mask := len(ks.idx) - 1
+	for s, k := range ks.keys {
+		i := int(keyHash(k)) & mask
+		for ks.idx[i] != 0 {
+			i = (i + 1) & mask
+		}
+		ks.idx[i] = int32(s) + 1
+	}
 }
 
 // entry is one table row: the mapping, the epoch it was written under, and

@@ -438,3 +438,100 @@ func FuzzShardTable(f *testing.F) {
 		}
 	})
 }
+
+// TestKeySlotsTellVNIsApart: two tenants may use one virtual GID. Keys
+// with the same GID in two VNIs whose hashes pick the same entry of a new
+// index share a probe run, and must still get slots of their own.
+func TestKeySlotsTellVNIsApart(t *testing.T) {
+	a := keyN(7, 1)
+	b := Key{VNI: 8, VGID: a.VGID}
+	for keyHash(b)%minIndex != keyHash(a)%minIndex {
+		b.VNI++
+	}
+	ks := newKeySlots()
+	if s := ks.intern(a); s != 0 {
+		t.Fatalf("intern(a) = %d, want 0", s)
+	}
+	if s := ks.lookup(b); s != -1 {
+		t.Fatalf("lookup(b) = %d before b was interned, want -1", s)
+	}
+	if s := ks.intern(b); s != 1 {
+		t.Fatalf("intern(b) = %d, want 1", s)
+	}
+	if sa, sb := ks.lookup(a), ks.lookup(b); sa != 0 || sb != 1 {
+		t.Fatalf("lookup(a), lookup(b) = %d, %d; want 0, 1", sa, sb)
+	}
+}
+
+// FuzzKeySlots decodes its bytes into runs of intern and lookup calls on
+// one keySlots and after every call compares it with a map[Key]int32
+// reference: a key's slot, -1 for a key never interned, dense numbering in
+// first-intern order, and keys[s] == k. At the end the index must hold one
+// entry per key and be as long as the growth rule makes it: the shortest
+// power of two, from 16 up, that is at least twice the keys. Each three
+// bytes are an operation: the first picks one of 4 VNIs, intern or lookup,
+// and a run of 1-32 consecutive keys; the next two pick the run's first key
+// among 4,096 per VNI. The keys are a subnet's GIDs, which differ only in
+// their last two bytes, and every VNI has the same ones, so up to 16,384
+// keys can be interned and the index grows from 16 entries to 32,768.
+func FuzzKeySlots(f *testing.F) {
+	const keysPerVNI = 4096
+	f.Add([]byte{0, 0, 1, 4, 0, 1, 4, 0, 2, 1, 0, 1, 5, 0, 1})
+	f.Add([]byte{0xf8, 0x0f, 0xf0, 0xfc, 0x0f, 0xf0, 0xf9, 0, 0, 0xfd, 0x0f, 0xff})
+	var fill []byte // intern 3,072 keys in runs of 32, then look them up
+	for kind := byte(0); kind < 2; kind++ {
+		for first := 0; first < 768; first += 32 {
+			for vni := byte(0); vni < 4; vni++ {
+				fill = append(fill, 0xf8|kind<<2|vni, byte(first>>8), byte(first))
+			}
+		}
+	}
+	f.Add(fill)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		ks := newKeySlots()
+		ref := map[Key]int32{}
+		for ; len(ops) >= 3; ops = ops[3:] {
+			op, first := ops[0], int(ops[1])<<8|int(ops[2])
+			vni, lookup, run := uint32(7+op&3), op&4 != 0, 1+int(op>>3)
+			for i := 0; i < run; i++ {
+				k := keyN(vni, (first+i)%keysPerVNI)
+				want, ok := ref[k]
+				var got int32
+				if lookup {
+					got = ks.lookup(k)
+					if !ok {
+						want = -1
+					}
+				} else {
+					got = ks.intern(k)
+					if !ok {
+						want = int32(len(ref))
+						ref[k] = want
+					}
+				}
+				if got != want {
+					t.Fatalf("vni %d key %d: lookup=%v gave slot %d, want %d", vni, (first+i)%keysPerVNI, lookup, got, want)
+				}
+				if len(ks.keys) != len(ref) {
+					t.Fatalf("%d keys numbered, want %d", len(ks.keys), len(ref))
+				}
+				if got >= 0 && ks.keys[got] != k {
+					t.Fatalf("keys[%d] = %v, want %v", got, ks.keys[got], k)
+				}
+			}
+		}
+		want := minIndex
+		for want < 2*len(ks.keys) {
+			want *= 2
+		}
+		full := 0
+		for _, e := range ks.idx {
+			if e != 0 {
+				full++
+			}
+		}
+		if len(ks.idx) != want || full != len(ks.keys) {
+			t.Fatalf("index of %d entries, %d full, for %d keys; want %d entries", len(ks.idx), full, len(ks.keys), want)
+		}
+	})
+}

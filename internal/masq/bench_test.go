@@ -10,9 +10,7 @@ import (
 )
 
 // BenchmarkRCTInsertDelete measures one insert_conn plus delete_conn on an
-// otherwise empty RCT table, the table work of one connection's life. Insert
-// rebuilds the per-QPN set and the per-VNI and per-pair maps that remove
-// deletes once they are empty, so every op allocates them again.
+// otherwise empty RCT table, the table work of one connection's life.
 func BenchmarkRCTInsertDelete(b *testing.B) {
 	eng := simtime.NewEngine()
 	ct := NewRConntrack(nil)
@@ -27,6 +25,36 @@ func BenchmarkRCTInsertDelete(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	eng.Run()
+}
+
+// rctInsertDeleteAllocs is the committed allocation budget of one insert_conn
+// plus delete_conn: the entry itself. It may only go down.
+const rctInsertDeleteAllocs = 1
+
+// TestRCTInsertDeleteAllocates gates the RCT table's work for one
+// connection. The entry is its own node in its QPN's list and its endpoint
+// pair's list, and a VNI keeps its pair map, so an insert and a delete on a
+// warm table allocate nothing but the entry.
+func TestRCTInsertDeleteAllocates(t *testing.T) {
+	eng := simtime.NewEngine()
+	ct := NewRConntrack(nil)
+	id := ConnID{VNI: 100, SrcVIP: packet.IP{10, 0, 0, 1}, DstVIP: packet.IP{10, 0, 0, 2}, QPN: 7}
+	ping := simtime.NewQueue[struct{}](eng)
+	eng.Spawn("backend", func(p *simtime.Proc) {
+		for {
+			ping.Get(p)
+			ct.Insert(p, id, nil)
+			ct.Delete(p, id.QPN)
+		}
+	})
+	step := func() {
+		ping.Put(struct{}{})
+		eng.RunUntil(eng.Now().Add(simtime.Ms(1)))
+	}
+	step() // warm the table's maps and the engine's pools
+	if allocs := testing.AllocsPerRun(100, step); allocs > rctInsertDeleteAllocs {
+		t.Fatalf("insert plus delete makes %.1f allocations, budget %d", allocs, rctInsertDeleteAllocs)
+	}
 }
 
 // connectWalk is one connection's control path through the frontend:
@@ -91,7 +119,7 @@ func forwardedConnect(tb testing.TB) (step func()) {
 
 // forwardedConnectAllocs is the committed allocation budget of one warm
 // connectWalk. It may only go down.
-const forwardedConnectAllocs = 13
+const forwardedConnectAllocs = 7
 
 // TestForwardedConnectAllocates gates the allocations of one warm
 // connection's walk through the frontend, the virtio ring and the backend.

@@ -233,9 +233,9 @@ func (b *Backend) MigrateOut(p *simtime.Proc, f *Frontend) (*MigrCapture, error)
 	for _, qp := range sess.qps {
 		p.Sleep(migrQPCost)
 		cap.qps = append(cap.qps, capQP{qp: qp, oldQPN: qp.Num, pooled: b.pooledInit[qp.Num]})
-		ids := make([]ConnID, 0, len(b.CT.byQPN[qp.Num]))
-		for id := range b.CT.byQPN[qp.Num] {
-			ids = append(ids, id)
+		var ids []ConnID
+		for c := b.CT.byQPN[qp.Num]; c != nil; c = c.qpNext {
+			ids = append(ids, c.id)
 		}
 		sort.Slice(ids, func(i, j int) bool { return connLess(ids[i], ids[j]) })
 		for _, id := range ids {

@@ -25,10 +25,16 @@ func (id ConnID) String() string {
 	return fmt.Sprintf("<VNI %d: %v -> %v, QP %d>", id.VNI, id.SrcVIP, id.DstVIP, id.QPN)
 }
 
-// trackedConn is one RCT table entry.
+// trackedConn is one RCT table entry. It is also a node of two intrusive
+// lists: its QPN's entries, and its VNI's entries with its (SrcVIP,
+// DstVIP) pair. An entry is never reused once removed, so a pointer to a
+// removed entry never aliases a live one.
 type trackedConn struct {
 	id ConnID
 	qp *rnic.QP
+
+	qpNext             *trackedConn // next entry of the same QPN
+	pairPrev, pairNext *trackedConn // neighbours with the same VNI and pair
 }
 
 // vipPair is the (SrcVIP, DstVIP) endpoint pair of an RCT entry — the key
@@ -80,8 +86,8 @@ type RConntrack struct {
 	dev      *rnic.Device
 	rec      *trace.Recorder
 	table    map[ConnID]*trackedConn
-	byQPN    map[uint32]map[ConnID]struct{}                 // QPN → table keys (O(1) delete_conn)
-	byPair   map[uint32]map[vipPair]map[ConnID]*trackedConn // VNI → endpoints → entries
+	byQPN    map[uint32]*trackedConn             // QPN → head of its entries (O(1) delete_conn)
+	byPair   map[uint32]map[vipPair]*trackedConn // VNI → endpoints → head of their entries
 	verdicts map[ConnID]verdict
 	tenant   map[uint32]*overlay.Tenant // tenants this host has seen
 
@@ -96,8 +102,8 @@ func NewRConntrack(dev *rnic.Device) *RConntrack {
 	return &RConntrack{
 		dev:      dev,
 		table:    make(map[ConnID]*trackedConn),
-		byQPN:    make(map[uint32]map[ConnID]struct{}),
-		byPair:   make(map[uint32]map[vipPair]map[ConnID]*trackedConn),
+		byQPN:    make(map[uint32]*trackedConn),
+		byPair:   make(map[uint32]map[vipPair]*trackedConn),
 		verdicts: make(map[ConnID]verdict),
 		tenant:   make(map[uint32]*overlay.Tenant),
 	}
@@ -171,54 +177,66 @@ func (ct *RConntrack) Insert(p *simtime.Proc, id ConnID, qp *rnic.QP) {
 	defer sp.End(p)
 	p.Sleep(InsertConnCost)
 	ct.Stats.Inserted++
-	c := &trackedConn{id: id, qp: qp}
-	ct.table[id] = c
-	set := ct.byQPN[id.QPN]
-	if set == nil {
-		set = make(map[ConnID]struct{})
-		ct.byQPN[id.QPN] = set
+	if old := ct.table[id]; old != nil {
+		ct.unlink(old) // a re-insert replaces the entry
 	}
-	set[id] = struct{}{}
+	c := &trackedConn{id: id, qp: qp, qpNext: ct.byQPN[id.QPN]}
+	ct.table[id] = c
+	ct.byQPN[id.QPN] = c
 	pairs := ct.byPair[id.VNI]
 	if pairs == nil {
-		pairs = make(map[vipPair]map[ConnID]*trackedConn)
+		pairs = make(map[vipPair]*trackedConn)
 		ct.byPair[id.VNI] = pairs
 	}
 	pp := vipPair{id.SrcVIP, id.DstVIP}
-	entries := pairs[pp]
-	if entries == nil {
-		entries = make(map[ConnID]*trackedConn)
-		pairs[pp] = entries
+	if head := pairs[pp]; head != nil {
+		c.pairNext, head.pairPrev = head, c
 	}
-	entries[id] = c
+	pairs[pp] = c
 }
 
 // remove drops one entry from the table and every index.
 func (ct *RConntrack) remove(id ConnID) {
-	if _, ok := ct.table[id]; !ok {
+	c, ok := ct.table[id]
+	if !ok {
 		return
 	}
 	delete(ct.table, id)
 	delete(ct.verdicts, id)
 	ct.Stats.Deleted++
-	if set := ct.byQPN[id.QPN]; set != nil {
-		delete(set, id)
-		if len(set) == 0 {
-			delete(ct.byQPN, id.QPN)
-		}
-	}
-	if pairs := ct.byPair[id.VNI]; pairs != nil {
-		pp := vipPair{id.SrcVIP, id.DstVIP}
-		if entries := pairs[pp]; entries != nil {
-			delete(entries, id)
-			if len(entries) == 0 {
-				delete(pairs, pp)
+	ct.unlink(c)
+}
+
+// unlink takes c off its QPN's list and its pair's list. A VNI's pair map
+// stays once made, so the next connection of the VNI reuses it.
+func (ct *RConntrack) unlink(c *trackedConn) {
+	id := c.id
+	if head := ct.byQPN[id.QPN]; head != c {
+		for prev := head; prev != nil; prev = prev.qpNext {
+			if prev.qpNext == c {
+				prev.qpNext = c.qpNext
+				break
 			}
 		}
-		if len(pairs) == 0 {
-			delete(ct.byPair, id.VNI)
+	} else if c.qpNext != nil {
+		ct.byQPN[id.QPN] = c.qpNext
+	} else {
+		delete(ct.byQPN, id.QPN)
+	}
+	if c.pairNext != nil {
+		c.pairNext.pairPrev = c.pairPrev
+	}
+	if c.pairPrev != nil {
+		c.pairPrev.pairNext = c.pairNext
+	} else {
+		pairs, pp := ct.byPair[id.VNI], vipPair{id.SrcVIP, id.DstVIP}
+		if c.pairNext != nil {
+			pairs[pp] = c.pairNext
+		} else {
+			delete(pairs, pp)
 		}
 	}
+	c.qpNext, c.pairPrev, c.pairNext = nil, nil, nil
 }
 
 // Delete is delete_conn(): called from destroy_qp. The QPN index makes it
@@ -228,8 +246,8 @@ func (ct *RConntrack) Delete(p *simtime.Proc, qpn uint32) {
 	sp := ct.rec.Begin(p, trace.LayerRConntrack, "delete_conn")
 	defer sp.End(p)
 	p.Sleep(deleteConnCost)
-	for id := range ct.byQPN[qpn] {
-		ct.remove(id)
+	for c := ct.byQPN[qpn]; c != nil; c = ct.byQPN[qpn] {
+		ct.remove(c.id)
 	}
 }
 
@@ -336,9 +354,9 @@ func (ct *RConntrack) enforce(p *simtime.Proc, job enforceJob) {
 		return
 	default:
 		ct.Stats.IncrScans++
-		for pair, entries := range ct.byPair[t.VNI] {
+		for pair, head := range ct.byPair[t.VNI] {
 			if ch.Rule.Src.Contains(pair.src) && ch.Rule.Dst.Contains(pair.dst) {
-				for _, c := range entries {
+				for c := head; c != nil; c = c.pairNext {
 					cands = append(cands, c)
 				}
 			}

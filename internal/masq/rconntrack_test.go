@@ -229,3 +229,87 @@ func TestConnLessByteOrder(t *testing.T) {
 		t.Fatalf("connLess allocates %.1f objects per comparison", n)
 	}
 }
+
+// TestRCTListsMatchTable drives a seeded mix of insert_conn (new and
+// repeated IDs), single removals and delete_conn over a small ID space, so
+// QPNs and endpoint pairs share entries, and after every step checks that
+// each QPN's list and each pair's list hold exactly the table's entries for
+// it, linked both ways.
+func TestRCTListsMatchTable(t *testing.T) {
+	eng := simtime.NewEngine()
+	ct := NewRConntrack(nil)
+	rng := rand.New(rand.NewSource(1))
+	randID := func() ConnID {
+		return ConnID{
+			VNI:    uint32(100 + rng.Intn(2)),
+			SrcVIP: packet.NewIP(10, 0, 0, byte(1+rng.Intn(3))),
+			DstVIP: packet.NewIP(10, 0, 1, byte(1+rng.Intn(3))),
+			QPN:    uint32(1 + rng.Intn(4)),
+		}
+	}
+	check := func(step int) {
+		byQPN := map[uint32]map[ConnID]bool{}
+		byPair := map[uint32]map[vipPair]map[ConnID]bool{}
+		for id := range ct.table {
+			if byQPN[id.QPN] == nil {
+				byQPN[id.QPN] = map[ConnID]bool{}
+			}
+			byQPN[id.QPN][id] = true
+			if byPair[id.VNI] == nil {
+				byPair[id.VNI] = map[vipPair]map[ConnID]bool{}
+			}
+			pp := vipPair{id.SrcVIP, id.DstVIP}
+			if byPair[id.VNI][pp] == nil {
+				byPair[id.VNI][pp] = map[ConnID]bool{}
+			}
+			byPair[id.VNI][pp][id] = true
+		}
+		if len(ct.byQPN) != len(byQPN) {
+			t.Fatalf("step %d: %d QPN lists, want %d", step, len(ct.byQPN), len(byQPN))
+		}
+		for qpn, head := range ct.byQPN {
+			n := 0
+			for c := head; c != nil; c = c.qpNext {
+				if !byQPN[qpn][c.id] || ct.table[c.id] != c {
+					t.Fatalf("step %d: QPN %d lists %v, which the table does not hold", step, qpn, c.id)
+				}
+				n++
+			}
+			if n != len(byQPN[qpn]) {
+				t.Fatalf("step %d: QPN %d lists %d entries, want %d", step, qpn, n, len(byQPN[qpn]))
+			}
+		}
+		for vni, pairs := range ct.byPair {
+			if len(pairs) != len(byPair[vni]) {
+				t.Fatalf("step %d: VNI %d has %d pair lists, want %d", step, vni, len(pairs), len(byPair[vni]))
+			}
+			for pp, head := range pairs {
+				n := 0
+				var prev *trackedConn
+				for c := head; c != nil; prev, c = c, c.pairNext {
+					if c.pairPrev != prev || !byPair[vni][pp][c.id] || ct.table[c.id] != c {
+						t.Fatalf("step %d: VNI %d pair %v lists %v out of place", step, vni, pp, c.id)
+					}
+					n++
+				}
+				if n != len(byPair[vni][pp]) {
+					t.Fatalf("step %d: VNI %d pair %v lists %d entries, want %d", step, vni, pp, n, len(byPair[vni][pp]))
+				}
+			}
+		}
+	}
+	eng.Spawn("backend", func(p *simtime.Proc) {
+		for step := 0; step < 2000; step++ {
+			switch rng.Intn(4) {
+			case 0, 1:
+				ct.Insert(p, randID(), nil)
+			case 2:
+				ct.remove(randID())
+			case 3:
+				ct.Delete(p, uint32(1+rng.Intn(4)))
+			}
+			check(step)
+		}
+	})
+	eng.Run()
+}

@@ -124,12 +124,11 @@ func TestRCDataPathAllocatesNothing(t *testing.T) {
 
 // TestRCReadAllocations gates a warm 1 KB RC READ: the request through the
 // TX pipeline, the response built in the responder's scratch encoder and
-// sent by its pooled emit jobs, and the requester's completion. Two
-// allocations are left: the requester completes a READ through an After
-// closure, and the READ's send WQE, which that closure points at, is not
-// recycled. readAllocBudget may only go down.
+// sent by its pooled emit jobs, and the requester's completion, a pooled
+// retire job that names no WQE, so the READ's send WQE is recycled like any
+// other. readAllocBudget may only go down.
 func TestRCReadAllocations(t *testing.T) {
-	const readAllocBudget = 2
+	const readAllocBudget = 0
 	s := newRCStream(t, WRRead)
 	step := func() { s.send(1024) }
 	for i := 0; i < 2*recvBacklog; i++ {

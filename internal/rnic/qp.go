@@ -74,10 +74,7 @@ type QP struct {
 	atomicHist map[uint32]uint64
 	atomicFIFO []uint32
 
-	// wqeFree pools retired send WQEs. READ WQEs are exempt: a read
-	// completes through a deferred callback that compares WQE pointer
-	// identity against the queue head, and a recycled record could alias a
-	// newly posted one.
+	// wqeFree pools retired send WQEs.
 	wqeFree []*sendWQE
 }
 
@@ -86,7 +83,7 @@ type sendWQE struct {
 	assigned          bool
 	firstPSN, lastPSN uint32
 	npkts             int
-	readRecv          int // READ: response bytes scattered so far
+	readSegs          int // READ: response segments taken so far, in order
 }
 
 type recvCtx struct {
@@ -369,7 +366,7 @@ func (qp *QP) retire(ack uint32) {
 		if !w.assigned || psnDiff(w.lastPSN, ack) > 0 {
 			break
 		}
-		if w.wr.Op == WRRead && w.readRecv < w.wr.Len {
+		if w.wr.Op == WRRead && w.readSegs < w.npkts {
 			break // reads complete via response data, not acks
 		}
 		qp.completeHead(w)
@@ -406,14 +403,13 @@ func (qp *QP) completeHead(w *sendWQE) {
 	if qp.txIdx > 0 {
 		qp.txIdx--
 	} else {
-		qp.txOff = 0 // head was still being packetized; it is gone now
+		// The head was being sent again after a rewind; it is gone now, so
+		// sending resumes at the next WQE, whose PSNs follow the head's.
+		qp.txOff = 0
+		qp.sndNxt = (w.lastPSN + 1) & 0xffffff
 	}
-	if w.wr.Op != WRRead {
-		// Nothing holds a retired non-READ WQE (read completion callbacks
-		// are the one pointer-identity consumer), so recycle it.
-		*w = sendWQE{}
-		qp.wqeFree = append(qp.wqeFree, w)
-	}
+	*w = sendWQE{}
+	qp.wqeFree = append(qp.wqeFree, w)
 }
 
 // rewind restarts transmission from PSN from (go-back-N).
@@ -455,10 +451,36 @@ func (qp *QP) seekTo(from uint32) bool {
 	return false
 }
 
+// readGap returns the first response the READ at the head of the send
+// queue still waits for, and whether the ack point has passed it. An ACK
+// for a later request, or a later READ's response, can overtake a lost
+// response, and the READ must still be re-issued.
+func (qp *QP) readGap() (uint32, bool) {
+	if len(qp.sq) == 0 {
+		return 0, false
+	}
+	w := qp.sq[0]
+	if !w.assigned || w.wr.Op != WRRead || w.readSegs == w.npkts {
+		return 0, false
+	}
+	miss := (w.firstPSN + uint32(w.readSegs)) & 0xffffff
+	return miss, psnDiff(qp.sndUna, miss) > 0
+}
+
+// outstanding reports whether the requester waits for an acknowledgement:
+// a sent PSN not yet acked, or a READ response the ack point has passed.
+func (qp *QP) outstanding() bool {
+	if psnDiff(qp.sndNxt, qp.sndUna) > 0 {
+		return true
+	}
+	_, gap := qp.readGap()
+	return gap
+}
+
 // armTimer pushes the retransmission deadline out. A single callback chain
 // per QP tracks the moving deadline, so arming per packet is cheap.
 func (qp *QP) armTimer() {
-	if psnDiff(qp.sndNxt, qp.sndUna) <= 0 {
+	if !qp.outstanding() {
 		qp.deadline = 0
 		return
 	}
@@ -471,13 +493,17 @@ func (qp *QP) armTimer() {
 
 func (qp *QP) timerFired() {
 	qp.timerPending = false
-	if qp.suspended || qp.state != StateRTS || qp.deadline == 0 || psnDiff(qp.sndNxt, qp.sndUna) <= 0 {
+	if qp.suspended || qp.state != StateRTS || qp.deadline == 0 || !qp.outstanding() {
 		return
 	}
 	now := qp.dev.eng.Now()
 	if now < qp.deadline {
 		qp.timerPending = true
 		qp.dev.eng.At(qp.deadline, qp.timerFired)
+		return
+	}
+	if miss, gap := qp.readGap(); gap {
+		qp.rewind(miss)
 		return
 	}
 	qp.rewind(qp.sndUna)

@@ -501,6 +501,96 @@ func TestDuplicateAfterAckLossNotRedelivered(t *testing.T) {
 	}
 }
 
+// TestRCReadSurvivesResponseLoss drops one frame of a 9000 B RC READ, its
+// request or one of its three responses at MTU 4096, once. The requester
+// must take responses only in order, so a gap keeps the retransmit timer
+// armed, and the responder must answer the re-issued (duplicate) request
+// with the data again. The READ then completes once, with the right data,
+// and so does a WRITE posted behind it, whose ACK reaches the requester
+// before the READ's responses do. With nothing lost, both complete with no
+// retransmission.
+func TestRCReadSurvivesResponseLoss(t *testing.T) {
+	const size = 9000
+	cases := []struct {
+		name string
+		src  packet.MAC // the sender of the lost frame; zero loses none
+		op   packet.OpCode
+	}{
+		{"nothing", packet.MAC{}, 0},
+		{"request", packet.MAC{2, 0, 0, 0, 0, 1}, packet.OpReadRequest},
+		{"first", packet.MAC{2, 0, 0, 0, 0, 2}, packet.OpReadResponseFirst},
+		{"middle", packet.MAC{2, 0, 0, 0, 0, 2}, packet.OpReadResponseMiddle},
+		{"last", packet.MAC{2, 0, 0, 0, 0, 2}, packet.OpReadResponseLast},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t)
+			dropped := false
+			e.link.Drop = func(f simnet.Frame) bool {
+				if dropped || f.SrcMAC() != tc.src {
+					return false
+				}
+				pkt, err := packet.Decode(f)
+				if err != nil || pkt.BTH() == nil || pkt.BTH().OpCode != tc.op {
+					return false
+				}
+				dropped = true
+				return true
+			}
+			src := make([]byte, size)
+			for i := range src {
+				src[i] = byte(i * 13)
+			}
+			var wcs []WC
+			var got []byte
+			var stray int
+			e.eng.Spawn("test", func(p *simtime.Proc) {
+				c := makeEndpoint(t, p, e.a, RC)
+				s := makeEndpoint(t, p, e.b, RC)
+				connect(t, p, c, s)
+				// The WRITE goes past the READ's source: a re-issued READ
+				// runs after it at the responder.
+				lva, lmr := e.a.buffer(t, p, c.pd, size+64, AccessLocalWrite)
+				rva, rmr := e.b.buffer(t, p, s.pd, size+64, AccessLocalWrite|AccessRemoteRead|AccessRemoteWrite)
+				e.b.hva.Write(rva, src)
+				c.qp.PostSend(p, SendWR{WRID: 1, Op: WRRead, LocalAddr: lva, LKey: lmr.LKey, Len: size, RemoteAddr: rva, RKey: rmr.RKey})
+				c.qp.PostSend(p, SendWR{WRID: 2, Op: WRWrite, LocalAddr: lva + size, LKey: lmr.LKey, Len: 64, RemoteAddr: rva + size, RKey: rmr.RKey})
+				for range 2 {
+					wc, ok := c.scq.WaitTimeout(p, simtime.Ms(100))
+					if !ok {
+						return
+					}
+					wcs = append(wcs, wc)
+				}
+				got = make([]byte, size)
+				e.a.hva.Read(lva, got)
+				p.Sleep(simtime.Ms(50)) // past every retransmit timer
+				stray = c.scq.Len()
+			})
+			e.eng.RunUntil(simtime.Time(simtime.Ms(500)))
+			lose := tc.src != (packet.MAC{})
+			if dropped != lose {
+				t.Fatalf("drop hook fired: %v, want %v", dropped, lose)
+			}
+			if len(wcs) < 2 {
+				t.Fatalf("completions within 100 ms each: %+v; want the READ's and the WRITE's", wcs)
+			}
+			if wcs[0].WRID != 1 || wcs[0].Status != WCSuccess || wcs[1].WRID != 2 || wcs[1].Status != WCSuccess {
+				t.Fatalf("completions %+v; want READ (WRID 1) then WRITE (WRID 2), both successful", wcs)
+			}
+			if !bytes.Equal(got, src) {
+				t.Fatal("READ data differs from the responder's memory")
+			}
+			if stray != 0 {
+				t.Fatalf("%d more completions after the READ and the WRITE", stray)
+			}
+			if r := e.a.dev.Stats.Retransmits; lose && r < 1 || !lose && r != 0 {
+				t.Fatalf("Retransmits = %d with a frame lost: %v", r, lose)
+			}
+		})
+	}
+}
+
 func TestQPStateMachine(t *testing.T) {
 	e := newEnv(t)
 	e.eng.Spawn("test", func(p *simtime.Proc) {

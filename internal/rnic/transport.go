@@ -479,11 +479,17 @@ func (d *Device) handleRequest(qp *QP, pkt *packet.Packet) {
 	case diff < 0:
 		// Duplicate from a go-back-N rewind. Atomic duplicates are
 		// answered from the response history — re-executing would
-		// double-apply them; everything else is simply re-acked.
+		// double-apply them. A READ is idempotent and its responses are
+		// its only acknowledgement, so a duplicate is executed again;
+		// everything else is simply re-acked.
 		if bth.OpCode.IsAtomic() {
 			if orig, ok := qp.atomicHist[bth.PSN]; ok {
 				d.sendAtomicAck(qp, bth.PSN, orig)
 			}
+			return
+		}
+		if bth.OpCode == packet.OpReadRequest {
+			d.handleReadRequest(qp, pkt, true)
 			return
 		}
 		if bth.AckReq || bth.OpCode.IsLast() {
@@ -506,7 +512,7 @@ func (d *Device) handleRequest(qp *QP, pkt *packet.Packet) {
 	case op.IsWrite():
 		d.handleWriteChunk(qp, pkt)
 	case op == packet.OpReadRequest:
-		d.handleReadRequest(qp, pkt)
+		d.handleReadRequest(qp, pkt, false)
 	case op.IsAtomic():
 		d.handleAtomic(qp, pkt)
 	default:
@@ -684,7 +690,10 @@ func (d *Device) handleWriteChunk(qp *QP, pkt *packet.Packet) {
 	}
 }
 
-func (d *Device) handleReadRequest(qp *QP, pkt *packet.Packet) {
+// handleReadRequest streams a READ's responses. A new request takes its
+// PSN range and a message number first; a duplicate, re-issued because a
+// response was lost, is answered again without either.
+func (d *Device) handleReadRequest(qp *QP, pkt *packet.Packet, dup bool) {
 	bth, reth := pkt.BTH(), pkt.RETH()
 	if reth == nil {
 		d.sendAck(qp, packet.AckSyndromeNAK|packet.NakInvalidRequest, (qp.expPSN-1)&0xffffff)
@@ -701,13 +710,16 @@ func (d *Device) handleReadRequest(qp *QP, pkt *packet.Packet) {
 	if npkts == 0 {
 		npkts = 1
 	}
-	qp.expPSN = (qp.expPSN + uint32(npkts)) & 0xffffff
-	qp.msn = (qp.msn + 1) & 0xffffff
-	d.Stats.RxMsgs++
+	if !dup {
+		qp.expPSN = (qp.expPSN + uint32(npkts)) & 0xffffff
+		qp.msn = (qp.msn + 1) & 0xffffff
+		d.Stats.RxMsgs++
+	}
 
 	// Stream the responses. They bypass the TX scheduler (as a dedicated
-	// responder pipeline would) but are paced at wire speed.
-	delay := d.rxLatency(qp)
+	// responder pipeline would) but are paced at wire speed, each behind
+	// the one before, so a short last segment cannot overtake the rest.
+	at := d.rxLatency(qp)
 	enc := &d.enc
 	for i := 0; i < npkts; i++ {
 		off := i * d.P.MTU
@@ -739,39 +751,41 @@ func (d *Device) handleReadRequest(qp *QP, pkt *packet.Packet) {
 		}
 		enc.pay = packet.Payload(buf)
 		frame := packet.Serialize(append(layers, &enc.pay)...)
-		d.emitAfter(delay+d.wireTime(len(frame))*simtime.Duration(i+1), qp.AV.DIP, simnet.Frame(frame), false)
+		at += d.wireTime(len(frame))
+		d.emitAfter(at, qp.AV.DIP, simnet.Frame(frame), false)
 	}
 }
 
 // handleReadResponse scatters response data into the requester's read WQE.
+// It takes only the segment the READ expects next: one past a lost
+// response, or a duplicate of one already taken, is dropped, so the
+// retransmit timer re-issues the READ. Taking the last segment completes
+// the READ, and with it every WQE the ack point has passed; the ack point
+// can be ahead of the READ's last PSN when an ACK for a later request
+// overtook the response.
 func (d *Device) handleReadResponse(qp *QP, pkt *packet.Packet) {
 	bth := pkt.BTH()
 	w := qp.findWQE(bth.PSN)
-	if w == nil || w.wr.Op != WRRead {
-		return // stale response after a rewind
+	if w == nil || w.wr.Op != WRRead || psnDiff(bth.PSN, w.firstPSN) != int32(w.readSegs) {
+		return // stale, duplicate, or past a lost response
 	}
-	off := int(psnDiff(bth.PSN, w.firstPSN)) * d.P.MTU
+	off := w.readSegs * d.P.MTU
 	mr := d.mrs[w.wr.LKey]
 	if mr == nil || mr.PD != qp.PD ||
 		mr.dma(d.hostMem, w.wr.LocalAddr+uint64(off), pkt.Payload, true) != nil {
 		qp.enterError(WCRemoteOpErr)
 		return
 	}
-	w.readRecv += len(pkt.Payload)
-	if w.readRecv >= w.wr.Len && w == qp.sq[0] {
-		d.eng.After(rxCQE, func() {
-			if len(qp.sq) > 0 && qp.sq[0] == w {
-				qp.completeHead(w)
-				qp.retire(w.lastPSN)
-			}
-		})
-	}
+	w.readSegs++
 	// Responses advance the cumulative ack point.
 	if psnDiff(bth.PSN+1, qp.sndUna) > 0 {
 		qp.sndUna = (bth.PSN + 1) & 0xffffff
 		qp.retries = 0
 		qp.armTimer()
 		qp.kick()
+	}
+	if w.readSegs == w.npkts {
+		d.retireAfter(rxCQE, qp, (qp.sndUna-1)&0xffffff)
 	}
 }
 

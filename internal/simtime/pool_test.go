@@ -212,6 +212,45 @@ func TestSleepWakeZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFirstWaitAllocatesNothing: a primitive's first wait takes its inline
+// waiter record and the first slot of its inline wait list, so waiting on
+// a fresh Event or Queue, the way a connection waits on its CQ and its
+// set-up events, allocates nothing.
+func TestFirstWaitAllocatesNothing(t *testing.T) {
+	const runs = 100
+	eng := NewEngine()
+	evs := make([]*Event[int], runs+1) // one fresh pair per step
+	qs := make([]*Queue[int], runs+1)
+	for i := range evs {
+		evs[i], qs[i] = NewEvent[int](eng), NewQueue[int](eng)
+	}
+	ping := NewQueue[struct{}](eng)
+	next, got := 0, 0
+	eng.Spawn("waiter", func(p *Proc) {
+		for {
+			ping.Get(p)
+			got += evs[next].Wait(p)
+			got += qs[next].Get(p)
+			next++
+		}
+	})
+	step := func() {
+		ev, q := evs[next], qs[next]
+		ping.Put(struct{}{})
+		eng.RunUntil(eng.Now().Add(1)) // parked on ev
+		ev.Trigger(1)
+		eng.RunUntil(eng.Now().Add(1)) // parked on q
+		q.Put(1)
+		eng.RunUntil(eng.Now().Add(1))
+	}
+	if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
+		t.Fatalf("a first wait on a fresh Event and on a fresh Queue makes %.1f allocations, want 0", allocs)
+	}
+	if next != runs+1 || got != 2*(runs+1) {
+		t.Fatalf("%d steps delivered %d values, want %d and %d", next, got, runs+1, 2*(runs+1))
+	}
+}
+
 // TestQueueStandingBacklogStaysSmall: a FIFO that never drains reuses its
 // slice instead of growing by a slot per push. A Queue's items, a Queue's
 // waiters and a Resource's waiters each keep a standing backlog of 8 for

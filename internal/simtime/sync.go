@@ -63,12 +63,20 @@ type waiter[T any] struct {
 	timedOut bool
 }
 
-// waiterPool is a per-primitive free list of waiter records.
+// waiterPool is a per-primitive free list of waiter records. One record
+// lives inline and is used before the free list, so a primitive that never
+// has two waiters at once, such as a CQ's queue or a one-shot event,
+// allocates no record and no free list.
 type waiterPool[T any] struct {
+	one  waiter[T] // in use while one.p is set
 	free []*waiter[T]
 }
 
 func (wp *waiterPool[T]) get(p *Proc) *waiter[T] {
+	if wp.one.p == nil {
+		wp.one.p = p
+		return &wp.one
+	}
 	if n := len(wp.free); n > 0 {
 		w := wp.free[n-1]
 		wp.free[n-1] = nil
@@ -87,7 +95,9 @@ func (wp *waiterPool[T]) put(w *waiter[T]) {
 	w.p = nil
 	w.fired, w.timedOut = false, false
 	w.gen++
-	wp.free = append(wp.free, w)
+	if w != &wp.one {
+		wp.free = append(wp.free, w)
+	}
 }
 
 // Event is a one-shot future: processes Wait on it, and a single Trigger
@@ -100,11 +110,14 @@ type Event[T any] struct {
 	val       T
 	waiters   []*waiter[T]
 	pool      waiterPool[T]
+	wbuf      [1]*waiter[T] // waiters' first backing array
 }
 
 // NewEvent returns an untriggered event owned by e.
 func NewEvent[T any](e *Engine) *Event[T] {
-	return &Event[T]{eng: e}
+	ev := &Event[T]{eng: e}
+	ev.waiters = ev.wbuf[:0]
+	return ev
 }
 
 // Triggered reports whether the event has fired.
@@ -199,6 +212,7 @@ type Queue[T any] struct {
 	items   fifo[T]
 	waiters fifo[*waiter[T]]
 	pool    waiterPool[T]
+	wbuf    [1]*waiter[T] // waiters' first backing array
 
 	cb  func(T) // armed one-shot consumer callback (nil when absent)
 	svc event   // intrusive delivery event for the callback path
@@ -207,6 +221,7 @@ type Queue[T any] struct {
 // NewQueue returns an empty queue owned by e.
 func NewQueue[T any](e *Engine) *Queue[T] {
 	q := &Queue[T]{eng: e}
+	q.waiters.s = q.wbuf[:0]
 	q.svc.fn = q.service
 	return q
 }
